@@ -26,7 +26,7 @@ from .errors import (
     TransformSingular,
 )
 from .instances import PlantedInstance, plant_instance, scalar_oracle, symbolic_det_oracle
-from .linalg import as_matrix, as_vector, eigen, frobenius, inverse, matmul, null_space
+from .linalg import as_matrix, as_vector, eigen, inverse
 from .polymatrix import (
     MatrixPolynomial,
     ScalarPolynomial,
@@ -51,7 +51,6 @@ from .solver import (
     commutation_check,
     dual_equation,
     eigen_candidates,
-    enumerate_classes,
     equation_lhs,
     family_from_points,
     quotient_factor,
@@ -98,15 +97,11 @@ __all__ = [
     "dual_equation",
     "eigen",
     "eigen_candidates",
-    "enumerate_classes",
     "equation_lhs",
     "evaluate",
     "family_from_points",
     "fix_all_but",
-    "frobenius",
     "inverse",
-    "matmul",
-    "null_space",
     "null_vectors_at",
     "plant_instance",
     "poly_roots",

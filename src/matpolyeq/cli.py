@@ -15,7 +15,6 @@ from . import io
 from .errors import (
     DegreeZero,
     DocumentError,
-    IdenticallySingular,
     InsufficientRoots,
     MatPolyEqError,
     NoPointsFound,
@@ -83,8 +82,6 @@ def cmd_solve(args) -> int:
         eq = io.equation_from_document(io.load_document(args.input))
     except DocumentError as exc:
         return _fail(str(exc))
-    if eq.orientation is Orientation.SANDWICH_BIVARIATE:
-        return _fail("solve: the sandwich orientation has no constructive solver")
     try:
         cfg = _config_from(args)
     except ValueError as exc:
@@ -95,8 +92,6 @@ def cmd_solve(args) -> int:
         else:
             result = solve_multivariate(eq, cfg)
         families, diagnostics = result.families, result.diagnostics
-    except IdenticallySingular as exc:
-        return _fail(f"solve: IdenticallySingular: {exc}")
     except (NoPointsFound, TransformSingular, InsufficientRoots) as exc:
         diagnostics = list(exc.diagnostics) or [
             Diagnostic("solver", f"{type(exc).__name__}: {exc}")
@@ -157,18 +152,8 @@ def cmd_detpoly(args) -> int:
             return _fail("detpoly: a univariate equation takes no --fix values")
         slice_poly = eq.poly
     else:
-        if len(fixed) != eq.arity - 1:
-            return _fail(
-                f"detpoly: need {eq.arity - 1} fixed values for arity {eq.arity},"
-                f" got {len(fixed)}"
-            )
-        if not 0 <= args.pivot < eq.arity:
-            return _fail(f"detpoly: pivot {args.pivot} out of range")
         slice_poly = fix_all_but(eq.poly, args.pivot, np.array(fixed))
-    try:
-        det = det_poly_univariate(slice_poly)
-    except IdenticallySingular as exc:
-        return _fail(f"detpoly: IdenticallySingular: {exc}")
+    det = det_poly_univariate(slice_poly)
     try:
         roots = poly_roots(det)
     except DegreeZero:
@@ -191,14 +176,10 @@ def cmd_sample_variety(args) -> int:
         eq = io.equation_from_document(io.load_document(args.input))
     except DocumentError as exc:
         return _fail(str(exc))
-    if eq.arity < 2:
-        return _fail("sample-variety: the equation must have arity >= 2")
     try:
         points = sample_variety(
             eq.poly, args.side, args.count, args.seed, args.strategy
         )
-    except IdenticallySingular as exc:
-        return _fail(f"sample-variety: IdenticallySingular: {exc}")
     except NoPointsFound as exc:
         print(f"sample-variety: {exc}", file=sys.stderr)
         return EXIT_NO_RESULT
@@ -220,16 +201,8 @@ def cmd_sample_variety(args) -> int:
 
 
 def cmd_plant(args) -> int:
-    try:
-        orientation = Orientation(args.orientation)
-    except ValueError:
-        return _fail(f"plant: invalid orientation {args.orientation!r}")
-    try:
-        planted = plant_instance(
-            args.dimension, args.arity, args.degree, orientation, args.seed
-        )
-    except MatPolyEqError as exc:
-        return _fail(f"plant: {exc}")
+    orientation = Orientation(args.orientation)
+    planted = plant_instance(args.dimension, args.arity, args.degree, orientation, args.seed)
     eq = planted.equation
     io.dump_document(io.equation_to_document(eq), args.output)
     # the truth family mirrors solver output: W = T^-1 for left, T otherwise
@@ -260,13 +233,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("input", help="equation document (JSON)")
     solve.add_argument("--output", default=None, help="solution document path (default: stdout)")
-    solve.add_argument("--tol-residual", type=float, default=1e-8, dest="tol_residual")
-    solve.add_argument("--tol-rank", type=float, default=1e-10, dest="tol_rank")
-    solve.add_argument("--max-classes", type=int, default=200, dest="max_classes")
-    solve.add_argument("--samples", type=int, default=32)
+    solve.add_argument(
+        "--tol-residual", type=float, default=SolverConfig.tol_residual, dest="tol_residual"
+    )
+    solve.add_argument("--tol-rank", type=float, default=SolverConfig.tol_rank, dest="tol_rank")
+    solve.add_argument(
+        "--max-classes", type=int, default=SolverConfig.max_classes, dest="max_classes"
+    )
+    solve.add_argument("--samples", type=int, default=SolverConfig.sample_count)
     solve.add_argument("--seed", type=int, required=True)
-    solve.add_argument("--strategy", choices=("grid", "random"), default="grid")
-    solve.add_argument("--threads", type=int, default=0, help="parallelism bound (0 = auto)")
+    solve.add_argument("--strategy", choices=("grid", "random"), default=SolverConfig.strategy)
     solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser(
@@ -274,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("equation", help="equation document (JSON)")
     verify.add_argument("solutions", help="solution document (JSON)")
-    verify.add_argument("--tol", type=float, default=1e-8)
+    verify.add_argument("--tol", type=float, default=SolverConfig.tol_residual)
     verify.add_argument("--output", default=None)
     verify.set_defaults(func=cmd_verify)
 

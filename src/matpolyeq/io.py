@@ -6,7 +6,9 @@ row-major nested arrays.  Parsing errors name the offending field path.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sys
 from typing import Any
 
 import numpy as np
@@ -14,8 +16,6 @@ import numpy as np
 from .errors import DocumentError
 from .polymatrix import MatrixPolynomial
 from .solver import Diagnostic, Orientation, SANDWICH_SLOTS, SolutionFamily, StructuredEquation
-
-_SLOT_NAMES = ("A", "B", "C", "D", "E", "F")
 
 
 def complex_to_pair(z: complex) -> list[float]:
@@ -73,8 +73,8 @@ def equation_to_document(eq: StructuredEquation) -> dict:
     if eq.orientation is Orientation.SANDWICH_BIVARIATE:
         zero = np.zeros((eq.dim, eq.dim), dtype=np.complex128)
         doc["sandwich_slots"] = {
-            name: matrix_to_rows(eq.poly.terms.get(SANDWICH_SLOTS[name], zero))
-            for name in _SLOT_NAMES
+            name: matrix_to_rows(eq.poly.terms.get(key, zero))
+            for name, key in SANDWICH_SLOTS.items()
         }
     else:
         doc["terms"] = [
@@ -107,10 +107,10 @@ def equation_from_document(doc: Any) -> StructuredEquation:
         if "terms" in doc:
             raise DocumentError("$.terms: sandwich documents carry sandwich_slots instead")
         slots = _require(doc, "sandwich_slots", dict, "$")
-        for name in _SLOT_NAMES:
+        for name, key in SANDWICH_SLOTS.items():
             if name not in slots:
                 raise DocumentError(f"$.sandwich_slots.{name}: missing")
-            terms[SANDWICH_SLOTS[name]] = _rows_to_matrix(
+            terms[key] = _rows_to_matrix(
                 slots[name], dim, f"$.sandwich_slots.{name}"
             )
     else:
@@ -239,9 +239,11 @@ def load_document(path: str) -> Any:
 
 
 def dump_document(doc: Any, path: str | None) -> None:
-    text = json.dumps(doc, indent=2)
+    """Stream ``doc`` as indented JSON plus a newline to ``path``, or stdout."""
     if path is None:
-        print(text)
+        target = contextlib.nullcontext(sys.stdout)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        target = open(path, "w", encoding="utf-8")
+    with target as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")

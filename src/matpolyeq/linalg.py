@@ -2,7 +2,7 @@
 
 Thin, contract-enforcing wrappers around numpy's LAPACK bindings.  Every
 function promotes its input to complex128, rejects non-finite entries, and
-is deterministic for identical inputs.  Null spaces are tolerance-based on
+is deterministic for identical inputs.  Invertibility is decided on
 singular values; eigenvalues come back in a fixed lexicographic order so
 that downstream class enumeration is reproducible.
 """
@@ -49,27 +49,6 @@ def _square(data) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(
-            f"inner dimensions disagree: {a.shape} x {b.shape}"
-        )
-    return a @ b
-
-
-def frobenius(m) -> float:
-    """Square root of the sum of squared entry moduli."""
-    return float(np.linalg.norm(as_matrix(m)))
-
-
-def det(m) -> complex:
-    """Determinant via LU factorization."""
-    return complex(np.linalg.det(_square(m)))
 
 
 def inverse(m, tol_rank: float = DEFAULT_TOL_RANK) -> tuple[np.ndarray, float]:
@@ -122,25 +101,3 @@ def eigen(m) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceFailure(str(exc)) from exc
     order = lex_argsort(vals)
     return vals[order], vecs[:, order]
-
-
-def null_space(m, side: str = "right", tol_rank: float = DEFAULT_TOL_RANK) -> list[np.ndarray]:
-    """Orthonormal basis of the null space on the requested side.
-
-    Right vectors v satisfy ``m @ v ~ 0``; left vectors use the row
-    convention ``v @ m ~ 0``.  Membership is decided by singular values
-    sigma <= ``tol_rank`` * sigma_max; a full-rank matrix yields ``[]``.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    a = as_matrix(m)
-    if side == "left":
-        # left null vectors are conjugated right null vectors of the conjugate transpose
-        return [v.conj() for v in null_space(a.conj().T, "right", tol_rank)]
-    _, s, vh = np.linalg.svd(a)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > tol_rank * smax))
-    return [vh[i].conj() for i in range(rank, a.shape[1])]

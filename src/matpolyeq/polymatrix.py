@@ -213,8 +213,12 @@ def det_poly_univariate(
     to zero and trailing zeros are trimmed.
 
     Raises IdenticallySingular when every sampled determinant is at or
-    below ``det_zero_tol`` times a per-sample magnitude bound, i.e. when
-    det P is the zero polynomial.
+    below ``det_zero_tol`` times ``||P||_F ** n`` at that node, i.e. when
+    det P is the zero polynomial.  The bound scales with P as the
+    determinant does, so the test is scale-free; it stops at the first
+    node that clears it.  It exceeds Hadamard's bound (the product of the
+    column norms) by up to ``n ** (n / 2)``, so planted instances of
+    dimension 16 and more are still read as singular.
     """
     if p.arity != 1:
         raise DimensionMismatch(f"det_poly_univariate needs arity 1, got {p.arity}")
@@ -226,12 +230,13 @@ def det_poly_univariate(
     radius = _interp_radius(p)
     nodes = radius * np.exp(2j * np.pi * np.arange(count) / count)
     dets = np.empty(count, dtype=np.complex128)
-    bounds = np.empty(count, dtype=np.float64)
+    nonzero = False
     for j, z in enumerate(nodes):
         pz = evaluate(p, [z])
         dets[j] = np.linalg.det(pz)
-        bounds[j] = max(1.0, float(np.linalg.norm(pz))) ** n
-    if np.all(np.abs(dets) <= det_zero_tol * bounds):
+        if not nonzero:
+            nonzero = abs(dets[j]) > det_zero_tol * float(np.linalg.norm(pz)) ** n
+    if not nonzero:
         raise IdenticallySingular("determinant vanishes at every sample node")
     # values at radius * exp(+2 pi i j / M) invert through the forward DFT
     coeffs = np.fft.fft(dets) / count
@@ -324,13 +329,11 @@ def term_scale(p: MatrixPolynomial, point) -> float:
     return total
 
 
-def null_vectors_at(
-    p: MatrixPolynomial, point, side: str, tol_zero: float = DEFAULT_TOL_ZERO
-) -> list[np.ndarray]:
+def null_vectors_at(p: MatrixPolynomial, point, side: str) -> list[np.ndarray]:
     """Unit null vectors of P(point), smallest singular direction first.
 
-    Acceptance is sigma <= ``tol_zero`` * max(sigma_max, term_scale); the
-    second reference keeps 1x1 and fully vanishing evaluations decidable.
+    Acceptance is sigma <= ``DEFAULT_TOL_ZERO`` * max(sigma_max, term_scale);
+    the second reference keeps 1x1 and fully vanishing evaluations decidable.
     """
     pz = evaluate(p, point)
     u, s, vh = np.linalg.svd(pz)
@@ -338,7 +341,7 @@ def null_vectors_at(
     if ref == 0.0:
         count = p.dim
     else:
-        count = int(np.sum(s <= tol_zero * ref))
+        count = int(np.sum(s <= DEFAULT_TOL_ZERO * ref))
     vectors = []
     for i in range(p.dim - 1, p.dim - 1 - count, -1):
         if side == "right":
@@ -354,8 +357,6 @@ def sample_variety(
     count: int,
     seed: int,
     strategy: str = "grid",
-    tol_zero: float = DEFAULT_TOL_ZERO,
-    max_slices: int | None = None,
 ) -> list[VarietyPoint]:
     """Sample zeros of the multivariate determinant polynomial.
 
@@ -368,11 +369,12 @@ def sample_variety(
     strategy : 'grid' walks equispaced points on the unit circle; 'random'
         draws fixed values uniformly from the annulus 0.5 <= |z| <= 2.
 
-    Each slice fixes every variable except a round-robin pivot, extracts
-    the determinant polynomial of the univariate slice, and turns each of
-    its roots into a full point with a null vector of P there.  Slices that
-    lose all degree contribute nothing; an identically singular slice
-    propagates IdenticallySingular.
+    At most ``4 * count + 8`` slices are taken.  Each slice fixes every
+    variable except a round-robin pivot, extracts the determinant
+    polynomial of the univariate slice, and turns each of its roots into a
+    full point with the null vectors of P there, accepted at the relative
+    threshold ``DEFAULT_TOL_ZERO``.  Slices that lose all degree contribute
+    nothing; an identically singular slice propagates IdenticallySingular.
     """
     if p.arity < 2:
         raise DimensionMismatch(f"sample_variety needs arity >= 2, got {p.arity}")
@@ -382,7 +384,7 @@ def sample_variety(
         raise ValueError("count must be >= 1")
     m = p.arity
     rng = np.random.default_rng(seed)
-    budget = max_slices if max_slices is not None else 4 * count + 8
+    budget = 4 * count + 8
     phase = math.fmod(seed * 0.6180339887498949, 1.0)
     points: list[VarietyPoint] = []
     for sl in range(budget):
@@ -409,7 +411,7 @@ def sample_variety(
             continue
         for root, _mult in roots:
             point = merge_point(fixed, pivot, root)
-            vectors = null_vectors_at(p, point, side, tol_zero)
+            vectors = null_vectors_at(p, point, side)
             if not vectors:
                 continue
             dres = abs(np.linalg.det(evaluate(p, point)))

@@ -94,16 +94,15 @@ class StructuredEquation:
 class SolverConfig:
     """Tolerances and sampling knobs shared by the solve operations."""
 
-    tol_rank: float = 1e-10
+    tol_rank: float = linalg.DEFAULT_TOL_RANK
     tol_residual: float = 1e-8
-    tol_zero: float = 1e-6
     max_classes: int = 200
     sample_count: int = 32
     seed: int = 0
     strategy: str = "grid"
 
     def __post_init__(self):
-        for name in ("tol_rank", "tol_residual", "tol_zero"):
+        for name in ("tol_rank", "tol_residual"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_classes < 1:
@@ -247,11 +246,6 @@ def iter_solution_classes(pool, n: int):
     yield from rec(0, n)
 
 
-def enumerate_classes(pool, n: int, cap: int) -> list[tuple[complex, ...]]:
-    """First ``cap`` solution classes in lexicographic order."""
-    return list(itertools.islice(iter_solution_classes(pool, n), cap))
-
-
 def _select_directions(basis: list[np.ndarray], current: list[np.ndarray], r: int) -> list[np.ndarray]:
     # pick r unit vectors inside span(basis) maximizing independence from the
     # already stacked vectors; any combination of null vectors is still null
@@ -279,12 +273,6 @@ def _assemble_family(eq, eigen_lists, vectors, cfg):
         stack = np.vstack([np.asarray(v).reshape(1, -1) for v in vectors])
     else:
         stack = np.column_stack(vectors)
-    svals = np.linalg.svd(stack, compute_uv=False)
-    if svals[-1] <= cfg.tol_rank * svals[0]:
-        return None, (
-            f"TransformSingular: smallest stack singular value {svals[-1]:.3e}"
-            f" <= tol_rank * {svals[0]:.3e}"
-        )
     try:
         stack_inv, cond = linalg.inverse(stack, tol_rank=cfg.tol_rank)
     except SingularMatrix as exc:
@@ -331,7 +319,7 @@ def solve_univariate(eq: StructuredEquation, cfg: SolverConfig | None = None) ->
         raise InsufficientRoots(str(exc)) from exc
     side = "left" if eq.orientation is Orientation.UNKNOWNS_LEFT else "right"
     null_cache = {
-        root: null_vectors_at(eq.poly, [root], side, cfg.tol_zero) for root, _ in pool
+        root: null_vectors_at(eq.poly, [root], side) for root, _ in pool
     }
     gen = iter_solution_classes(pool, n)
     classes = list(itertools.islice(gen, cfg.max_classes))
@@ -437,7 +425,6 @@ def solve_multivariate(eq: StructuredEquation, cfg: SolverConfig | None = None) 
                 count=max(cfg.sample_count, 3 * n),
                 seed=cfg.seed + attempt,
                 strategy=cfg.strategy,
-                tol_zero=cfg.tol_zero,
             )
         except NoPointsFound as exc:
             diagnostics.append(Diagnostic(f"attempt {attempt}", f"NoPointsFound: {exc}"))

@@ -23,7 +23,7 @@ from matpolyeq.solver import (
     StructuredEquation,
     commutation_check,
     eigen_candidates,
-    enumerate_classes,
+    iter_solution_classes,
     quotient_factor,
     sandwich_probe,
     solve_multivariate,
@@ -99,7 +99,7 @@ def test_ac1_univariate_class_method():
         pool = eigen_candidates(eq)
         if sum(m for _, m in pool) != 4:
             violations.append(f"instance {k}: root count {sum(m for _, m in pool)}")
-        if len(enumerate_classes(pool, 2, 200)) != 6:
+        if len(list(iter_solution_classes(pool, 2))) != 6:
             violations.append(f"instance {k}: class count != 6")
         if not result.families:
             violations.append(f"instance {k}: no families")

@@ -110,6 +110,11 @@ def test_detpoly_wrong_fix_count(capsys):
     assert rc == 1
 
 
+def test_detpoly_pivot_out_of_range():
+    rc = main(["detpoly", str(DATA / "circle.json"), "--pivot", "2", "--fix", "1"])
+    assert rc == 1
+
+
 def test_detpoly_matches_symbolic_oracle(tmp_path):
     from matpolyeq.instances import symbolic_det_oracle
     from matpolyeq.polymatrix import MatrixPolynomial
@@ -152,6 +157,22 @@ def test_sample_variety_empty_variety():
 def test_sample_variety_rejects_univariate():
     rc = main(["sample-variety", str(DATA / "scalar_quadratic.json"), "--count", "2", "--seed", "0"])
     assert rc == 1
+
+
+def test_sample_variety_identically_singular(tmp_path, capsys):
+    rank_one = [[[1, 0], [1, 0]], [[2, 0], [2, 0]]]
+    doc = {
+        "dimension": 2,
+        "arity": 2,
+        "orientation": "right",
+        "terms": [{"exponents": e, "coefficient": rank_one} for e in ([1, 0], [0, 1], [0, 0])],
+    }
+    eq_path = tmp_path / "rank_one.json"
+    with open(eq_path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    rc = main(["sample-variety", str(eq_path), "--count", "2", "--seed", "0"])
+    assert rc == 1
+    assert "IdenticallySingular" in capsys.readouterr().err
 
 
 def test_verify_wrong_solution_exit_3(tmp_path):
@@ -270,6 +291,7 @@ def test_plant_invalid_flags():
 def test_usage_error_exit_code():
     assert main(["solve"]) == 1  # missing input and --seed
     assert main(["no-such-command"]) == 1
+    assert main(["solve", str(DATA / "scalar_quadratic.json"), "--seed", "0", "--threads", "0"]) == 1
 
 
 def test_solve_insufficient_roots_exit_2(tmp_path):
@@ -341,6 +363,17 @@ def test_sandwich_document_round_trip(tmp_path):
     assert json.dumps(once, sort_keys=True) == json.dumps(
         io.equation_to_document(io.equation_from_document(once)), sort_keys=True
     )
+
+
+def test_solve_sandwich_document(tmp_path, capsys):
+    eq_path = tmp_path / "eq.json"
+    main([
+        "plant", "--dimension", "2", "--arity", "2", "--degree", "2",
+        "--orientation", "sandwich", "--seed", "3",
+        "--output", str(eq_path), "--truth", str(tmp_path / "t.json"),
+    ])
+    assert main(["solve", str(eq_path), "--seed", "0"]) == 1
+    assert "sandwich" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

@@ -2,27 +2,7 @@ import numpy as np
 import pytest
 
 from matpolyeq import linalg
-from matpolyeq.errors import DimensionMismatch, NonFiniteInput, SingularMatrix
-
-
-def test_matmul_identity():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(linalg.matmul(np.eye(2), m), m.astype(complex))
-
-
-def test_matmul_diagonal():
-    out = linalg.matmul(np.diag([2.0, 3.0]), np.diag([5.0, 7.0]))
-    assert np.allclose(out, np.diag([10.0, 21.0]))
-
-
-def test_matmul_nilpotent_square():
-    n = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert np.allclose(linalg.matmul(n, n), np.zeros((2, 2)))
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        linalg.matmul(np.ones((2, 3)), np.ones((2, 2)))
+from matpolyeq.errors import NonFiniteInput, SingularMatrix
 
 
 def test_as_matrix_rejects_nonfinite():
@@ -88,60 +68,6 @@ def test_eigen_reconstruction_random():
         vals, vecs = linalg.eigen(m)
         gap = np.linalg.norm(m @ vecs - vecs @ np.diag(vals))
         assert gap <= 1e-8 * np.linalg.norm(m)
-
-
-def test_null_space_full_rank_empty():
-    assert linalg.null_space(np.eye(2), "right") == []
-
-
-def test_null_space_zero_matrix():
-    basis = linalg.null_space(np.zeros((2, 2)), "right")
-    assert len(basis) == 2
-    gram = np.array([[np.vdot(u, v) for v in basis] for u in basis])
-    assert np.allclose(gram, np.eye(2))
-
-
-def test_null_space_explicit_kernel():
-    basis = linalg.null_space(np.array([[1.0, 0.0], [0.0, 0.0]]), "right")
-    assert len(basis) == 1
-    assert np.allclose(np.abs(basis[0]), [0.0, 1.0])
-
-
-def test_null_space_soundness_and_completeness():
-    rng = np.random.default_rng(2)
-    tol = 1e-10
-    for _ in range(20):
-        n = int(rng.integers(2, 8))
-        rank = int(rng.integers(0, n + 1))
-        u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
-        v = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
-        s = np.zeros(n)
-        s[:rank] = rng.uniform(0.5, 2.0, rank)
-        m = u @ np.diag(s) @ v.conj().T
-        smax = s.max() if rank else 0.0
-        for side in ("left", "right"):
-            basis = linalg.null_space(m, side, tol)
-            assert rank + len(basis) == n
-            for vec in basis:
-                image = vec @ m if side == "left" else m @ vec
-                assert np.linalg.norm(image) <= 10 * tol * max(smax, 1e-300)
-                assert np.linalg.norm(vec) == pytest.approx(1.0)
-
-
-def test_null_space_rectangular_dimensions():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-    right = linalg.null_space(m, "right")
-    left = linalg.null_space(m, "left")
-    # rank + nullity matches the domain size of the requested side
-    assert 2 + len(right) == 4
-    assert 2 + len(left) == 2
-
-
-def test_frobenius_values():
-    assert linalg.frobenius(np.zeros((2, 2))) == 0.0
-    assert linalg.frobenius(np.eye(2)) == pytest.approx(np.sqrt(2.0))
-    assert linalg.frobenius(np.array([[3.0, 4.0], [0.0, 0.0]])) == pytest.approx(5.0)
 
 
 def test_determinism_bit_for_bit():

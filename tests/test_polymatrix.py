@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from matpolyeq.errors import DegreeZero, DimensionMismatch, IdenticallySingular, NoPointsFound
-from matpolyeq.instances import symbolic_det_oracle
+from matpolyeq.instances import plant_instance, symbolic_det_oracle
 from matpolyeq.polymatrix import (
     MatrixPolynomial,
     ScalarPolynomial,
@@ -13,6 +13,7 @@ from matpolyeq.polymatrix import (
     sample_variety,
     total_degree,
 )
+from matpolyeq.solver import Orientation
 
 I1 = np.eye(1)
 I2 = np.eye(2)
@@ -115,6 +116,19 @@ def test_det_poly_identically_singular():
     p = MatrixPolynomial(arity=1, dim=2, terms={(1,): col, (0,): 3 * col})
     with pytest.raises(IdenticallySingular):
         det_poly_univariate(p)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e8])
+def test_det_poly_zero_test_is_scale_free(scale):
+    # a rank-one P stays singular and a planted P stays regular at any scale
+    col = np.array([[1.0, 1.0], [2.0, 2.0]])
+    p = MatrixPolynomial(arity=1, dim=2, terms={(1,): scale * col, (0,): 3 * scale * col})
+    with pytest.raises(IdenticallySingular):
+        det_poly_univariate(p)
+    inst = plant_instance(4, 1, 2, Orientation.UNKNOWNS_LEFT, 61)
+    terms = {exps: scale * a for exps, a in inst.equation.poly.terms.items()}
+    regular = MatrixPolynomial(arity=1, dim=4, terms=terms)
+    assert det_poly_univariate(regular).degree == 8
 
 
 def test_det_poly_degree_bound():

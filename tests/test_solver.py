@@ -16,13 +16,14 @@ from matpolyeq.polymatrix import (
 )
 from matpolyeq.solver import (
     Orientation,
+    SolverConfig,
     StructuredEquation,
     commutation_check,
     dual_equation,
     eigen_candidates,
-    enumerate_classes,
     equation_lhs,
     family_from_points,
+    iter_solution_classes,
     quotient_factor,
     sandwich_probe,
     solve_multivariate,
@@ -92,12 +93,12 @@ def test_eigen_candidates_count_nonsingular_leading():
 
 
 def test_enumerate_classes_simple():
-    classes = enumerate_classes([(1.0 + 0j, 1), (2.0 + 0j, 1)], 1, 10)
+    classes = list(iter_solution_classes([(1.0 + 0j, 1), (2.0 + 0j, 1)], 1))
     assert classes == [(1.0 + 0j,), (2.0 + 0j,)]
 
 
 def test_enumerate_classes_multiset():
-    classes = enumerate_classes([(1.0 + 0j, 2), (-1.0 + 0j, 2)], 2, 10)
+    classes = list(iter_solution_classes([(1.0 + 0j, 2), (-1.0 + 0j, 2)], 2))
     assert classes == [
         (-1.0 + 0j, -1.0 + 0j),
         (-1.0 + 0j, 1.0 + 0j),
@@ -107,17 +108,23 @@ def test_enumerate_classes_multiset():
 
 def test_enumerate_classes_binomial_count():
     pool = [(complex(k), 1) for k in range(4)]
-    assert len(enumerate_classes(pool, 2, 100)) == 6
+    assert len(list(iter_solution_classes(pool, 2))) == 6
 
 
 def test_enumerate_classes_insufficient():
     with pytest.raises(InsufficientRoots):
-        enumerate_classes([(1.0 + 0j, 1)], 2, 10)
+        list(iter_solution_classes([(1.0 + 0j, 1)], 2))
 
 
 def test_enumerate_classes_cap():
-    pool = [(complex(k), 1) for k in range(6)]
-    assert len(enumerate_classes(pool, 3, 5)) == 5
+    # six simple roots at n = 3 make C(6, 3) = 20 classes; only 5 are tried
+    inst = plant_instance(3, 1, 2, Orientation.UNKNOWNS_LEFT, 7)
+    assert len(list(iter_solution_classes(eigen_candidates(inst.equation), 3))) == 20
+    result = solve_univariate(inst.equation, SolverConfig(max_classes=5))
+    tried = len(result.families) + sum(d.label.startswith("class (") for d in result.diagnostics)
+    assert tried == 5
+    truncations = [d.failure for d in result.diagnostics if d.label == "class enumeration"]
+    assert truncations == ["truncated at max_classes=5"]
 
 
 def test_solve_univariate_scalar_quadratic():
@@ -145,6 +152,22 @@ def test_solve_univariate_square_root_identity():
 def test_solve_univariate_recovers_planted():
     inst = plant_instance(3, 1, 2, Orientation.UNKNOWNS_LEFT, 7)
     result = solve_univariate(inst.equation)
+    truth = inst.truth_unknowns[0]
+    best = min(
+        np.linalg.norm(f.unknowns[0] - truth) / np.linalg.norm(truth)
+        for f in result.families
+    )
+    assert best <= 1e-7
+
+
+def test_solve_univariate_recovers_planted_at_small_scale():
+    # the determinant test must not read coefficients of order 1e-8 as zero
+    inst = plant_instance(4, 1, 2, Orientation.UNKNOWNS_LEFT, 61)
+    terms = {exps: 1e-8 * a for exps, a in inst.equation.poly.terms.items()}
+    eq = StructuredEquation(
+        poly=MatrixPolynomial(arity=1, dim=4, terms=terms), orientation=Orientation.UNKNOWNS_LEFT
+    )
+    result = solve_univariate(eq)
     truth = inst.truth_unknowns[0]
     best = min(
         np.linalg.norm(f.unknowns[0] - truth) / np.linalg.norm(truth)
