@@ -58,12 +58,34 @@ def inverse(m, tol_rank: float = DEFAULT_TOL_RANK) -> tuple[np.ndarray, float]:
     ``tol_rank`` times the largest one.
     """
     a = _square(m)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= tol_rank * s[0]:
-        raise SingularMatrix(
-            f"smallest singular value {s[-1]:.3e} <= {tol_rank:.0e} * {s[0]:.3e}"
-        )
-    return np.linalg.inv(a), float(s[0] / s[-1])
+    inv, cond, failures = inverse_stack(a[None], tol_rank=tol_rank)
+    if failures[0] is not None:
+        raise SingularMatrix(failures[0])
+    return inv[0], float(cond[0])
+
+
+def inverse_stack(
+    stack: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK
+) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
+    """Inverses and 2-norm condition numbers of a (K, n, n) stack of matrices.
+
+    Member k is singular when its smallest singular value is at or below
+    ``tol_rank`` times its largest one; ``failures[k]`` then says so (the
+    message :func:`inverse` raises), its condition number is inf and its
+    inverse slot holds the identity.  Other members have ``failures[k]`` None.
+    """
+    if not np.all(np.isfinite(stack)):
+        raise NonFiniteInput("matrix entries must be finite")
+    s = np.linalg.svd(stack, compute_uv=False)
+    singular = s[:, -1] <= tol_rank * s[:, 0]
+    eye = np.eye(stack.shape[-1], dtype=np.complex128)
+    inv = np.linalg.inv(np.where(singular[:, None, None], eye, stack))
+    cond = np.full(len(stack), np.inf)
+    cond[~singular] = s[~singular, 0] / s[~singular, -1]
+    failures: list[str | None] = [None] * len(stack)
+    for k in np.flatnonzero(singular):
+        failures[k] = f"smallest singular value {s[k, -1]:.3e} <= {tol_rank:.0e} * {s[k, 0]:.3e}"
+    return inv, cond, failures
 
 
 def lex_key(z: complex) -> tuple[float, float]:

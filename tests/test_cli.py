@@ -294,6 +294,16 @@ def test_usage_error_exit_code():
     assert main(["solve", str(DATA / "scalar_quadratic.json"), "--seed", "0", "--threads", "0"]) == 1
 
 
+@pytest.mark.parametrize("flag", ["--tol-residual", "--tol-rank"])
+def test_solve_nan_tolerance_exit_1(tmp_path, capsys, flag):
+    out = tmp_path / "sol.json"
+    eq_path = str(DATA / "scalar_quadratic.json")
+    rc = main(["solve", eq_path, "--seed", "0", flag, "nan", "--output", str(out)])
+    assert rc == 1
+    assert "must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_insufficient_roots_exit_2(tmp_path):
     doc = {
         "dimension": 2,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -79,8 +81,11 @@ def test_planted_transform_well_conditioned():
 
 
 def test_round_trip_recovery_univariate():
-    for n, seed in [(1, 2), (2, 3), (4, 5), (8, 8)]:
-        inst = plant_instance(n, 1, 2, Orientation.UNKNOWNS_LEFT, seed)
+    cases = [(1, 2), (2, 3), (4, 5), (8, 8)]
+    for orientation, (n, seed) in itertools.product(
+        (Orientation.UNKNOWNS_LEFT, Orientation.UNKNOWNS_RIGHT), cases
+    ):
+        inst = plant_instance(n, 1, 2, orientation, seed)
         cfg = None
         if n == 8:
             from matpolyeq.solver import SolverConfig

@@ -28,6 +28,23 @@ def test_inverse_singular():
         linalg.inverse(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
+def test_inverse_stack_flags_singular_members():
+    # an exactly singular member must neither raise nor spoil its neighbours
+    rng = np.random.default_rng(4)
+    good = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    singular = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    stack = np.stack([good[0], singular, good[1]]).astype(complex)
+    inv, cond, failures = linalg.inverse_stack(stack)
+    for k in (0, 2):
+        ref, ref_cond = linalg.inverse(stack[k])
+        assert failures[k] is None
+        assert np.allclose(inv[k], ref) and cond[k] == pytest.approx(ref_cond)
+    with pytest.raises(SingularMatrix) as exc:
+        linalg.inverse(singular)
+    assert failures[1] == str(exc.value)
+    assert cond[1] == np.inf
+
+
 def test_inverse_round_trip_random():
     rng = np.random.default_rng(0)
     for _ in range(20):

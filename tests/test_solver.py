@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from matpolyeq import linalg
 from matpolyeq.errors import (
     DimensionMismatch,
     InsufficientRoots,
     NotASolution,
     NotSimultaneouslyDiagonalizable,
+    TransformSingular,
 )
 from matpolyeq.instances import plant_instance
 from matpolyeq.polymatrix import (
@@ -69,6 +71,10 @@ def manual_plant_bivariate(seed=42, eigs_x=(1.0, 2.0), eigs_y=(3.0, 4.0)):
     return eq, x, y
 
 
+def class_label(cls):
+    return "class (" + ", ".join(f"{r.real:.6g}{r.imag:+.6g}j" for r in cls) + ")"
+
+
 def test_eigen_candidates_scalar_quadratic():
     pool = eigen_candidates(scalar_quadratic())
     assert len(pool) == 2
@@ -125,6 +131,80 @@ def test_enumerate_classes_cap():
     assert tried == 5
     truncations = [d.failure for d in result.diagnostics if d.label == "class enumeration"]
     assert truncations == ["truncated at max_classes=5"]
+
+
+@pytest.mark.parametrize("name", ["tol_rank", "tol_residual"])
+@pytest.mark.parametrize("value", [0.0, float("nan")])
+def test_solver_config_rejects_nonpositive_tolerances(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive"):
+        SolverConfig(**{name: value})
+
+
+@pytest.mark.parametrize("orientation", [Orientation.UNKNOWNS_LEFT, Orientation.UNKNOWNS_RIGHT])
+def test_solve_univariate_mixed_pool_outcomes_in_class_order(orientation):
+    # diag((z-1)^2, (z-2)(z-3)): the double root 1 has a one-dimensional null
+    # space (e1), while 2 and 3 share the null vector e2
+    p = MatrixPolynomial(
+        arity=1, dim=2, terms={(2,): I2, (1,): np.diag([-2.0, -5.0]), (0,): np.diag([1.0, 6.0])}
+    )
+    eq = StructuredEquation(poly=p, orientation=orientation)
+    pool = eigen_candidates(eq)
+    assert [(round(r.real), m) for r, m in pool] == [(1, 2), (2, 1), (3, 1)]
+    one, two, three = (r for r, _ in pool)
+    result = solve_univariate(eq)
+    assert [d.label for d in result.diagnostics] == [
+        class_label((one, one)), class_label((two, three))
+    ]
+    thin, singular = (d.failure for d in result.diagnostics)
+    assert thin.endswith("has dimension 1 < required multiplicity 2")
+    assert singular.startswith("TransformSingular: smallest singular value")
+    assert len(result.families) == 2
+    for family, diagonal in zip(result.families, ([1.0, 2.0], [1.0, 3.0])):
+        assert np.allclose(family.eigenvalues[0], diagonal)
+        assert np.allclose(family.unknowns[0], np.diag(diagonal), atol=1e-10)
+
+
+def test_solve_univariate_residual_rejections_in_class_order():
+    # a gate no candidate can pass turns all 20 classes into diagnostics
+    inst = plant_instance(3, 1, 2, Orientation.UNKNOWNS_LEFT, 7)
+    classes = list(iter_solution_classes(eigen_candidates(inst.equation), 3))
+    result = solve_univariate(inst.equation, SolverConfig(tol_residual=1e-300))
+    assert result.families == []
+    assert len(classes) == len(result.diagnostics) == 20
+    for cls, diag in zip(classes, result.diagnostics):
+        assert diag.label == class_label(cls)
+        assert diag.failure.startswith("residual ")
+        assert diag.failure.endswith(" exceeds tol_residual 1e-300")
+
+
+@pytest.mark.parametrize("orientation", [Orientation.UNKNOWNS_LEFT, Orientation.UNKNOWNS_RIGHT])
+def test_batched_families_match_per_class_reference(orientation):
+    # reference: one class at a time, X = W^-1 F W or T F T^-1 from the unit
+    # null vectors of the class roots, through the public per-matrix inverse;
+    # the gate's residual must be the one verify_residual gives
+    inst = plant_instance(4, 1, 2, orientation, 59)
+    eq = inst.equation
+    side = "left" if orientation is Orientation.UNKNOWNS_LEFT else "right"
+    result = solve_univariate(eq)
+    classes = list(iter_solution_classes(eigen_candidates(eq), 4))
+    assert len(result.families) == len(classes) == 70
+    for cls, family in zip(classes, result.families):
+        rows = np.array([null_vectors_at(eq.poly, [root], side)[0] for root in cls])
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        stack = rows if side == "left" else rows.T
+        inv, cond = linalg.inverse(stack)
+        if side == "left":
+            x = inv @ np.diag(cls) @ stack
+        else:
+            x = stack @ np.diag(cls) @ inv
+        assert np.allclose(family.eigenvalues[0], cls, rtol=0, atol=0)
+        assert np.linalg.norm(family.unknowns[0] - x) <= 1e-12 * np.linalg.norm(x)
+        assert family.transform_condition == pytest.approx(cond, rel=1e-12)
+        recomputed = verify_residual(eq, family.unknowns)
+        assert abs(family.residual - recomputed) <= 1e-12 * recomputed
+        # a family owns its arrays; none is a view into the chunk it came from
+        owned = [family.transform, *family.eigenvalues, *family.unknowns]
+        assert all(a.flags.owndata for a in owned)
 
 
 def test_solve_univariate_scalar_quadratic():
@@ -224,6 +304,22 @@ def test_family_from_points_reproduces_manual_plant():
     family = family_from_points(eq, points)
     assert np.linalg.norm(family.unknowns[0] - x) <= 1e-7 * np.linalg.norm(x)
     assert np.linalg.norm(family.unknowns[1] - y) <= 1e-7 * np.linalg.norm(y)
+
+
+def test_family_from_points_rejects_overflowing_residual():
+    # X^2 + Y - I = 0 at X = diag(1e200, 2): X @ X overflows and the residual
+    # is nan, which the gate must reject like any residual above tolerance
+    p = MatrixPolynomial(arity=2, dim=2, terms={(2, 0): I2, (0, 1): I2, (0, 0): -I2})
+    eq = StructuredEquation(poly=p, orientation=Orientation.UNKNOWNS_RIGHT)
+    points = [
+        VarietyPoint(
+            values=np.array(values, complex), null_vector=np.array(vector, complex),
+            side="right", det_residual=0.0,
+        )
+        for values, vector in [((1e200, 1.0), (1.0, 0.0)), ((2.0, -3.0), (0.0, 1.0))]
+    ]
+    with pytest.raises(TransformSingular, match="residual nan exceeds"):
+        family_from_points(eq, points)
 
 
 def test_slices_through_planted_eigenvalues():
