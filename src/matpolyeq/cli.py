@@ -28,6 +28,7 @@ from .solver import (
     Orientation,
     SolutionFamily,
     SolverConfig,
+    _relative_residuals,
     commutation_check,
     sandwich_probe,
     solve_multivariate,
@@ -103,6 +104,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not args.tol > 0:
+        return _fail("verify: tol must be positive")
     try:
         eq = io.equation_from_document(io.load_document(args.equation))
         families, _ = io.solution_from_document(
@@ -110,10 +113,13 @@ def cmd_verify(args) -> int:
         )
     except DocumentError as exc:
         return _fail(str(exc))
+    if families:
+        stacks = [np.stack([f.unknowns[s] for f in families]) for s in range(eq.arity)]
+        residuals = _relative_residuals(eq, stacks).tolist()
+    else:
+        residuals = []
     report = []
-    all_ok = True
-    for k, family in enumerate(families):
-        residual = verify_residual(eq, family.unknowns)
+    for k, (family, residual) in enumerate(zip(families, residuals)):
         entry = {
             "index": k,
             "residual": residual,
@@ -125,8 +131,8 @@ def cmd_verify(args) -> int:
                 probe = sandwich_probe(eq, family.unknowns[0], family.unknowns[1])
                 entry["probe"] = [
                     {
-                        "alpha": io.complex_to_pair(row.alpha),
-                        "mu": io.complex_to_pair(row.mu),
+                        "alpha": io.to_pairs(row.alpha),
+                        "mu": io.to_pairs(row.mu),
                         "scalar_identity": row.scalar_identity,
                         "identity_scale": row.identity_scale,
                         "det_probe": row.det_probe,
@@ -135,8 +141,8 @@ def cmd_verify(args) -> int:
                 ]
             except NotSimultaneouslyDiagonalizable as exc:
                 entry["probe_error"] = str(exc)
-        all_ok = all_ok and entry["ok"]
         report.append(entry)
+    all_ok = all(entry["ok"] for entry in report)
     io.dump_document({"families": report, "all_ok": all_ok}, args.output)
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
@@ -160,9 +166,9 @@ def cmd_detpoly(args) -> int:
         roots = []
     io.dump_document(
         {
-            "coefficients": [io.complex_to_pair(c) for c in det.coefficients],
+            "coefficients": io.to_pairs(det.coefficients),
             "roots": [
-                {"value": io.complex_to_pair(root), "multiplicity": mult}
+                {"value": io.to_pairs(root), "multiplicity": mult}
                 for root, mult in roots
             ],
         },
@@ -187,8 +193,8 @@ def cmd_sample_variety(args) -> int:
         {
             "points": [
                 {
-                    "values": io.vector_to_pairs(pt.values),
-                    "null_vector": io.vector_to_pairs(pt.null_vector),
+                    "values": io.to_pairs(pt.values),
+                    "null_vector": io.to_pairs(pt.null_vector),
                     "side": pt.side,
                     "det_residual": pt.det_residual,
                 }

@@ -1,7 +1,9 @@
 """JSON interchange for equations and solution families.
 
 Complex numbers serialize as two-element [re, im] arrays and matrices as
-row-major nested arrays.  Parsing errors name the offending field path.
+row-major nested arrays; every value reads back bit for bit.  Arrays are
+converted whole in both directions, and a malformed array is walked cell by
+cell only to name the offending field path in the error.
 """
 
 from __future__ import annotations
@@ -18,38 +20,72 @@ from .polymatrix import MatrixPolynomial
 from .solver import Diagnostic, Orientation, SANDWICH_SLOTS, SolutionFamily, StructuredEquation
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def to_pairs(values) -> list:
+    """[re, im] float pairs of a complex scalar or array, nested like its shape."""
+    # complex128 viewed as float64 holds each entry's [re, im] pair
+    c = np.asarray(values, dtype=np.complex128, order="C")
+    return c.reshape(-1).view(np.float64).reshape(c.shape + (2,)).tolist()
 
 
-def matrix_to_rows(m: np.ndarray) -> list[list[list[float]]]:
-    return [[complex_to_pair(z) for z in row] for row in np.asarray(m)]
+def _number(value: Any, path: str, expected: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise DocumentError(f"{path}: {expected}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DocumentError(f"{path}: number out of float range") from None
 
 
-def vector_to_pairs(v: np.ndarray) -> list[list[float]]:
-    return [complex_to_pair(z) for z in np.asarray(v)]
-
-
-def _pair_to_complex(value: Any, path: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
+def _check_pair(value: Any, path: str) -> None:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise DocumentError(f"{path}: expected a [re, im] number pair")
-    return complex(float(value[0]), float(value[1]))
+    for x in value:
+        _number(x, path, "expected a [re, im] number pair")
+
+
+def _complex_array(value: Any, shape: tuple[int, ...]) -> np.ndarray | None:
+    """Nested [re, im] number pairs as a complex array, or None if malformed.
+
+    One object-array pass checks the nesting and the number types; the
+    float64 pairs are then viewed as complex128, so -0.0, inf and nan
+    keep their bits.
+    """
+    cells = np.array(value, dtype=object)
+    if cells.shape != shape + (2,):
+        return None
+    flat = cells.ravel().tolist()
+    if not all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, flat))):
+        return None
+    try:
+        return np.array(flat, dtype=np.float64).view(np.complex128).reshape(shape)
+    except OverflowError:
+        return None
 
 
 def _rows_to_matrix(value: Any, dim: int, path: str) -> np.ndarray:
+    out = _complex_array(value, (dim, dim))
+    if out is not None:
+        return out
+    # locate the first malformed row or cell for the error message
     if not isinstance(value, list) or len(value) != dim:
         raise DocumentError(f"{path}: expected {dim} rows")
-    out = np.empty((dim, dim), dtype=np.complex128)
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != dim:
             raise DocumentError(f"{path}[{i}]: expected {dim} entries")
         for j, cell in enumerate(row):
-            out[i, j] = _pair_to_complex(cell, f"{path}[{i}][{j}]")
-    return out
+            _check_pair(cell, f"{path}[{i}][{j}]")
+    raise AssertionError(f"{path}: bulk check and cell walk disagree")
+
+
+def _pairs_to_vector(value: Any, dim: int, path: str) -> np.ndarray:
+    out = _complex_array(value, (dim,))
+    if out is not None:
+        return out
+    if not isinstance(value, list) or len(value) != dim:
+        raise DocumentError(f"{path}: expected {dim} pairs")
+    for k, cell in enumerate(value):
+        _check_pair(cell, f"{path}[{k}]")
+    raise AssertionError(f"{path}: bulk check and cell walk disagree")
 
 
 def _require(doc: dict, key: str, kind, path: str):
@@ -73,12 +109,12 @@ def equation_to_document(eq: StructuredEquation) -> dict:
     if eq.orientation is Orientation.SANDWICH_BIVARIATE:
         zero = np.zeros((eq.dim, eq.dim), dtype=np.complex128)
         doc["sandwich_slots"] = {
-            name: matrix_to_rows(eq.poly.terms.get(key, zero))
+            name: to_pairs(eq.poly.terms.get(key, zero))
             for name, key in SANDWICH_SLOTS.items()
         }
     else:
         doc["terms"] = [
-            {"exponents": list(exps), "coefficient": matrix_to_rows(eq.poly.terms[exps])}
+            {"exponents": list(exps), "coefficient": to_pairs(eq.poly.terms[exps])}
             for exps in sorted(eq.poly.terms)
         ]
     return doc
@@ -143,9 +179,9 @@ def equation_from_document(doc: Any) -> StructuredEquation:
 
 def family_to_document(family: SolutionFamily) -> dict:
     return {
-        "eigenvalues": [vector_to_pairs(vals) for vals in family.eigenvalues],
-        "transform": matrix_to_rows(family.transform),
-        "unknowns": [matrix_to_rows(x) for x in family.unknowns],
+        "eigenvalues": [to_pairs(vals) for vals in family.eigenvalues],
+        "transform": to_pairs(family.transform),
+        "unknowns": [to_pairs(x) for x in family.unknowns],
         "residual": float(family.residual),
         "transform_condition": float(family.transform_condition),
     }
@@ -168,19 +204,10 @@ def family_from_document(doc: Any, dim: int, arity: int, path: str) -> SolutionF
     eigen_raw = _require(doc, "eigenvalues", list, path)
     if len(eigen_raw) != arity:
         raise DocumentError(f"{path}.eigenvalues: expected {arity} lists")
-    eigenvalues = []
-    for s, vals in enumerate(eigen_raw):
-        if not isinstance(vals, list) or len(vals) != dim:
-            raise DocumentError(f"{path}.eigenvalues[{s}]: expected {dim} pairs")
-        eigenvalues.append(
-            np.array(
-                [
-                    _pair_to_complex(v, f"{path}.eigenvalues[{s}][{k}]")
-                    for k, v in enumerate(vals)
-                ],
-                dtype=np.complex128,
-            )
-        )
+    eigenvalues = [
+        _pairs_to_vector(vals, dim, f"{path}.eigenvalues[{s}]")
+        for s, vals in enumerate(eigen_raw)
+    ]
     transform = _rows_to_matrix(
         _require(doc, "transform", list, path), dim, f"{path}.transform"
     )
@@ -191,18 +218,16 @@ def family_from_document(doc: Any, dim: int, arity: int, path: str) -> SolutionF
         _rows_to_matrix(x, dim, f"{path}.unknowns[{s}]")
         for s, x in enumerate(unknowns_raw)
     ]
-    residual = doc.get("residual")
-    condition = doc.get("transform_condition")
-    if not isinstance(residual, (int, float)) or isinstance(residual, bool):
-        raise DocumentError(f"{path}.residual: expected a number")
-    if not isinstance(condition, (int, float)) or isinstance(condition, bool):
-        raise DocumentError(f"{path}.transform_condition: expected a number")
+    residual = _number(doc.get("residual"), f"{path}.residual", "expected a number")
+    condition = _number(
+        doc.get("transform_condition"), f"{path}.transform_condition", "expected a number"
+    )
     return SolutionFamily(
         transform=transform,
         eigenvalues=eigenvalues,
         unknowns=unknowns,
-        residual=float(residual),
-        transform_condition=float(condition),
+        residual=residual,
+        transform_condition=condition,
     )
 
 
@@ -239,11 +264,30 @@ def load_document(path: str) -> Any:
 
 
 def dump_document(doc: Any, path: str | None) -> None:
-    """Stream ``doc`` as indented JSON plus a newline to ``path``, or stdout."""
+    """Write ``doc`` as JSON plus a newline to ``path``, or stdout.
+
+    Each top-level key, and each item of a top-level list, goes on its own
+    line through the C encoder, one item at a time; no string for the whole
+    document is ever built.
+    """
     if path is None:
         target = contextlib.nullcontext(sys.stdout)
     else:
         target = open(path, "w", encoding="utf-8")
     with target as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        if not isinstance(doc, dict) or not doc:
+            fh.write(json.dumps(doc) + "\n")
+            return
+        sep = "{\n  "
+        for key, value in doc.items():
+            fh.write(f"{sep}{json.dumps(key)}: ")
+            sep = ",\n  "
+            if isinstance(value, list) and value:
+                item_sep = "[\n    "
+                for item in value:
+                    fh.write(item_sep + json.dumps(item))
+                    item_sep = ",\n    "
+                fh.write("\n  ]")
+            else:
+                fh.write(json.dumps(value))
+        fh.write("\n}\n")

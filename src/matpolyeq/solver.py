@@ -534,7 +534,7 @@ def quotient_factor(
     if xm.shape != (n, n):
         raise DimensionMismatch(f"candidate has shape {xm.shape}, expected {(n, n)}")
     resid = verify_residual(eq, [xm])
-    if resid > tol_residual:
+    if not resid <= tol_residual:  # a nan residual fails too
         raise NotASolution(f"residual {resid:.3e} exceeds {tol_residual:.0e}")
     p = max(e for (e,) in eq.poly.terms)
     if p < 1:

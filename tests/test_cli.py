@@ -304,6 +304,63 @@ def test_solve_nan_tolerance_exit_1(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+def test_verify_nonpositive_tolerance_exit_1(tmp_path, capsys, tol):
+    sol = tmp_path / "sol.json"
+    eq_path = str(DATA / "scalar_quadratic.json")
+    assert main(["solve", eq_path, "--seed", "0", "--output", str(sol)]) == 0
+    out = tmp_path / "report.json"
+    rc = main(["verify", eq_path, str(sol), "--tol", tol, "--output", str(out)])
+    assert rc == 1
+    assert "verify: tol must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_huge_integer_coefficient_exit_1(tmp_path, capsys):
+    doc = load(DATA / "square_root_identity.json")
+    doc["terms"][0]["coefficient"][1][0] = [10**400, 0]
+    eq_path = tmp_path / "eq.json"
+    with open(eq_path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    assert main(["solve", str(eq_path), "--seed", "0"]) == 1
+    assert "$.terms[0].coefficient[1][0]: number out of float range" in capsys.readouterr().err
+
+
+def test_verify_huge_integer_in_solution_exit_1(tmp_path, capsys):
+    eq_path = str(DATA / "square_root_identity.json")
+    sol_path = tmp_path / "sol.json"
+    assert main(["solve", eq_path, "--seed", "0", "--output", str(sol_path)]) == 0
+    doc = load(sol_path)
+    doc["families"][0]["unknowns"][0][1][1] = [1.0, -(10**400)]
+    with open(sol_path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    assert main(["verify", eq_path, str(sol_path)]) == 1
+    assert (
+        "$.families[0].unknowns[0][1][1]: number out of float range"
+        in capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("orientation", ["left", "right"])
+def test_verify_residuals_match_verify_residual(tmp_path, orientation):
+    eq_path = tmp_path / "eq.json"
+    sol_path = tmp_path / "sol.json"
+    report_path = tmp_path / "report.json"
+    main([
+        "plant", "--dimension", "4", "--arity", "1", "--degree", "2",
+        "--orientation", orientation, "--seed", "3",
+        "--output", str(eq_path), "--truth", str(tmp_path / "truth.json"),
+    ])
+    assert main(["solve", str(eq_path), "--seed", "0", "--output", str(sol_path)]) == 0
+    assert main(["verify", str(eq_path), str(sol_path), "--output", str(report_path)]) == 0
+    eq = io.equation_from_document(load(eq_path))
+    families, _ = io.solution_from_document(load(sol_path), eq.dim, eq.arity)
+    report = load(report_path)["families"]
+    assert [entry["index"] for entry in report] == list(range(len(families)))
+    for entry, family in zip(report, families):
+        assert entry["residual"] == pytest.approx(verify_residual(eq, family.unknowns), rel=1e-12)
+
+
 def test_solve_insufficient_roots_exit_2(tmp_path):
     doc = {
         "dimension": 2,

@@ -1,0 +1,271 @@
+import copy
+import json
+import struct
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matpolyeq import io
+from matpolyeq.errors import DocumentError
+from matpolyeq.polymatrix import MatrixPolynomial
+from matpolyeq.solver import (
+    SANDWICH_SLOTS,
+    Diagnostic,
+    Orientation,
+    SolutionFamily,
+    StructuredEquation,
+)
+
+DATA = Path(__file__).parent / "data"
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.5e-308, 1e300, -1e300]
+finite = st.one_of(
+    st.sampled_from(SPECIAL),
+    st.floats(min_value=-1e300, max_value=1e300, allow_subnormal=True),
+)
+# JSON writes every nan as NaN, which reads back as the canonical quiet nan
+anything = st.one_of(finite, st.sampled_from([float("inf"), float("-inf"), float("nan")]))
+
+
+def complex_arrays(shape, elements):
+    size = 2 * int(np.prod(shape))
+    return st.lists(elements, min_size=size, max_size=size).map(
+        lambda xs: np.array(xs, dtype=np.float64).view(np.complex128).reshape(shape)
+    )
+
+
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=np.complex128).tobytes()
+
+
+def float_bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def round_trip(doc, tmp_path):
+    path = tmp_path / "doc.json"
+    io.dump_document(doc, str(path))
+    return io.load_document(str(path))
+
+
+@st.composite
+def equations(draw):
+    # coefficients must be finite: equations with inf or nan are rejected
+    dim = draw(st.integers(1, 3))
+    orientation = draw(st.sampled_from(list(Orientation)))
+    if orientation is Orientation.SANDWICH_BIVARIATE:
+        arity, keys = 2, list(SANDWICH_SLOTS.values())
+    else:
+        arity = draw(st.integers(1, 2))
+        keys = [tuple(e) for e in np.ndindex(*(3,) * arity)]
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
+    terms = {k: draw(complex_arrays((dim, dim), finite)) for k in chosen}
+    poly = MatrixPolynomial(arity=arity, dim=dim, terms=terms)
+    return StructuredEquation(poly=poly, orientation=orientation)
+
+
+@st.composite
+def solutions(draw):
+    dim = draw(st.integers(1, 3))
+    arity = draw(st.integers(1, 2))
+    families = [
+        SolutionFamily(
+            transform=draw(complex_arrays((dim, dim), anything)),
+            eigenvalues=[draw(complex_arrays((dim,), anything)) for _ in range(arity)],
+            unknowns=[draw(complex_arrays((dim, dim), anything)) for _ in range(arity)],
+            residual=draw(anything),
+            transform_condition=draw(anything),
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    diagnostics = [
+        Diagnostic(draw(st.text()), draw(st.text()))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    return dim, arity, families, diagnostics
+
+
+@settings(max_examples=60, deadline=None)
+@given(eq=equations())
+def test_equation_round_trip_is_bit_exact(tmp_path_factory, eq):
+    doc = round_trip(io.equation_to_document(eq), tmp_path_factory.mktemp("eq"))
+    back = io.equation_from_document(doc)
+    assert back.orientation is eq.orientation
+    assert sorted(back.poly.terms) == sorted(eq.poly.terms)
+    for key, coeff in eq.poly.terms.items():
+        assert bits(back.poly.terms[key]) == bits(coeff)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=solutions())
+def test_solution_round_trip_is_bit_exact(tmp_path_factory, case):
+    dim, arity, families, diagnostics = case
+    doc = round_trip(
+        io.solution_to_document(families, diagnostics), tmp_path_factory.mktemp("sol")
+    )
+    back, back_diagnostics = io.solution_from_document(doc, dim, arity)
+    assert back_diagnostics == diagnostics
+    assert len(back) == len(families)
+    for got, want in zip(back, families):
+        assert bits(got.transform) == bits(want.transform)
+        assert [bits(v) for v in got.eigenvalues] == [bits(v) for v in want.eigenvalues]
+        assert [bits(x) for x in got.unknowns] == [bits(x) for x in want.unknowns]
+        assert float_bits(got.residual) == float_bits(want.residual)
+        assert float_bits(got.transform_condition) == float_bits(want.transform_condition)
+
+
+def test_dump_document_writes_one_item_per_line(tmp_path):
+    family = SolutionFamily(
+        transform=np.eye(2, dtype=np.complex128),
+        eigenvalues=[np.array([1.0, -1.0 + 0.5j])],
+        unknowns=[np.diag([1.0, -1.0 + 0.5j])],
+        residual=0.0,
+        transform_condition=1.0,
+    )
+    doc = io.solution_to_document([family, family], [Diagnostic("class (0)", "why")])
+    path = tmp_path / "sol.json"
+    io.dump_document(doc, str(path))
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[:2] == ["{", '  "families": [']
+    assert [json.loads(line.rstrip(",")) for line in lines[2:4]] == doc["families"]
+    assert lines[4:6] == ["  ],", '  "diagnostics": [']
+    assert json.loads(lines[6]) == doc["diagnostics"][0]
+    assert lines[7:] == ["  ]", "}", ""]
+    assert json.loads(path.read_text(encoding="utf-8")) == doc
+
+
+def equation_doc():
+    with open(DATA / "square_root_identity.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def solution_doc():
+    return {
+        "families": [
+            {
+                "eigenvalues": [[[1.0, 0.0], [-1.0, 0.0]]],
+                "transform": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                "unknowns": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]],
+                "residual": 0.0,
+                "transform_condition": 1.0,
+            }
+        ],
+        "diagnostics": [],
+    }
+
+
+def in_matrix(edit):
+    doc = equation_doc()
+    edit(doc["terms"][0]["coefficient"])
+    return lambda: io.equation_from_document(doc)
+
+
+def in_eigenvalues(edit):
+    doc = solution_doc()
+    edit(doc["families"][0]["eigenvalues"][0])
+    return lambda: io.solution_from_document(doc, 2, 1)
+
+
+def set_cell(value):
+    def edit(rows):
+        rows[1][0] = copy.deepcopy(value)
+
+    return edit
+
+
+def set_pair(value):
+    def edit(pairs):
+        pairs[1] = copy.deepcopy(value)
+
+    return edit
+
+
+def nest_every_matrix_cell(rows):
+    rows[:] = [[[cell] for cell in row] for row in rows]
+
+
+def nest_every_pair(pairs):
+    pairs[:] = [[pair] for pair in pairs]
+
+
+MATRIX_CELL = "$.terms[0].coefficient[1][0]: expected a [re, im] number pair"
+EIGEN_CELL = "$.families[0].eigenvalues[0][1]: expected a [re, im] number pair"
+BAD_CELLS = {
+    "bool": [True, 0.0],
+    "string": ["1", 0.0],
+    "dict": {"re": 1.0, "im": 0.0},
+    "triple": [1.0, 0.0, 0.0],
+    "too deep": [[1.0, 0.0], [0.0, 0.0]],
+}
+
+ERROR_TABLE = [
+    *[
+        pytest.param(in_matrix(set_cell(v)), MATRIX_CELL, id=f"matrix-{k}")
+        for k, v in BAD_CELLS.items()
+    ],
+    *[
+        pytest.param(in_eigenvalues(set_pair(v)), EIGEN_CELL, id=f"eigenvalue-{k}")
+        for k, v in BAD_CELLS.items()
+    ],
+    pytest.param(
+        in_matrix(lambda rows: rows[1].pop()),
+        "$.terms[0].coefficient[1]: expected 2 entries",
+        id="matrix-ragged-row",
+    ),
+    pytest.param(
+        in_eigenvalues(lambda pairs: pairs.pop()),
+        "$.families[0].eigenvalues[0]: expected 2 pairs",
+        id="eigenvalue-ragged",
+    ),
+    pytest.param(
+        in_matrix(nest_every_matrix_cell),
+        "$.terms[0].coefficient[0][0]: expected a [re, im] number pair",
+        id="matrix-every-cell-too-deep",
+    ),
+    pytest.param(
+        in_eigenvalues(nest_every_pair),
+        "$.families[0].eigenvalues[0][0]: expected a [re, im] number pair",
+        id="eigenvalue-every-pair-too-deep",
+    ),
+]
+
+
+@pytest.mark.parametrize("parse, message", ERROR_TABLE)
+def test_document_error_messages(parse, message):
+    with pytest.raises(DocumentError) as info:
+        parse()
+    assert str(info.value) == message
+
+
+HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "parse, message",
+    [
+        pytest.param(
+            in_matrix(set_cell([HUGE, 0])),
+            "$.terms[0].coefficient[1][0]: number out of float range",
+            id="matrix-cell",
+        ),
+        pytest.param(
+            in_eigenvalues(set_pair([0, -HUGE])),
+            "$.families[0].eigenvalues[0][1]: number out of float range",
+            id="eigenvalue-cell",
+        ),
+    ],
+)
+def test_integer_too_large_for_a_float_names_its_cell(parse, message):
+    with pytest.raises(DocumentError) as info:
+        parse()
+    assert str(info.value) == message
+
+
+def test_integer_too_large_for_a_float_in_residual():
+    doc = solution_doc()
+    doc["families"][0]["residual"] = HUGE
+    with pytest.raises(DocumentError, match=r"^\$\.families\[0\]\.residual: number out of"):
+        io.solution_from_document(doc, 2, 1)

@@ -443,6 +443,16 @@ def test_quotient_factor_rejects_non_solution():
         quotient_factor(scalar_quadratic(), np.array([[3.0]]))
 
 
+def test_quotient_factor_rejects_nan_residual():
+    # X @ X overflows, so the residual is inf / inf = nan
+    p = MatrixPolynomial(arity=1, dim=1, terms={(2,): I1, (0,): -I1})
+    eq = StructuredEquation(poly=p, orientation=Orientation.UNKNOWNS_LEFT)
+    x = np.array([[1e200]])
+    assert np.isnan(verify_residual(eq, [x]))
+    with pytest.raises(NotASolution, match="residual nan"):
+        quotient_factor(eq, x)
+
+
 def test_commutation_check_values():
     assert commutation_check([np.eye(2), 2 * np.eye(2)]) == 0.0
     assert commutation_check([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])]) == 0.0
