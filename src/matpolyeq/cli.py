@@ -189,6 +189,8 @@ def cmd_sample_variety(args) -> int:
     except NoPointsFound as exc:
         print(f"sample-variety: {exc}", file=sys.stderr)
         return EXIT_NO_RESULT
+    except ValueError as exc:
+        return _fail(f"sample-variety: {exc}")
     io.dump_document(
         {
             "points": [
@@ -208,7 +210,10 @@ def cmd_sample_variety(args) -> int:
 
 def cmd_plant(args) -> int:
     orientation = Orientation(args.orientation)
-    planted = plant_instance(args.dimension, args.arity, args.degree, orientation, args.seed)
+    try:
+        planted = plant_instance(args.dimension, args.arity, args.degree, orientation, args.seed)
+    except ValueError as exc:
+        return _fail(f"plant: {exc}")
     eq = planted.equation
     io.dump_document(io.equation_to_document(eq), args.output)
     # the truth family mirrors solver output: W = T^-1 for left, T otherwise

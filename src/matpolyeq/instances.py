@@ -93,6 +93,8 @@ def plant_instance(
     """
     if n < 1 or m < 1 or degree < 1:
         raise DimensionMismatch("n, m, degree must all be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     sandwich = orientation is Orientation.SANDWICH_BIVARIATE
     if sandwich and (m != 2 or degree != 2):
         raise DimensionMismatch("sandwich instances require m = 2 and degree = 2")

@@ -5,7 +5,10 @@ with square complex coefficient matrices A_i.  This module provides
 evaluation, univariate slicing, extraction of the scalar determinant
 polynomial by evaluation and interpolation on scaled roots of unity,
 companion-matrix root finding with relative clustering, and sampling of
-the zero set of det P together with attached null vectors.
+the zero set of det P together with attached null vectors.  Evaluations,
+determinants and null vectors are computed on stacks of points with the
+scalar arithmetic of a single point, so a stacked result equals the
+single-point one bit for bit.
 """
 
 from __future__ import annotations
@@ -108,12 +111,6 @@ class ScalarPolynomial:
             acc = acc * z + c
         return complex(acc)
 
-    def derivative(self) -> "ScalarPolynomial":
-        c = self.coefficients
-        if len(c) == 1:
-            return ScalarPolynomial(np.zeros(1, dtype=np.complex128))
-        return ScalarPolynomial(c[1:] * np.arange(1, len(c)))
-
 
 @dataclass(frozen=True)
 class VarietyPoint:
@@ -138,19 +135,43 @@ def total_degree(p: MatrixPolynomial) -> int:
     return max(sum(exps) for exps in p.terms)
 
 
-def evaluate(p: MatrixPolynomial, point) -> np.ndarray:
-    """Evaluate P at a scalar point, one value per variable."""
+def _point(p: MatrixPolynomial, point) -> np.ndarray:
     z = linalg.as_vector(point)
     if z.shape[0] != p.arity:
         raise DimensionMismatch(f"point has length {z.shape[0]}, expected arity {p.arity}")
-    acc = np.zeros((p.dim, p.dim), dtype=np.complex128)
-    for exps in sorted(p.terms):
-        factor = 1.0 + 0j
-        for s, e in enumerate(exps):
-            if e:
-                factor *= z[s] ** e
-        acc += factor * p.terms[exps]
+    return z
+
+
+def _monomials(rows, keys, one) -> np.ndarray:
+    # monomial values per point and term, formed with the scalar arithmetic of
+    # a single point: array powers differ from scalar ones in the last bit
+    plan = [[(s, e) for s, e in enumerate(exps) if e] for exps in keys]
+    out = []
+    for z in rows:
+        zs = list(z)
+        row = []
+        for pairs in plan:
+            factor = one
+            for s, e in pairs:
+                factor *= zs[s] ** e
+            row.append(factor)
+        out.append(row)
+    return np.array(out, dtype=type(one)).reshape(len(rows), len(keys))
+
+
+def _evaluate_stack(p: MatrixPolynomial, points: np.ndarray) -> np.ndarray:
+    """P at each row of a (K, arity) stack of points, as a (K, n, n) stack."""
+    keys = sorted(p.terms)
+    factors = _monomials(points, keys, 1.0 + 0j)
+    acc = np.zeros((len(points), p.dim, p.dim), dtype=np.complex128)
+    for t, exps in enumerate(keys):
+        acc += factors[:, t, None, None] * p.terms[exps]
     return acc
+
+
+def evaluate(p: MatrixPolynomial, point) -> np.ndarray:
+    """Evaluate P at a scalar point, one value per variable."""
+    return _evaluate_stack(p, _point(p, point)[None])[0]
 
 
 def fix_all_but(p: MatrixPolynomial, pivot: int, fixed) -> MatrixPolynomial:
@@ -184,13 +205,6 @@ def fix_all_but(p: MatrixPolynomial, pivot: int, fixed) -> MatrixPolynomial:
     return MatrixPolynomial(arity=1, dim=p.dim, terms=new_terms)
 
 
-def merge_point(fixed, pivot: int, value: complex) -> np.ndarray:
-    """Insert a pivot value back into the fixed-values vector."""
-    vals = list(np.asarray(fixed, dtype=np.complex128))
-    vals.insert(pivot, complex(value))
-    return np.array(vals, dtype=np.complex128)
-
-
 def _interp_radius(p: MatrixPolynomial) -> float:
     exps = sorted(e for (e,) in p.terms)
     lo, hi = exps[0], exps[-1]
@@ -215,8 +229,8 @@ def det_poly_univariate(
     Raises IdenticallySingular when every sampled determinant is at or
     below ``det_zero_tol`` times ``||P||_F ** n`` at that node, i.e. when
     det P is the zero polynomial.  The bound scales with P as the
-    determinant does, so the test is scale-free; it stops at the first
-    node that clears it.  It exceeds Hadamard's bound (the product of the
+    determinant does, so the test is scale-free; all nodes are evaluated
+    and tested at once.  It exceeds Hadamard's bound (the product of the
     column norms) by up to ``n ** (n / 2)``, so planted instances of
     dimension 16 and more are still read as singular.
     """
@@ -230,14 +244,15 @@ def det_poly_univariate(
     radius = _interp_radius(p)
     nodes = radius * np.exp(2j * np.pi * np.arange(count) / count)
     dets = np.empty(count, dtype=np.complex128)
-    nonzero = False
-    for j, z in enumerate(nodes):
-        pz = evaluate(p, [z])
-        dets[j] = np.linalg.det(pz)
-        if not nonzero:
-            nonzero = abs(dets[j]) > det_zero_tol * float(np.linalg.norm(pz)) ** n
-    if not nonzero:
-        raise IdenticallySingular("determinant vanishes at every sample node")
+    norms = np.empty(count)
+    size = linalg.chunk_size(n * n)
+    for lo in range(0, count, size):
+        pz = _evaluate_stack(p, nodes[lo : lo + size, None])
+        dets[lo : lo + size] = np.linalg.det(pz)
+        norms[lo : lo + size] = np.linalg.norm(pz, axis=(1, 2))
+    with np.errstate(over="ignore"):
+        if not np.any(np.abs(dets) > det_zero_tol * norms**n):
+            raise IdenticallySingular("determinant vanishes at every sample node")
     # values at radius * exp(+2 pi i j / M) invert through the forward DFT
     coeffs = np.fft.fft(dets) / count
     coeffs = coeffs / radius ** np.arange(count)
@@ -247,8 +262,13 @@ def det_poly_univariate(
 
 
 def _cluster_roots(raw: np.ndarray, cluster_tol: float) -> list[tuple[complex, int]]:
-    # single-linkage union-find; the pools are small enough for O(d^2)
+    # single-linkage union-find over the linked pairs of one pairwise-distance
+    # matrix, taken in (i, j) order; groups come out ordered by their first
+    # member, each with its members in ascending order
     d = len(raw)
+    mags = np.abs(raw)
+    reach = cluster_tol * (1.0 + np.maximum(mags[:, None], mags[None, :]))
+    rows, cols = np.nonzero(np.abs(raw[:, None] - raw[None, :]) <= reach)
     parent = list(range(d))
 
     def find(i):
@@ -257,13 +277,11 @@ def _cluster_roots(raw: np.ndarray, cluster_tol: float) -> list[tuple[complex, i
             i = parent[i]
         return i
 
-    for i in range(d):
-        for j in range(i + 1, d):
-            tol = cluster_tol * (1.0 + max(abs(raw[i]), abs(raw[j])))
-            if abs(raw[i] - raw[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if i < j:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[rj] = ri
     groups: dict[int, list[int]] = {}
     for i in range(d):
         groups.setdefault(find(i), []).append(i)
@@ -274,20 +292,12 @@ def _cluster_roots(raw: np.ndarray, cluster_tol: float) -> list[tuple[complex, i
     return clustered
 
 
-def _newton_polish(sp: ScalarPolynomial, z: complex, iterations: int = 3) -> complex:
-    dp = sp.derivative()
-    for _ in range(iterations):
-        pv = sp(z)
-        dv = dp(z)
-        if abs(dv) < 1e-300:
-            break
-        step = pv / dv
-        z_new = z - step
-        if abs(sp(z_new)) < abs(pv):
-            z = z_new
-        else:
-            break
-    return z
+def _horner(coeffs: list[complex], z: complex) -> complex:
+    # coefficients from the highest degree down
+    acc = 0j
+    for c in coeffs:
+        acc = acc * z + c
+    return acc
 
 
 def poly_roots(
@@ -297,8 +307,8 @@ def poly_roots(
 
     Roots within ``cluster_tol * (1 + |root|)`` of each other are merged
     into a single root (their centroid) with summed multiplicity; simple
-    roots are polished with a few Newton steps.  The result is sorted
-    lexicographically by (real, imag).
+    roots are polished with up to three Newton steps, each kept only if it
+    lowers |p|.  The result is sorted lexicographically by (real, imag).
     """
     trimmed = sp.trimmed()
     c = trimmed.coefficients
@@ -307,26 +317,59 @@ def poly_roots(
     if trimmed.degree == 0:
         raise DegreeZero("nonzero constant polynomial has no roots")
     raw = np.roots(c[::-1])  # companion-matrix eigenvalues, balanced by geev
-    clustered = _cluster_roots(raw, cluster_tol)
-    polished = [
-        (_newton_polish(trimmed, root) if mult == 1 else root, mult)
-        for root, mult in clustered
-    ]
+    values = c[::-1].tolist()
+    slopes = (c[1:] * np.arange(1, len(c)))[::-1].tolist()
+    polished = []
+    for root, mult in _cluster_roots(raw, cluster_tol):
+        newton_steps = 3 if mult == 1 else 0
+        for _ in range(newton_steps):
+            pv = _horner(values, root)
+            dv = _horner(slopes, root)
+            if abs(dv) < 1e-300:
+                break
+            moved = root - pv / dv
+            if not abs(_horner(values, moved)) < abs(pv):
+                break
+            root = moved
+        polished.append((root, mult))
     polished.sort(key=lambda rm: linalg.lex_key(rm[0]))
     return polished
 
 
+def _term_scales(p: MatrixPolynomial, points: np.ndarray) -> np.ndarray:
+    # per point, the sum over terms of |monomial| * ||coefficient||_F, with
+    # each |z_s| taken as a scalar like the monomials themselves
+    moduli = [[abs(v) for v in z] for z in points]
+    factors = _monomials(moduli, list(p.terms), 1.0)
+    total = np.zeros(len(points))
+    for t, coeff in enumerate(p.terms.values()):
+        total += factors[:, t] * float(np.linalg.norm(coeff))
+    return total
+
+
 def term_scale(p: MatrixPolynomial, point) -> float:
     """Triangle-inequality magnitude bound for ``evaluate(p, point)``."""
-    z = np.asarray(point, dtype=np.complex128)
-    total = 0.0
-    for exps, coeff in p.terms.items():
-        factor = 1.0
-        for s, e in enumerate(exps):
-            if e:
-                factor *= abs(z[s]) ** e
-        total += factor * float(np.linalg.norm(coeff))
-    return total
+    return float(_term_scales(p, np.asarray(point, dtype=np.complex128)[None])[0])
+
+
+def _null_spaces(p: MatrixPolynomial, points: np.ndarray, side: str):
+    """Null vectors of P at each row of a (K, arity) stack of points.
+
+    Yields ``(chunk, pz, vectors)`` for consecutive chunks of the points, so
+    that no stacked temporary exceeds ``linalg.CHUNK_ENTRIES``: ``pz`` holds
+    P at the chunk's points and ``vectors[k]`` the list that
+    :func:`null_vectors_at` returns for point k of the chunk.
+    """
+    size = linalg.chunk_size(p.dim * p.dim)
+    for lo in range(0, len(points), size):
+        chunk = points[lo : lo + size]
+        pz = _evaluate_stack(p, chunk)
+        u, s, vh = np.linalg.svd(pz)
+        ref = np.maximum(s[:, 0], _term_scales(p, chunk))
+        # where ref is 0 every singular value is 0, so all of them count
+        counts = np.sum(s <= DEFAULT_TOL_ZERO * ref[:, None], axis=1)
+        rows = np.conj(vh if side == "right" else u.transpose(0, 2, 1), order="C")
+        yield chunk, pz, [list(rows[k, ::-1][:c]) for k, c in enumerate(counts)]
 
 
 def null_vectors_at(p: MatrixPolynomial, point, side: str) -> list[np.ndarray]:
@@ -335,20 +378,8 @@ def null_vectors_at(p: MatrixPolynomial, point, side: str) -> list[np.ndarray]:
     Acceptance is sigma <= ``DEFAULT_TOL_ZERO`` * max(sigma_max, term_scale);
     the second reference keeps 1x1 and fully vanishing evaluations decidable.
     """
-    pz = evaluate(p, point)
-    u, s, vh = np.linalg.svd(pz)
-    ref = max(float(s[0]), term_scale(p, point))
-    if ref == 0.0:
-        count = p.dim
-    else:
-        count = int(np.sum(s <= DEFAULT_TOL_ZERO * ref))
-    vectors = []
-    for i in range(p.dim - 1, p.dim - 1 - count, -1):
-        if side == "right":
-            vectors.append(vh[i].conj())
-        else:
-            vectors.append(u[:, i].conj())
-    return vectors
+    ((_, _, vectors),) = _null_spaces(p, _point(p, point)[None], side)
+    return vectors[0]
 
 
 def sample_variety(
@@ -365,7 +396,7 @@ def sample_variety(
     p : MatrixPolynomial with arity >= 2.
     side : 'left' or 'right'; which null vectors to attach.
     count : stop once at least this many points were collected.
-    seed : seeds the random strategy and phases the grid strategy.
+    seed : seeds the random strategy and phases the grid strategy; >= 0.
     strategy : 'grid' walks equispaced points on the unit circle; 'random'
         draws fixed values uniformly from the annulus 0.5 <= |z| <= 2.
 
@@ -373,8 +404,9 @@ def sample_variety(
     variable except a round-robin pivot, extracts the determinant
     polynomial of the univariate slice, and turns each of its roots into a
     full point with the null vectors of P there, accepted at the relative
-    threshold ``DEFAULT_TOL_ZERO``.  Slices that lose all degree contribute
-    nothing; an identically singular slice propagates IdenticallySingular.
+    threshold ``DEFAULT_TOL_ZERO``.  The roots of a slice are evaluated as
+    one stack.  Slices that lose all degree contribute nothing; an
+    identically singular slice propagates IdenticallySingular.
     """
     if p.arity < 2:
         raise DimensionMismatch(f"sample_variety needs arity >= 2, got {p.arity}")
@@ -382,6 +414,8 @@ def sample_variety(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     m = p.arity
     rng = np.random.default_rng(seed)
     budget = 4 * count + 8
@@ -409,18 +443,22 @@ def sample_variety(
             roots = poly_roots(det_slice)
         except DegreeZero:
             continue
-        for root, _mult in roots:
-            point = merge_point(fixed, pivot, root)
-            vectors = null_vectors_at(p, point, side)
-            if not vectors:
+        full = np.empty((len(roots), m), dtype=np.complex128)
+        full[:, [s for s in range(m) if s != pivot]] = fixed
+        full[:, pivot] = [root for root, _mult in roots]
+        for chunk, pz, vectors in _null_spaces(p, full, side):
+            found = [k for k, vecs in enumerate(vectors) if vecs]
+            if not found:
                 continue
-            dres = abs(np.linalg.det(evaluate(p, point)))
-            for vec in vectors:
-                points.append(
-                    VarietyPoint(
-                        values=point, null_vector=vec, side=side, det_residual=dres
+            dets = np.linalg.det(pz[found])
+            for k, det in zip(found, dets):
+                dres = abs(det)
+                for vec in vectors[k]:
+                    points.append(
+                        VarietyPoint(
+                            values=chunk[k], null_vector=vec, side=side, det_residual=dres
+                        )
                     )
-                )
     if not points:
         raise NoPointsFound(
             f"no variety points found in {budget} slices (strategy {strategy!r})"

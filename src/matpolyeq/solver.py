@@ -38,9 +38,9 @@ from .errors import (
 from .polymatrix import (
     MatrixPolynomial,
     VarietyPoint,
+    _null_spaces,
     det_poly_univariate,
     evaluate,
-    null_vectors_at,
     poly_roots,
     sample_variety,
     total_degree,
@@ -112,6 +112,8 @@ class SolverConfig:
             raise ValueError("max_classes must be >= 1")
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.strategy not in ("grid", "random"):
             raise ValueError(f"strategy must be 'grid' or 'random', got {self.strategy!r}")
 
@@ -348,12 +350,6 @@ def _assemble_families(
     return out
 
 
-#: Complex entries in one stacked array of a chunk of classes.  At 64 KiB it
-#: stays below glibc's 128 KiB mmap threshold; fixed 1024-class chunks raised
-#: the peak RSS of a CLI solve-then-verify run by about 2 MB.
-_CHUNK_ENTRIES = 4096
-
-
 def solve_univariate(eq: StructuredEquation, cfg: SolverConfig | None = None) -> SolveResult:
     """Solve a one-unknown equation by eigenvalue-class enumeration.
 
@@ -376,7 +372,9 @@ def solve_univariate(eq: StructuredEquation, cfg: SolverConfig | None = None) ->
     except DegreeZero as exc:
         raise InsufficientRoots(str(exc)) from exc
     side = "left" if eq.orientation is Orientation.UNKNOWNS_LEFT else "right"
-    bases = {root: null_vectors_at(eq.poly, [root], side) for root, _ in pool}
+    roots = np.array([[root] for root, _ in pool], dtype=np.complex128)
+    nulls = [vecs for _, _, vectors in _null_spaces(eq.poly, roots, side) for vecs in vectors]
+    bases = {root: vecs for (root, _), vecs in zip(pool, nulls)}
     index = {root: i for i, root in enumerate(bases)}
     # each root's first null vector, normalised as _select_directions would
     units = np.array(
@@ -385,7 +383,7 @@ def solve_univariate(eq: StructuredEquation, cfg: SolverConfig | None = None) ->
     )
     gen = iter_solution_classes(pool, n)
     classes = itertools.islice(gen, cfg.max_classes)
-    size = max(1, _CHUNK_ENTRIES // (n * n))
+    size = linalg.chunk_size(n * n)
     families: list[SolutionFamily] = []
     diagnostics: list[Diagnostic] = []
     while chunk := list(itertools.islice(classes, size)):
@@ -420,23 +418,32 @@ def solve_univariate(eq: StructuredEquation, cfg: SolverConfig | None = None) ->
 
 
 def _greedy_select(points: list[VarietyPoint], n: int) -> list[VarietyPoint] | None:
+    # start from the smallest determinant residual, then repeatedly add the
+    # first point maximising the smallest singular value of the stack with
+    # its null vector appended; the candidates of a step share one SVD call
     if len(points) < n:
         return None
     start = min(range(len(points)), key=lambda i: points[i].det_residual)
     chosen = [start]
-    stacked = [points[start].null_vector]
+    vectors = np.array([pt.null_vector for pt in points])
+    dim = vectors.shape[1]
     while len(chosen) < n:
-        best_j, best_s = -1, -1.0
-        for j in range(len(points)):
-            if j in chosen:
-                continue
-            svals = np.linalg.svd(
-                np.column_stack(stacked + [points[j].null_vector]), compute_uv=False
-            )
-            if svals[-1] > best_s:
-                best_j, best_s = j, float(svals[-1])
-        chosen.append(best_j)
-        stacked.append(points[best_j].null_vector)
+        k = len(chosen)
+        taken = set(chosen)
+        candidates = np.array([j for j in range(len(points)) if j not in taken])
+        # chosen points and nan score -1 and never win; a step with nothing
+        # else left appends index -1
+        sigma = np.full(len(points), -1.0)
+        size = linalg.chunk_size(dim * (k + 1))
+        for lo in range(0, len(candidates), size):
+            part = candidates[lo : lo + size]
+            stack = np.empty((len(part), dim, k + 1), dtype=np.complex128)
+            stack[:, :, :k] = vectors[chosen].T
+            stack[:, :, k] = vectors[part]
+            smallest = np.linalg.svd(stack, compute_uv=False)[:, -1]
+            sigma[part] = np.where(smallest >= 0.0, smallest, -1.0)
+        best = int(np.argmax(sigma))
+        chosen.append(best if sigma[best] > -1.0 else -1)
     return [points[j] for j in chosen]
 
 

@@ -1,0 +1,164 @@
+"""Per-point references for the batched spectral path.
+
+Each function repeats, one root, point or candidate at a time, what the
+library computes on stacks, built from the public single-point functions.
+Tests compare the two with ``np.array_equal``: the batched code keeps the
+scalar arithmetic, so the results must agree bit for bit.
+"""
+
+import math
+
+import numpy as np
+
+from matpolyeq import linalg
+from matpolyeq.errors import DegreeZero, TransformSingular
+from matpolyeq.polymatrix import (
+    ROOT_CLUSTER_TOL,
+    ScalarPolynomial,
+    VarietyPoint,
+    det_poly_univariate,
+    evaluate,
+    fix_all_but,
+    null_vectors_at,
+    poly_roots,
+)
+from matpolyeq.solver import Diagnostic, Orientation, family_from_points
+
+
+def poly_roots_per_root(sp, cluster_tol=ROOT_CLUSTER_TOL):
+    """Union-find clustering of pairs, then Newton steps on ``ScalarPolynomial``."""
+    trimmed = sp.trimmed()
+    c = trimmed.coefficients
+    raw = np.roots(c[::-1])
+    d = len(raw)
+    parent = list(range(d))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(d):
+        for j in range(i + 1, d):
+            if abs(raw[i] - raw[j]) <= cluster_tol * (1.0 + max(abs(raw[i]), abs(raw[j]))):
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups = {}
+    for i in range(d):
+        groups.setdefault(find(i), []).append(i)
+    clustered = [(complex(np.mean(raw[idx])), len(idx)) for idx in groups.values()]
+    clustered.sort(key=lambda rm: linalg.lex_key(rm[0]))
+    slope = ScalarPolynomial(c[1:] * np.arange(1, len(c)))
+    out = []
+    for z, mult in clustered:
+        for _ in range(3 if mult == 1 else 0):
+            pv, dv = trimmed(z), slope(z)
+            if abs(dv) < 1e-300:
+                break
+            z_new = z - pv / dv
+            if not abs(trimmed(z_new)) < abs(pv):
+                break
+            z = z_new
+        out.append((z, mult))
+    out.sort(key=lambda rm: linalg.lex_key(rm[0]))
+    return out
+
+
+def sample_variety_per_point(p, side, count, seed, strategy):
+    """``sample_variety`` one root at a time.
+
+    Returns the ``(values, null_vector, det_residual)`` triples and the
+    largest number of roots one slice produced.
+    """
+    m = p.arity
+    rng = np.random.default_rng(seed)
+    budget = 4 * count + 8
+    phase = math.fmod(seed * 0.6180339887498949, 1.0)
+    points, widest = [], 0
+    for sl in range(budget):
+        if len(points) >= count:
+            break
+        pivot = sl % m
+        if strategy == "grid":
+            pos = (sl + phase) / budget
+            fixed = np.array([np.exp(2j * np.pi * (pos + j / m)) for j in range(m - 1)])
+        else:
+            radii = rng.uniform(0.5, 2.0, size=m - 1)
+            angles = rng.uniform(0.0, 2.0 * np.pi, size=m - 1)
+            fixed = radii * np.exp(1j * angles)
+        try:
+            roots = poly_roots(det_poly_univariate(fix_all_but(p, pivot, fixed)))
+        except DegreeZero:
+            continue
+        widest = max(widest, len(roots))
+        for root, _ in roots:
+            point = np.insert(fixed, pivot, root)
+            vectors = null_vectors_at(p, point, side)
+            if vectors:
+                dres = abs(np.linalg.det(evaluate(p, point)))
+                points.extend((point, vec, dres) for vec in vectors)
+    return points, widest
+
+
+def greedy_select_per_candidate(points, n):
+    """Indices chosen by one SVD per candidate, and the number of tied steps."""
+    if len(points) < n:
+        return None, 0
+    start = min(range(len(points)), key=lambda i: points[i].det_residual)
+    chosen = [start]
+    stacked = [points[start].null_vector]
+    ties = 0
+    while len(chosen) < n:
+        best_j, best_s, sigmas = -1, -1.0, []
+        for j in range(len(points)):
+            if j in chosen:
+                continue
+            svals = np.linalg.svd(
+                np.column_stack(stacked + [points[j].null_vector]), compute_uv=False
+            )
+            sigmas.append(svals[-1])
+            if svals[-1] > best_s:
+                best_j, best_s = j, float(svals[-1])
+        ties += sigmas.count(best_s) > 1
+        chosen.append(best_j)
+        stacked.append(points[best_j].null_vector)
+    return chosen, ties
+
+
+def solve_multivariate_per_point(eq, cfg):
+    """``solve_multivariate`` from the per-point sampler and greedy loop.
+
+    Returns ``(families, diagnostics)``; families is None when every attempt
+    fails.
+    """
+    side = "left" if eq.orientation is Orientation.UNKNOWNS_LEFT else "right"
+    n = eq.dim
+    count = max(cfg.sample_count, 3 * n)
+    diagnostics = []
+    for attempt in range(8):
+        triples, _ = sample_variety_per_point(
+            eq.poly, side, count, cfg.seed + attempt, cfg.strategy
+        )
+        if not triples:
+            failure = (
+                f"NoPointsFound: no variety points found in {4 * count + 8} slices"
+                f" (strategy {cfg.strategy!r})"
+            )
+            diagnostics.append(Diagnostic(f"attempt {attempt}", failure))
+            continue
+        points = [VarietyPoint(v, vec, side, dres) for v, vec, dres in triples]
+        chosen, _ = greedy_select_per_candidate(points, n)
+        if chosen is None:
+            diagnostics.append(
+                Diagnostic(f"attempt {attempt}", f"only {len(points)} points, need {n}")
+            )
+            continue
+        try:
+            family = family_from_points(eq, [points[j] for j in chosen], cfg)
+        except TransformSingular as exc:
+            diagnostics.append(Diagnostic(f"attempt {attempt}", str(exc)))
+            continue
+        return [family], diagnostics
+    return None, diagnostics

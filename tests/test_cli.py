@@ -159,6 +159,33 @@ def test_sample_variety_rejects_univariate():
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "circle.json", "--seed", "-1"], "solve: seed must be >= 0"),
+        (["sample-variety", "circle.json", "--seed", "-1"], "sample-variety: seed must be >= 0"),
+        (
+            ["sample-variety", "circle.json", "--seed", "0", "--count", "0"],
+            "sample-variety: count must be >= 1",
+        ),
+        (
+            ["plant", "--dimension", "2", "--arity", "2", "--degree", "2", "--seed", "-1"],
+            "plant: seed must be >= 0",
+        ),
+    ],
+    ids=["solve-seed", "sample-variety-seed", "sample-variety-count", "plant-seed"],
+)
+def test_negative_seed_or_zero_count_exit_1(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    argv += ["--output", str(out)]
+    if argv[0] == "plant":
+        argv += ["--truth", str(tmp_path / "truth.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
 def test_sample_variety_identically_singular(tmp_path, capsys):
     rank_one = [[[1, 0], [1, 0]], [[2, 0], [2, 0]]]
     doc = {

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from per_point import poly_roots_per_root, sample_variety_per_point
+
+from matpolyeq import linalg
 from matpolyeq.errors import DegreeZero, DimensionMismatch, IdenticallySingular, NoPointsFound
 from matpolyeq.instances import plant_instance, symbolic_det_oracle
 from matpolyeq.polymatrix import (
@@ -198,6 +201,45 @@ def test_root_count_matches_degree():
         sp = ScalarPolynomial(coeffs)
         total = sum(m for _, m in poly_roots(sp))
         assert total == sp.trimmed().degree
+
+
+def test_poly_roots_match_per_root_reference():
+    # random polynomials, some with a repeated factor and a close pair, so
+    # that both clustering and Newton polishing are exercised
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        degree = int(rng.integers(1, 13))
+        roots = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
+        if trial % 3 == 0 and degree > 2:
+            roots[1] = roots[0]
+            roots[2] = roots[0] * (1 + 1e-9)
+        coeffs = np.poly(roots)[::-1] * (rng.standard_normal() + 1j)
+        sp = ScalarPolynomial(coeffs)
+        assert poly_roots(sp) == poly_roots_per_root(sp)
+
+
+@pytest.mark.parametrize("strategy", ["grid", "random"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_sample_variety_matches_per_point_reference(side, strategy):
+    # the n = 12, degree 3 slices have more roots than one chunk holds
+    beyond_chunk = 0
+    for n, m, degree, seed in ((4, 2, 2, 1), (5, 3, 2, 2), (12, 2, 3, 0)):
+        p = plant_instance(n, m, degree, Orientation.UNKNOWNS_RIGHT, seed).equation.poly
+        got = sample_variety(p, side, 3 * n, seed, strategy)
+        want, widest = sample_variety_per_point(p, side, 3 * n, seed, strategy)
+        beyond_chunk = max(beyond_chunk, widest - linalg.chunk_size(n * n))
+        assert len(got) == len(want)
+        for pt, (values, vector, dres) in zip(got, want):
+            assert np.array_equal(pt.values, values)
+            assert np.array_equal(pt.null_vector, vector)
+            assert pt.det_residual == dres
+    assert beyond_chunk > 0
+
+
+def test_sample_variety_rejects_negative_seed():
+    p = MatrixPolynomial(arity=2, dim=1, terms={(2, 0): I1, (0, 2): I1, (0, 0): -2 * I1})
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        sample_variety(p, "right", count=4, seed=-1)
 
 
 def test_sample_variety_circle():

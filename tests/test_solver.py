@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from per_point import greedy_select_per_candidate, solve_multivariate_per_point
 
 from matpolyeq import linalg
 from matpolyeq.errors import (
@@ -15,11 +16,13 @@ from matpolyeq.polymatrix import (
     VarietyPoint,
     evaluate,
     null_vectors_at,
+    sample_variety,
 )
 from matpolyeq.solver import (
     Orientation,
     SolverConfig,
     StructuredEquation,
+    _greedy_select,
     commutation_check,
     dual_equation,
     eigen_candidates,
@@ -138,6 +141,49 @@ def test_enumerate_classes_cap():
 def test_solver_config_rejects_nonpositive_tolerances(name, value):
     with pytest.raises(ValueError, match=f"{name} must be positive"):
         SolverConfig(**{name: value})
+
+
+def test_solver_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SolverConfig(seed=-1)
+
+
+def test_greedy_select_matches_per_candidate_loop():
+    eq = plant_instance(8, 2, 2, Orientation.UNKNOWNS_RIGHT, 4).equation
+    points = sample_variety(eq.poly, "right", 40, 0)
+    # a copy of every point ties each candidate with its twin; the first wins,
+    # and the candidates of the last steps no longer fit in one chunk
+    doubled = points + [
+        VarietyPoint(pt.values, pt.null_vector, pt.side, pt.det_residual) for pt in points
+    ]
+    assert len(doubled) - 7 > linalg.chunk_size(8 * 8)
+    for pool in (points, doubled):
+        want, ties = greedy_select_per_candidate(pool, 8)
+        got = _greedy_select(pool, 8)
+        assert len(got) == len(want)
+        assert all(a is pool[j] for a, j in zip(got, want))
+    assert ties > 0
+    assert _greedy_select(points[:7], 8) is None
+
+
+@pytest.mark.parametrize("orientation", [Orientation.UNKNOWNS_LEFT, Orientation.UNKNOWNS_RIGHT])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("n", [4, 8])
+def test_solve_multivariate_matches_per_point_reference(n, m, orientation):
+    eq = plant_instance(n, m, 2, orientation, 10 * n + m).equation
+    cfg = SolverConfig(seed=3)
+    want, want_diags = solve_multivariate_per_point(eq, cfg)
+    result = solve_multivariate(eq, cfg)
+    assert [(d.label, d.failure) for d in result.diagnostics] == [
+        (d.label, d.failure) for d in want_diags
+    ]
+    (got,) = result.families
+    (ref,) = want
+    assert np.array_equal(got.transform, ref.transform)
+    for a, b in zip(got.eigenvalues + got.unknowns, ref.eigenvalues + ref.unknowns, strict=True):
+        assert np.array_equal(a, b)
+    assert got.residual == ref.residual
+    assert got.transform_condition == ref.transform_condition
 
 
 @pytest.mark.parametrize("orientation", [Orientation.UNKNOWNS_LEFT, Orientation.UNKNOWNS_RIGHT])
