@@ -241,8 +241,9 @@ def solution_from_document(
         family_from_document(f, dim, arity, f"$.families[{k}]")
         for k, f in enumerate(families_raw)
     ]
+    diagnostics_raw = _require(doc, "diagnostics", list, "$") if "diagnostics" in doc else []
     diagnostics = []
-    for k, d in enumerate(doc.get("diagnostics", [])):
+    for k, d in enumerate(diagnostics_raw):
         if (
             not isinstance(d, dict)
             or not isinstance(d.get("class_or_attempt"), str)

@@ -7,10 +7,13 @@ polynomial supply candidate eigenvalues, null vectors of P evaluated there
 supply shared-eigenvector candidates, and stacking n of them into an
 invertible transform reconstructs unknowns of the form X_s = T F_s T^{-1}.
 
-The univariate path enumerates eigenvalue classes (n-sub-multisets of the
-root pool) and assembles them in batches: a chunk of classes becomes one
-(K, n, n) stack of transforms whose rank test, inverse, reconstruction and
-residual are computed together.  The multivariate path assembles a
+The univariate path enumerates eigenvalue classes and assembles them in
+batches: a chunk of classes becomes one (K, n, n) stack of transforms whose
+rank test, inverse, reconstruction and residual are computed together.  A
+pool of distinct simple roots, each with one null vector, takes its classes
+as n-combinations of root indices and gathers each chunk's transforms with
+one index array; any other pool enumerates n-sub-multisets of the roots,
+choosing directions class by class.  The multivariate path assembles a
 transform from sampled variety points as a batch of one.  Both go through
 the same assembler, so they share one singular-value gate and one relative
 residual acceptance, the normalisation of :func:`verify_residual`.
@@ -19,6 +22,7 @@ residual acceptance, the normalisation of :func:`verify_residual`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -350,42 +354,38 @@ def _assemble_families(
     return out
 
 
-def solve_univariate(eq: StructuredEquation, cfg: SolverConfig | None = None) -> SolveResult:
-    """Solve a one-unknown equation by eigenvalue-class enumeration.
+def _combination_batches(
+    eq: StructuredEquation, roots: np.ndarray, units: np.ndarray, count: int, cfg: SolverConfig
+):
+    """Outcomes of the first ``count`` classes of a pool of distinct simple roots.
 
-    Every n-sub-multiset of the determinant-polynomial roots is a candidate
-    spectrum.  For each class, null vectors of P at the class roots are
-    stacked into the transform; a root of multiplicity r consumes r
-    orthonormal null vectors and the class fails if the null space is
-    thinner.  Classes are assembled in chunks of stacked transforms.
-    Classes with singular stacks or failing residuals are reported in the
-    diagnostics, in class order, never returned.
+    Each root has one unit null vector ``units[i]``, so a class is an
+    n-combination of root indices; in the pool's lexicographic order these
+    come in the order :func:`iter_solution_classes` yields the classes.
+    Yields ``(classes, outcomes)`` per chunk, ``classes`` as a (K, n) array.
     """
-    cfg = cfg or SolverConfig()
-    if eq.arity != 1:
-        raise DimensionMismatch("solve_univariate needs a univariate equation")
-    if eq.orientation is Orientation.SANDWICH_BIVARIATE:
-        raise DimensionMismatch("sandwich orientation is not univariate")
     n = eq.dim
-    try:
-        pool = eigen_candidates(eq)
-    except DegreeZero as exc:
-        raise InsufficientRoots(str(exc)) from exc
-    side = "left" if eq.orientation is Orientation.UNKNOWNS_LEFT else "right"
-    roots = np.array([[root] for root, _ in pool], dtype=np.complex128)
-    nulls = [vecs for _, _, vectors in _null_spaces(eq.poly, roots, side) for vecs in vectors]
-    bases = {root: vecs for (root, _), vecs in zip(pool, nulls)}
-    index = {root: i for i, root in enumerate(bases)}
-    # each root's first null vector, normalised as _select_directions would
-    units = np.array(
-        [b[0] / np.linalg.norm(b[0]) if b else np.zeros(n) for b in bases.values()],
-        dtype=np.complex128,
-    )
-    gen = iter_solution_classes(pool, n)
-    classes = itertools.islice(gen, cfg.max_classes)
+    indices = itertools.chain.from_iterable(itertools.combinations(range(len(roots)), n))
     size = linalg.chunk_size(n * n)
-    families: list[SolutionFamily] = []
-    diagnostics: list[Diagnostic] = []
+    for lo in range(0, count, size):
+        k = min(size, count - lo)
+        idx = np.fromiter(indices, dtype=np.intp, count=k * n).reshape(k, n)
+        classes = roots[idx]
+        yield classes, _assemble_families(eq, classes[None], units[idx], cfg)
+
+
+def _multiset_batches(
+    eq: StructuredEquation, classes, bases: dict, units: np.ndarray, cfg: SolverConfig
+):
+    """Outcomes of the sub-multiset classes of any root pool, per chunk.
+
+    A class whose roots have too thin a null space fails before assembly;
+    one with a repeated root or a wider null space takes its vectors from
+    :func:`_select_directions`.  Yields ``(classes, outcomes)`` per chunk.
+    """
+    n = eq.dim
+    index = {root: i for i, root in enumerate(bases)}
+    size = linalg.chunk_size(n * n)
     while chunk := list(itertools.islice(classes, size)):
         outcomes: list[SolutionFamily | str | None] = [None] * len(chunk)
         members, chosen = [], {}
@@ -404,13 +404,73 @@ def solve_univariate(eq: StructuredEquation, cfg: SolverConfig | None = None) ->
             eigs = np.array([[chunk[k] for k in members]], dtype=np.complex128)
             for k, outcome in zip(members, _assemble_families(eq, eigs, stack, cfg)):
                 outcomes[k] = outcome
-        for cls, outcome in zip(chunk, outcomes):
+        yield chunk, outcomes
+
+
+def _class_outcomes(batches) -> tuple[list[SolutionFamily], list[Diagnostic]]:
+    # families in class order, and one diagnostic per rejected class
+    families: list[SolutionFamily] = []
+    diagnostics: list[Diagnostic] = []
+    for classes, outcomes in batches:
+        for cls, outcome in zip(classes, outcomes):
             if isinstance(outcome, SolutionFamily):
                 families.append(outcome)
             else:
                 label = "class (" + ", ".join(_fmt_c(r) for r in cls) + ")"
                 diagnostics.append(Diagnostic(label, outcome))
-    if next(gen, None) is not None:
+    return families, diagnostics
+
+
+def solve_univariate(eq: StructuredEquation, cfg: SolverConfig | None = None) -> SolveResult:
+    """Solve a one-unknown equation by eigenvalue-class enumeration.
+
+    Every n-sub-multiset of the determinant-polynomial roots is a candidate
+    spectrum.  For each class, null vectors of P at the class roots are
+    stacked into the transform; a root of multiplicity r consumes r
+    orthonormal null vectors and the class fails if the null space is
+    thinner.  A pool of distinct simple roots, each with one null vector,
+    enumerates its classes as index combinations; any other pool walks its
+    sub-multisets.  Classes are assembled in chunks of stacked transforms.
+    Classes with singular stacks or failing residuals are reported in the
+    diagnostics, in class order, never returned.
+    """
+    cfg = cfg or SolverConfig()
+    if eq.arity != 1:
+        raise DimensionMismatch("solve_univariate needs a univariate equation")
+    if eq.orientation is Orientation.SANDWICH_BIVARIATE:
+        raise DimensionMismatch("sandwich orientation is not univariate")
+    n = eq.dim
+    try:
+        pool = eigen_candidates(eq)
+    except DegreeZero as exc:
+        raise InsufficientRoots(str(exc)) from exc
+    side = "left" if eq.orientation is Orientation.UNKNOWNS_LEFT else "right"
+    roots = np.array([[root] for root, _ in pool], dtype=np.complex128)
+    nulls = [vecs for _, _, vectors in _null_spaces(eq.poly, roots, side) for vecs in vectors]
+    bases = {root: vecs for (root, _), vecs in zip(pool, nulls)}
+    # each root's first null vector, normalised as _select_directions would
+    units = np.array(
+        [b[0] / np.linalg.norm(b[0]) if b else np.zeros(n) for b in bases.values()],
+        dtype=np.complex128,
+    )
+    # eigen_candidates returns the pool in lexicographic order; a pool with
+    # fewer than n roots walks the sub-multisets, which raise InsufficientRoots
+    distinct = (
+        len(pool) >= n
+        and len(bases) == len(pool)
+        and all(mult == 1 and len(vecs) == 1 for (_, mult), vecs in zip(pool, nulls))
+    )
+    if distinct:
+        count = math.comb(len(pool), n)
+        batches = _combination_batches(eq, roots[:, 0], units, min(count, cfg.max_classes), cfg)
+        families, diagnostics = _class_outcomes(batches)
+        truncated = count > cfg.max_classes
+    else:
+        gen = iter_solution_classes(pool, n)
+        classes = itertools.islice(gen, cfg.max_classes)
+        families, diagnostics = _class_outcomes(_multiset_batches(eq, classes, bases, units, cfg))
+        truncated = next(gen, None) is not None
+    if truncated:
         diagnostics.insert(
             0, Diagnostic("class enumeration", f"truncated at max_classes={cfg.max_classes}")
         )

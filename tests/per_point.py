@@ -1,17 +1,18 @@
 """Per-point references for the batched spectral path.
 
-Each function repeats, one root, point or candidate at a time, what the
+Each function repeats, one root, point, candidate or class at a time, what the
 library computes on stacks, built from the public single-point functions.
 Tests compare the two with ``np.array_equal``: the batched code keeps the
 scalar arithmetic, so the results must agree bit for bit.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from matpolyeq import linalg
-from matpolyeq.errors import DegreeZero, TransformSingular
+from matpolyeq.errors import DegreeZero, SingularMatrix, TransformSingular
 from matpolyeq.polymatrix import (
     ROOT_CLUSTER_TOL,
     ScalarPolynomial,
@@ -22,7 +23,15 @@ from matpolyeq.polymatrix import (
     null_vectors_at,
     poly_roots,
 )
-from matpolyeq.solver import Diagnostic, Orientation, family_from_points
+from matpolyeq.solver import (
+    Diagnostic,
+    Orientation,
+    SolutionFamily,
+    eigen_candidates,
+    family_from_points,
+    iter_solution_classes,
+    verify_residual,
+)
 
 
 def poly_roots_per_root(sp, cluster_tol=ROOT_CLUSTER_TOL):
@@ -162,3 +171,38 @@ def solve_multivariate_per_point(eq, cfg):
             continue
         return [family], diagnostics
     return None, diagnostics
+
+
+def solve_univariate_per_class(eq, cfg):
+    """``solve_univariate`` on a pool of simple roots, one class at a time.
+
+    Classes come from ``iter_solution_classes``; each stacks the unit null
+    vectors of its roots and goes through the per-matrix ``linalg.inverse``
+    and ``verify_residual``.  Returns ``(families, diagnostics)`` for the
+    first ``cfg.max_classes`` classes, without the truncation diagnostic.
+    """
+    left = eq.orientation is Orientation.UNKNOWNS_LEFT
+    pool = eigen_candidates(eq)
+    units = {}
+    for root, _ in pool:
+        (vec,) = null_vectors_at(eq.poly, [root], "left" if left else "right")
+        units[root] = vec / np.linalg.norm(vec)
+    families, diagnostics = [], []
+    for cls in itertools.islice(iter_solution_classes(pool, eq.dim), cfg.max_classes):
+        label = "class (" + ", ".join(f"{r.real:.6g}{r.imag:+.6g}j" for r in cls) + ")"
+        rows = np.array([units[root] for root in cls])
+        stack = rows if left else rows.T
+        lam = np.array(cls, dtype=np.complex128)
+        try:
+            inv, cond = linalg.inverse(stack, tol_rank=cfg.tol_rank)
+        except SingularMatrix as exc:
+            diagnostics.append(Diagnostic(label, f"TransformSingular: {exc}"))
+            continue
+        x = (inv * lam) @ stack if left else (stack * lam) @ inv
+        resid = verify_residual(eq, [x])
+        if resid <= cfg.tol_residual:
+            families.append(SolutionFamily(stack, [lam], [x], resid, cond))
+        else:
+            failure = f"residual {resid:.3e} exceeds tol_residual {cfg.tol_residual:.0e}"
+            diagnostics.append(Diagnostic(label, failure))
+    return families, diagnostics

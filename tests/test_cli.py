@@ -368,6 +368,30 @@ def test_verify_huge_integer_in_solution_exit_1(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("value", [5, None, {}, "xy"], ids=["int", "null", "object", "string"])
+def test_verify_non_list_diagnostics_exit_1(tmp_path, capsys, value):
+    eq_path = str(DATA / "scalar_quadratic.json")
+    sol_path = tmp_path / "sol.json"
+    assert main(["solve", eq_path, "--seed", "0", "--output", str(sol_path)]) == 0
+    doc = load(sol_path)
+    doc["diagnostics"] = value
+    with open(sol_path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    assert main(["verify", eq_path, str(sol_path)]) == 1
+    assert "$.diagnostics: expected list" in capsys.readouterr().err
+
+
+def test_verify_missing_diagnostics_means_none(tmp_path):
+    eq_path = str(DATA / "scalar_quadratic.json")
+    sol_path = tmp_path / "sol.json"
+    assert main(["solve", eq_path, "--seed", "0", "--output", str(sol_path)]) == 0
+    doc = load(sol_path)
+    del doc["diagnostics"]
+    with open(sol_path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    assert main(["verify", eq_path, str(sol_path), "--output", str(tmp_path / "r.json")]) == 0
+
+
 @pytest.mark.parametrize("orientation", ["left", "right"])
 def test_verify_residuals_match_verify_residual(tmp_path, orientation):
     eq_path = tmp_path / "eq.json"

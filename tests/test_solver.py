@@ -1,6 +1,12 @@
+import math
+
 import numpy as np
 import pytest
-from per_point import greedy_select_per_candidate, solve_multivariate_per_point
+from per_point import (
+    greedy_select_per_candidate,
+    solve_multivariate_per_point,
+    solve_univariate_per_class,
+)
 
 from matpolyeq import linalg
 from matpolyeq.errors import (
@@ -19,6 +25,7 @@ from matpolyeq.polymatrix import (
     sample_variety,
 )
 from matpolyeq.solver import (
+    Diagnostic,
     Orientation,
     SolverConfig,
     StructuredEquation,
@@ -76,6 +83,20 @@ def manual_plant_bivariate(seed=42, eigs_x=(1.0, 2.0), eigs_y=(3.0, 4.0)):
 
 def class_label(cls):
     return "class (" + ", ".join(f"{r.real:.6g}{r.imag:+.6g}j" for r in cls) + ")"
+
+
+def assert_same_solution(result, families, diagnostics):
+    # bit for bit: diagnostics, family order and every array and number
+    assert [(d.label, d.failure) for d in result.diagnostics] == [
+        (d.label, d.failure) for d in diagnostics
+    ]
+    assert len(result.families) == len(families)
+    for got, ref in zip(result.families, families):
+        assert np.array_equal(got.transform, ref.transform)
+        pairs = zip(got.eigenvalues + got.unknowns, ref.eigenvalues + ref.unknowns, strict=True)
+        assert all(np.array_equal(a, b) for a, b in pairs)
+        assert got.residual == ref.residual
+        assert got.transform_condition == ref.transform_condition
 
 
 def test_eigen_candidates_scalar_quadratic():
@@ -174,16 +195,8 @@ def test_solve_multivariate_matches_per_point_reference(n, m, orientation):
     cfg = SolverConfig(seed=3)
     want, want_diags = solve_multivariate_per_point(eq, cfg)
     result = solve_multivariate(eq, cfg)
-    assert [(d.label, d.failure) for d in result.diagnostics] == [
-        (d.label, d.failure) for d in want_diags
-    ]
-    (got,) = result.families
-    (ref,) = want
-    assert np.array_equal(got.transform, ref.transform)
-    for a, b in zip(got.eigenvalues + got.unknowns, ref.eigenvalues + ref.unknowns, strict=True):
-        assert np.array_equal(a, b)
-    assert got.residual == ref.residual
-    assert got.transform_condition == ref.transform_condition
+    assert len(want) == 1
+    assert_same_solution(result, want, want_diags)
 
 
 @pytest.mark.parametrize("orientation", [Orientation.UNKNOWNS_LEFT, Orientation.UNKNOWNS_RIGHT])
@@ -251,6 +264,61 @@ def test_batched_families_match_per_class_reference(orientation):
         # a family owns its arrays; none is a view into the chunk it came from
         owned = [family.transform, *family.eigenvalues, *family.unknowns]
         assert all(a.flags.owndata for a in owned)
+
+
+@pytest.mark.parametrize("orientation", [Orientation.UNKNOWNS_LEFT, Orientation.UNKNOWNS_RIGHT])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_combination_classes_match_per_class_reference(n, orientation):
+    # planted pools have 2n distinct simple roots; the caps cut the
+    # enumeration at its start, at and just past a chunk, and at its end
+    eq = plant_instance(n, 1, 2, orientation, 59).equation
+    assert all(mult == 1 for _, mult in eigen_candidates(eq))
+    total = math.comb(2 * n, n)
+    size = linalg.chunk_size(n * n)
+    for cap in (1, size, size + 1, total - 1, total):
+        cfg = SolverConfig(max_classes=cap)
+        result = solve_univariate(eq, cfg)
+        families, diagnostics = solve_univariate_per_class(eq, cfg)
+        if cap < total:
+            truncated = Diagnostic("class enumeration", f"truncated at max_classes={cap}")
+            diagnostics.insert(0, truncated)
+        assert_same_solution(result, families, diagnostics)
+        labels = [d.label for d in result.diagnostics]
+        assert labels.count("class enumeration") == (cap < total)
+        assert len(result.families) == min(cap, total)
+
+
+@pytest.mark.parametrize("orientation", [Orientation.UNKNOWNS_LEFT, Orientation.UNKNOWNS_RIGHT])
+def test_solve_univariate_distinct_pool_rejections_in_class_order(orientation):
+    # diag((z-2)(z-3), (z-1)(z-4)): four simple roots, 2 and 3 sharing the
+    # null vector e1 and 1 and 4 sharing e2, so two of six classes are singular
+    p = MatrixPolynomial(
+        arity=1, dim=2, terms={(2,): I2, (1,): -5 * I2, (0,): np.diag([6.0, 4.0])}
+    )
+    eq = StructuredEquation(poly=p, orientation=orientation)
+    pool = eigen_candidates(eq)
+    assert [(round(r.real), m) for r, m in pool] == [(1, 1), (2, 1), (3, 1), (4, 1)]
+    one, two, three, four = (r for r, _ in pool)
+    result = solve_univariate(eq)
+    assert [d.label for d in result.diagnostics] == [
+        class_label((one, four)), class_label((two, three))
+    ]
+    for d in result.diagnostics:
+        assert d.failure.startswith("TransformSingular: smallest singular value")
+    assert_same_solution(result, *solve_univariate_per_class(eq, SolverConfig()))
+    # X = diag(root on e1, root on e2)
+    for family, diagonal in zip(result.families, ([2, 1], [3, 1], [2, 4], [3, 4])):
+        assert np.allclose(family.unknowns[0], np.diag(diagonal), atol=1e-10)
+
+
+def test_solve_univariate_insufficient_roots():
+    # diag(z, 1) has the single root 0 for a 2 x 2 unknown
+    p = MatrixPolynomial(
+        arity=1, dim=2, terms={(1,): np.diag([1.0, 0.0]), (0,): np.diag([0.0, 1.0])}
+    )
+    eq = StructuredEquation(poly=p, orientation=Orientation.UNKNOWNS_LEFT)
+    with pytest.raises(InsufficientRoots, match="total multiplicity 1 < dimension 2"):
+        solve_univariate(eq)
 
 
 def test_solve_univariate_scalar_quadratic():
