@@ -127,7 +127,7 @@ def scalar_oracle(eq: StructuredEquation) -> list[complex]:
     """Roots of the degenerate 1x1 equation, multiplicities expanded."""
     if eq.dim != 1 or eq.arity != 1:
         raise DimensionMismatch("scalar_oracle needs dim 1 and arity 1")
-    kmax = max(e for (e,) in eq.poly.terms)
+    kmax = max((e for (e,) in eq.poly.terms), default=0)
     coeffs = np.zeros(kmax + 1, dtype=np.complex128)
     for (k,), a in eq.poly.terms.items():
         coeffs[k] = a[0, 0]

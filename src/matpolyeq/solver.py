@@ -7,22 +7,22 @@ polynomial supply candidate eigenvalues, null vectors of P evaluated there
 supply shared-eigenvector candidates, and stacking n of them into an
 invertible transform reconstructs unknowns of the form X_s = T F_s T^{-1}.
 
-The univariate path enumerates eigenvalue classes and assembles them in
-batches: a chunk of classes becomes one (K, n, n) stack of transforms whose
-rank test, inverse, reconstruction and residual are computed together.  A
-pool of distinct simple roots, each with one null vector, takes its classes
-as n-combinations of root indices and gathers each chunk's transforms with
-one index array; any other pool enumerates n-sub-multisets of the roots,
-choosing directions class by class.  The multivariate path assembles a
-transform from sampled variety points as a batch of one.  Both go through
-the same assembler, so they share one singular-value gate and one relative
-residual acceptance, the normalisation of :func:`verify_residual`.
+The univariate path enumerates eigenvalue classes as tuples of root indices
+and assembles them in one batch loop: a chunk of classes becomes one index
+array, which gathers a (K, n, n) stack of transforms whose rank test,
+inverse, reconstruction and residual are computed together.  Directions are
+chosen class by class only for classes with a repeated root or a null space
+wider than one vector, and the class count computed from the root
+multiplicities says whether the enumeration was truncated.  The
+multivariate path assembles a transform from sampled variety points as a
+batch of one.  Both go through the same assembler, so they share one
+singular-value gate and one relative residual acceptance, the normalisation
+of :func:`verify_residual`.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -243,33 +243,50 @@ def eigen_candidates(eq: StructuredEquation) -> list[tuple[complex, int]]:
     return poly_roots(det_poly_univariate(eq.poly))
 
 
-def iter_solution_classes(pool, n: int):
-    """Yield all n-element sub-multisets of the root pool in lexicographic order."""
-    items = sorted(pool, key=lambda rm: linalg.lex_key(rm[0]))
-    total = sum(mult for _, mult in items)
-    if total < n:
+def _class_indices(mults: list[int], n: int):
+    """The n-element sub-multisets of a root pool, as tuples of root indices.
+
+    Index i appears at most ``mults[i]`` times.  Classes come in
+    lexicographic index order, most copies of the first root first, so a
+    pool of simple roots gives its n-combinations.  Raises
+    ``InsufficientRoots`` at once when the pool holds fewer than n roots.
+    """
+    if sum(mults) < n:
         raise InsufficientRoots(
-            f"root pool has total multiplicity {total} < dimension {n}"
+            f"root pool has total multiplicity {sum(mults)} < dimension {n}"
         )
-    suffix = [0] * (len(items) + 1)
-    for i in range(len(items) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + items[i][1]
+    if all(mult == 1 for mult in mults):
+        return itertools.combinations(range(len(mults)), n)
+    suffix = list(itertools.accumulate(reversed(mults), initial=0))[::-1]
 
     def rec(idx: int, remaining: int):
         if remaining == 0:
             yield ()
             return
-        if idx == len(items):
+        if idx == len(mults):
             return
-        root, mult = items[idx]
-        top = min(mult, remaining)
-        for take in range(top, -1, -1):
+        for take in range(min(mults[idx], remaining), -1, -1):
             if suffix[idx + 1] < remaining - take:
                 continue
             for tail in rec(idx + 1, remaining - take):
-                yield (root,) * take + tail
+                yield (idx,) * take + tail
 
-    yield from rec(0, n)
+    return rec(0, n)
+
+
+def _class_count(mults: list[int], n: int) -> int:
+    # the coefficient of x^n in prod_i (1 + x + ... + x^mults[i])
+    coeffs = [1] + [0] * n
+    for mult in mults:
+        coeffs = [sum(coeffs[max(0, d - mult) : d + 1]) for d in range(n + 1)]
+    return coeffs[n]
+
+
+def iter_solution_classes(pool, n: int):
+    """Yield all n-element sub-multisets of the root pool in lexicographic order."""
+    items = sorted(pool, key=lambda rm: linalg.lex_key(rm[0]))
+    for idx in _class_indices([mult for _, mult in items], n):
+        yield tuple(items[i][0] for i in idx)
 
 
 def _select_directions(basis: list[np.ndarray], current: list[np.ndarray], r: int) -> list[np.ndarray]:
@@ -293,27 +310,33 @@ def _select_directions(basis: list[np.ndarray], current: list[np.ndarray], r: in
     return chosen
 
 
-def _class_directions(cls: tuple, bases: dict) -> tuple[str | None, list[np.ndarray] | None]:
-    """The reason a class has no transform, or the vectors chosen for it.
+def _fit_directions(
+    idx: np.ndarray, roots: np.ndarray, nulls: list, vectors: np.ndarray
+) -> dict[int, str]:
+    """Fit a chunk's stacked null vectors to classes that need a choice.
 
-    Returns ``(failure, None)`` when a root's null space is thinner than its
-    multiplicity in the class, ``(None, vectors)`` when the class has a
-    repeated root or a null space of dimension > 1, and ``(None, None)``
-    when every root contributes its one null vector unchanged.
+    ``idx[k]`` holds the ascending root indices of class k and ``nulls[i]``
+    the null space basis at ``roots[i]``.  A class with a repeated root or a
+    null space of dimension > 1 gets its ``vectors[k]`` from
+    :func:`_select_directions`.  Returns, per class whose root has a null
+    space thinner than its multiplicity in the class, the reason it fails.
     """
-    counts = [(root, len(list(group))) for root, group in itertools.groupby(cls)]
-    for root, r in counts:
-        if len(bases[root]) < r:
-            return (
-                f"null space at {_fmt_c(root)} has dimension {len(bases[root])}"
+    failures = {}
+    for k, cls in enumerate(idx.tolist()):
+        counts = [(i, len(list(group))) for i, group in itertools.groupby(cls)]
+        thin = [(i, r) for i, r in counts if len(nulls[i]) < r]
+        if thin:
+            i, r = thin[0]
+            failures[k] = (
+                f"null space at {_fmt_c(roots[i])} has dimension {len(nulls[i])}"
                 f" < required multiplicity {r}"
-            ), None
-    if all(r == 1 and len(bases[root]) == 1 for root, r in counts):
-        return None, None
-    vectors: list[np.ndarray] = []
-    for root, r in counts:
-        vectors.extend(_select_directions(bases[root], vectors, r))
-    return None, vectors
+            )
+        elif any(r > 1 or len(nulls[i]) > 1 for i, r in counts):
+            chosen: list[np.ndarray] = []
+            for i, r in counts:
+                chosen.extend(_select_directions(nulls[i], chosen, r))
+            vectors[k] = chosen
+    return failures
 
 
 def _assemble_families(
@@ -354,71 +377,37 @@ def _assemble_families(
     return out
 
 
-def _combination_batches(
-    eq: StructuredEquation, roots: np.ndarray, units: np.ndarray, count: int, cfg: SolverConfig
-):
-    """Outcomes of the first ``count`` classes of a pool of distinct simple roots.
+def _class_batches(eq: StructuredEquation, pool: list, count: int, cfg: SolverConfig):
+    """Outcomes of the first ``count`` classes of a root pool, per chunk.
 
-    Each root has one unit null vector ``units[i]``, so a class is an
-    n-combination of root indices; in the pool's lexicographic order these
-    come in the order :func:`iter_solution_classes` yields the classes.
-    Yields ``(classes, outcomes)`` per chunk, ``classes`` as a (K, n) array.
+    ``pool`` lists ``(root, multiplicity)`` in lexicographic order.  A
+    chunk's classes become one (K, n) index array that gathers their
+    eigenvalues and unit null vectors; only a pool with a repeated root or a
+    null space whose dimension is not 1 goes through :func:`_fit_directions`,
+    whose failures replace the outcomes of their classes.  Yields
+    ``(classes, outcomes)`` per chunk, ``classes`` as a (K, n) array.
     """
     n = eq.dim
-    indices = itertools.chain.from_iterable(itertools.combinations(range(len(roots)), n))
+    roots = np.array([root for root, _ in pool], dtype=np.complex128)
+    mults = [mult for _, mult in pool]
+    indices = itertools.chain.from_iterable(_class_indices(mults, n))
+    side = "left" if eq.orientation is Orientation.UNKNOWNS_LEFT else "right"
+    nulls = [b for _, _, vectors in _null_spaces(eq.poly, roots[:, None], side) for b in vectors]
+    # each root's first null vector, normalised as _select_directions would
+    units = np.array(
+        [b[0] / np.linalg.norm(b[0]) if b else np.zeros(n) for b in nulls], dtype=np.complex128
+    )
+    simple = all(mult == 1 and len(b) == 1 for mult, b in zip(mults, nulls))
     size = linalg.chunk_size(n * n)
     for lo in range(0, count, size):
         k = min(size, count - lo)
         idx = np.fromiter(indices, dtype=np.intp, count=k * n).reshape(k, n)
-        classes = roots[idx]
-        yield classes, _assemble_families(eq, classes[None], units[idx], cfg)
-
-
-def _multiset_batches(
-    eq: StructuredEquation, classes, bases: dict, units: np.ndarray, cfg: SolverConfig
-):
-    """Outcomes of the sub-multiset classes of any root pool, per chunk.
-
-    A class whose roots have too thin a null space fails before assembly;
-    one with a repeated root or a wider null space takes its vectors from
-    :func:`_select_directions`.  Yields ``(classes, outcomes)`` per chunk.
-    """
-    n = eq.dim
-    index = {root: i for i, root in enumerate(bases)}
-    size = linalg.chunk_size(n * n)
-    while chunk := list(itertools.islice(classes, size)):
-        outcomes: list[SolutionFamily | str | None] = [None] * len(chunk)
-        members, chosen = [], {}
-        for k, cls in enumerate(chunk):
-            failure, vectors = _class_directions(cls, bases)
-            if failure is not None:
-                outcomes[k] = failure
-                continue
-            if vectors is not None:
-                chosen[len(members)] = vectors
-            members.append(k)
-        if members:
-            stack = units[[[index[root] for root in chunk[k]] for k in members]]
-            for j, vectors in chosen.items():
-                stack[j] = vectors
-            eigs = np.array([[chunk[k] for k in members]], dtype=np.complex128)
-            for k, outcome in zip(members, _assemble_families(eq, eigs, stack, cfg)):
-                outcomes[k] = outcome
-        yield chunk, outcomes
-
-
-def _class_outcomes(batches) -> tuple[list[SolutionFamily], list[Diagnostic]]:
-    # families in class order, and one diagnostic per rejected class
-    families: list[SolutionFamily] = []
-    diagnostics: list[Diagnostic] = []
-    for classes, outcomes in batches:
-        for cls, outcome in zip(classes, outcomes):
-            if isinstance(outcome, SolutionFamily):
-                families.append(outcome)
-            else:
-                label = "class (" + ", ".join(_fmt_c(r) for r in cls) + ")"
-                diagnostics.append(Diagnostic(label, outcome))
-    return families, diagnostics
+        classes, vectors = roots[idx], units[idx]
+        failures = {} if simple else _fit_directions(idx, roots, nulls, vectors)
+        outcomes = _assemble_families(eq, classes[None], vectors, cfg)
+        for j, failure in failures.items():
+            outcomes[j] = failure
+        yield classes, outcomes
 
 
 def solve_univariate(eq: StructuredEquation, cfg: SolverConfig | None = None) -> SolveResult:
@@ -428,10 +417,12 @@ def solve_univariate(eq: StructuredEquation, cfg: SolverConfig | None = None) ->
     spectrum.  For each class, null vectors of P at the class roots are
     stacked into the transform; a root of multiplicity r consumes r
     orthonormal null vectors and the class fails if the null space is
-    thinner.  A pool of distinct simple roots, each with one null vector,
-    enumerates its classes as index combinations; any other pool walks its
-    sub-multisets.  Classes are assembled in chunks of stacked transforms.
-    Classes with singular stacks or failing residuals are reported in the
+    thinner.  Classes are enumerated as tuples of root indices and assembled
+    in one batch loop, a chunk of stacked transforms at a time; directions
+    are chosen class by class only for classes with a repeated root or a
+    wider null space.  The class count, computed from the multiplicities,
+    says whether ``cfg.max_classes`` truncated the enumeration.  Classes
+    with singular stacks or failing residuals are reported in the
     diagnostics, in class order, never returned.
     """
     cfg = cfg or SolverConfig()
@@ -439,38 +430,21 @@ def solve_univariate(eq: StructuredEquation, cfg: SolverConfig | None = None) ->
         raise DimensionMismatch("solve_univariate needs a univariate equation")
     if eq.orientation is Orientation.SANDWICH_BIVARIATE:
         raise DimensionMismatch("sandwich orientation is not univariate")
-    n = eq.dim
     try:
         pool = eigen_candidates(eq)
     except DegreeZero as exc:
         raise InsufficientRoots(str(exc)) from exc
-    side = "left" if eq.orientation is Orientation.UNKNOWNS_LEFT else "right"
-    roots = np.array([[root] for root, _ in pool], dtype=np.complex128)
-    nulls = [vecs for _, _, vectors in _null_spaces(eq.poly, roots, side) for vecs in vectors]
-    bases = {root: vecs for (root, _), vecs in zip(pool, nulls)}
-    # each root's first null vector, normalised as _select_directions would
-    units = np.array(
-        [b[0] / np.linalg.norm(b[0]) if b else np.zeros(n) for b in bases.values()],
-        dtype=np.complex128,
-    )
-    # eigen_candidates returns the pool in lexicographic order; a pool with
-    # fewer than n roots walks the sub-multisets, which raise InsufficientRoots
-    distinct = (
-        len(pool) >= n
-        and len(bases) == len(pool)
-        and all(mult == 1 and len(vecs) == 1 for (_, mult), vecs in zip(pool, nulls))
-    )
-    if distinct:
-        count = math.comb(len(pool), n)
-        batches = _combination_batches(eq, roots[:, 0], units, min(count, cfg.max_classes), cfg)
-        families, diagnostics = _class_outcomes(batches)
-        truncated = count > cfg.max_classes
-    else:
-        gen = iter_solution_classes(pool, n)
-        classes = itertools.islice(gen, cfg.max_classes)
-        families, diagnostics = _class_outcomes(_multiset_batches(eq, classes, bases, units, cfg))
-        truncated = next(gen, None) is not None
-    if truncated:
+    count = _class_count([mult for _, mult in pool], eq.dim)
+    families: list[SolutionFamily] = []
+    diagnostics: list[Diagnostic] = []
+    for classes, outcomes in _class_batches(eq, pool, min(count, cfg.max_classes), cfg):
+        for cls, outcome in zip(classes, outcomes):
+            if isinstance(outcome, SolutionFamily):
+                families.append(outcome)
+            else:
+                label = "class (" + ", ".join(_fmt_c(r) for r in cls) + ")"
+                diagnostics.append(Diagnostic(label, outcome))
+    if count > cfg.max_classes:
         diagnostics.insert(
             0, Diagnostic("class enumeration", f"truncated at max_classes={cfg.max_classes}")
         )
@@ -603,7 +577,7 @@ def quotient_factor(
     resid = verify_residual(eq, [xm])
     if not resid <= tol_residual:  # a nan residual fails too
         raise NotASolution(f"residual {resid:.3e} exceeds {tol_residual:.0e}")
-    p = max(e for (e,) in eq.poly.terms)
+    p = max((e for (e,) in eq.poly.terms), default=0)
     if p < 1:
         raise DegreeZero("constant equations admit no linear factor")
     zero = np.zeros((n, n), dtype=np.complex128)

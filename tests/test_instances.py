@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from matpolyeq.errors import DimensionMismatch, NonIntegerInput
+from matpolyeq.errors import DegreeZero, DimensionMismatch, NonIntegerInput
 from matpolyeq.instances import plant_instance, scalar_oracle, symbolic_det_oracle
 from matpolyeq.polymatrix import (
     MatrixPolynomial,
@@ -132,6 +132,15 @@ def test_scalar_oracle_examples():
     assert np.allclose(scalar_oracle(eq_from([2, -3, 1])), [1.0, 2.0])
     assert np.allclose(scalar_oracle(eq_from([0, -1, 0, 1])), [-1.0, 0.0, 1.0], atol=1e-8)
     assert np.allclose(scalar_oracle(eq_from([1, 0, 1])), [-1j, 1j])
+
+
+def test_scalar_oracle_zero_equation():
+    # MatrixPolynomial drops all-zero coefficients, so the zero equation has no terms
+    p = MatrixPolynomial(arity=1, dim=1, terms={(0,): np.zeros((1, 1))})
+    assert p.terms == {}
+    eq = StructuredEquation(poly=p, orientation=Orientation.UNKNOWNS_LEFT)
+    with pytest.raises(DegreeZero, match="zero polynomial has no well-defined roots"):
+        scalar_oracle(eq)
 
 
 def test_symbolic_det_oracle_diagonal():

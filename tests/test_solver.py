@@ -10,6 +10,7 @@ from per_point import (
 
 from matpolyeq import linalg
 from matpolyeq.errors import (
+    DegreeZero,
     DimensionMismatch,
     InsufficientRoots,
     NotASolution,
@@ -29,6 +30,7 @@ from matpolyeq.solver import (
     Orientation,
     SolverConfig,
     StructuredEquation,
+    _class_count,
     _greedy_select,
     commutation_check,
     dual_equation,
@@ -139,6 +141,14 @@ def test_enumerate_classes_multiset():
 def test_enumerate_classes_binomial_count():
     pool = [(complex(k), 1) for k in range(4)]
     assert len(list(iter_solution_classes(pool, 2))) == 6
+    # with repeated roots the count is the coefficient of x^n in
+    # prod_i (1 + x + ... + x^m_i), which truncation is decided from
+    for mults in [(1, 1, 1, 1), (2, 1, 1), (4,), (2, 2), (3, 1, 2, 1)]:
+        pool = [(complex(k), m) for k, m in enumerate(mults)]
+        for n in (2, 3, 4):
+            classes = list(iter_solution_classes(pool, n))
+            assert len(set(classes)) == len(classes) == _class_count(list(mults), n)
+            assert all(cls.count(root) <= m for cls in classes for root, m in pool)
 
 
 def test_enumerate_classes_insufficient():
@@ -221,6 +231,19 @@ def test_solve_univariate_mixed_pool_outcomes_in_class_order(orientation):
     for family, diagonal in zip(result.families, ([1.0, 2.0], [1.0, 3.0])):
         assert np.allclose(family.eigenvalues[0], diagonal)
         assert np.allclose(family.unknowns[0], np.diag(diagonal), atol=1e-10)
+    # a cap of k keeps the outcomes of the first k of the 4 classes, after
+    # one truncation diagnostic when k < 4
+    classes = list(iter_solution_classes(pool, 2))
+    rejected = {d.label: d for d in result.diagnostics}
+    for cap in range(1, 5):
+        labels = [class_label(cls) for cls in classes[:cap]]
+        diagnostics = [rejected[label] for label in labels if label in rejected]
+        families = result.families[: cap - len(diagnostics)]
+        if cap < 4:
+            truncated = Diagnostic("class enumeration", f"truncated at max_classes={cap}")
+            diagnostics.insert(0, truncated)
+        capped = solve_univariate(eq, SolverConfig(max_classes=cap))
+        assert_same_solution(capped, families, diagnostics)
 
 
 def test_solve_univariate_residual_rejections_in_class_order():
@@ -565,6 +588,15 @@ def test_quotient_factor_rejects_nan_residual():
     assert np.isnan(verify_residual(eq, [x]))
     with pytest.raises(NotASolution, match="residual nan"):
         quotient_factor(eq, x)
+
+
+def test_quotient_factor_zero_equation():
+    # MatrixPolynomial drops all-zero coefficients, so the zero equation has no terms
+    p = MatrixPolynomial(arity=1, dim=1, terms={(0,): np.zeros((1, 1))})
+    assert p.terms == {}
+    eq = StructuredEquation(poly=p, orientation=Orientation.UNKNOWNS_LEFT)
+    with pytest.raises(DegreeZero, match="constant equations admit no linear factor"):
+        quotient_factor(eq, I1)
 
 
 def test_commutation_check_values():
