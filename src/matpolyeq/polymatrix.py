@@ -5,9 +5,12 @@ with square complex coefficient matrices A_i.  This module provides
 evaluation, univariate slicing, extraction of the scalar determinant
 polynomial by evaluation and interpolation on scaled roots of unity,
 companion-matrix root finding with relative clustering, and sampling of
-the zero set of det P together with attached null vectors.  Evaluations,
-determinants and null vectors are computed on stacks of points with the
-scalar arithmetic of a single point, so a stacked result equals the
+the zero set of det P together with attached null vectors.  The sampler
+takes the eigenvalues of each univariate slice from a scaled block
+companion linearization of the slice itself (a reversed one when the
+leading coefficient is singular), not from its determinant polynomial.
+Evaluations, determinants and null vectors are computed on stacks of points
+with the scalar arithmetic of a single point, so a stacked result equals the
 single-point one bit for bit.
 """
 
@@ -34,6 +37,13 @@ ROOT_CLUSTER_TOL = 1e-7
 DEFAULT_TOL_ZERO = 1e-6
 #: Relative threshold declaring the determinant identically zero.
 DET_ZERO_REL = 1e-12
+#: Fixed points at which a slice with a singular leading coefficient is
+#: tested for rank; the best conditioned one becomes the reversal shift.
+SHIFT_COUNT = 3
+#: Eigenvalues of a reversed slice at or below this modulus, relative to its
+#: root scale, are its infinite ones.  A Jordan chain of length k at infinity
+#: is computed only to about eps^(1/k), 1e-8 for k = 2.
+INFINITE_ROOT_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -205,13 +215,16 @@ def fix_all_but(p: MatrixPolynomial, pivot: int, fixed) -> MatrixPolynomial:
     return MatrixPolynomial(arity=1, dim=p.dim, terms=new_terms)
 
 
-def _interp_radius(p: MatrixPolynomial) -> float:
+def _root_scale(p: MatrixPolynomial) -> float:
+    # (||A_lo|| / ||A_hi||)^(1 / (hi - lo)) over the lowest and highest
+    # nonzero terms: the geometric mean root modulus of a balanced
+    # polynomial, the scaling of Fan, Lin & Van Dooren
     exps = sorted(e for (e,) in p.terms)
     lo, hi = exps[0], exps[-1]
     if hi == lo:
         return 1.0
     ratio = np.linalg.norm(p.terms[(lo,)]) / np.linalg.norm(p.terms[(hi,)])
-    return float(max(1.0, ratio ** (1.0 / (hi - lo))))
+    return float(ratio ** (1.0 / (hi - lo)))
 
 
 def det_poly_univariate(
@@ -241,7 +254,7 @@ def det_poly_univariate(
         raise IdenticallySingular("zero polynomial matrix")
     pmax = max(e for (e,) in p.terms)
     count = n * pmax + 1
-    radius = _interp_radius(p)
+    radius = max(1.0, _root_scale(p))
     nodes = radius * np.exp(2j * np.pi * np.arange(count) / count)
     dets = np.empty(count, dtype=np.complex128)
     norms = np.empty(count)
@@ -336,6 +349,62 @@ def poly_roots(
     return polished
 
 
+def _companion_eigvals(coeffs: np.ndarray, gamma: float) -> np.ndarray:
+    # eigenvalues of sum_k z^k C_k, C_d nonsingular, from the block companion
+    # of the monic polynomial in z / gamma
+    d, n = len(coeffs) - 1, coeffs.shape[1]
+    scaled = coeffs * (gamma ** np.arange(d + 1))[:, None, None]
+    companion = np.zeros((d * n, d * n), dtype=np.complex128)
+    companion[: (d - 1) * n, n:] = np.eye((d - 1) * n)
+    companion[(d - 1) * n :] = -np.linalg.solve(scaled[d], np.concatenate(scaled[:d], axis=1))
+    return gamma * np.linalg.eigvals(companion)
+
+
+def _slice_spectrum(p: MatrixPolynomial) -> list[tuple[complex, int]]:
+    """Finite eigenvalues of a univariate slice, merged like :func:`poly_roots`.
+
+    The eigenvalues of P(z) = sum_k z^k A_k come from one eigensolve of the
+    block companion of P scaled by :func:`_root_scale`.  When A_d fails the
+    rank test of ``linalg.DEFAULT_TOL_RANK``, the reversal w^d P(z0 + 1/w)
+    is linearized instead.  Its leading coefficient is P(z0), taken at the
+    best conditioned of ``SHIFT_COUNT`` fixed points on the circle of the
+    root scale.  Its eigenvalues w ~ 0 are the infinite ones and are
+    dropped; every other w maps back to z0 + 1/w.  Raises
+    IdenticallySingular when P(z0) is rank-deficient at every one of those
+    points.  A slice of degree 0 has no eigenvalues.
+    """
+    if not p.terms:
+        raise IdenticallySingular("zero polynomial matrix")
+    d, n = max(e for (e,) in p.terms), p.dim
+    coeffs = np.zeros((d + 1, n, n), dtype=np.complex128)
+    for (k,), a in p.terms.items():
+        coeffs[k] = a
+    radius = _root_scale(p)
+    s = np.linalg.svd(coeffs[d], compute_uv=False)
+    if s[-1] > linalg.DEFAULT_TOL_RANK * s[0]:
+        if d == 0:
+            return []
+        raw = _companion_eigvals(coeffs, radius)
+    else:
+        angles = 2 * np.pi * (np.arange(SHIFT_COUNT) + 0.6180339887498949) / SHIFT_COUNT
+        shifts = radius * np.exp(1j * angles)
+        s = np.linalg.svd(_evaluate_stack(p, shifts[:, None]), compute_uv=False)
+        ratios = s[:, -1] / np.where(s[:, 0] > 0, s[:, 0], 1.0)
+        if not np.any(ratios > linalg.DEFAULT_TOL_RANK):
+            raise IdenticallySingular(f"P is rank-deficient at all {SHIFT_COUNT} shift points")
+        z0 = shifts[int(np.argmax(ratios))]
+        # A_k (z0 w + 1)^k w^(d-k) puts C(k, i) z0^i A_k on w^(d-k+i)
+        rev = np.zeros_like(coeffs)
+        for k in range(d + 1):
+            for i in range(k + 1):
+                rev[d - k + i] += math.comb(k, i) * z0**i * coeffs[k]
+        # the constant coefficient of the reversal is A_d, which is nonzero
+        rev_scale = float((np.linalg.norm(rev[0]) / np.linalg.norm(rev[d])) ** (1.0 / d))
+        w = _companion_eigvals(rev, rev_scale)
+        raw = z0 + 1.0 / w[np.abs(w) > INFINITE_ROOT_TOL * rev_scale]
+    return _cluster_roots(raw, ROOT_CLUSTER_TOL)
+
+
 def _term_scales(p: MatrixPolynomial, points: np.ndarray) -> np.ndarray:
     # per point, the sum over terms of |monomial| * ||coefficient||_F, with
     # each |z_s| taken as a scalar like the monomials themselves
@@ -401,12 +470,15 @@ def sample_variety(
         draws fixed values uniformly from the annulus 0.5 <= |z| <= 2.
 
     At most ``4 * count + 8`` slices are taken.  Each slice fixes every
-    variable except a round-robin pivot, extracts the determinant
-    polynomial of the univariate slice, and turns each of its roots into a
-    full point with the null vectors of P there, accepted at the relative
-    threshold ``DEFAULT_TOL_ZERO``.  The roots of a slice are evaluated as
-    one stack.  Slices that lose all degree contribute nothing; an
-    identically singular slice propagates IdenticallySingular.
+    variable except a round-robin pivot and takes the finite eigenvalues of
+    the univariate slice from one block companion eigensolve
+    (:func:`_slice_spectrum`), merged into distinct roots.  Each root
+    becomes a full point with the null vectors of P there, accepted at the
+    relative threshold ``DEFAULT_TOL_ZERO``, so a repeated root yields one
+    point per null vector.  The roots of a slice are evaluated as one
+    stack.  Slices with no finite eigenvalue contribute nothing; a slice
+    that is rank-deficient at every test point propagates
+    IdenticallySingular.
     """
     if p.arity < 2:
         raise DimensionMismatch(f"sample_variety needs arity >= 2, got {p.arity}")
@@ -437,12 +509,7 @@ def sample_variety(
             fixed = radii * np.exp(1j * angles)
         else:
             raise ValueError(f"strategy must be 'grid' or 'random', got {strategy!r}")
-        slice_poly = fix_all_but(p, pivot, fixed)
-        try:
-            det_slice = det_poly_univariate(slice_poly)
-            roots = poly_roots(det_slice)
-        except DegreeZero:
-            continue
+        roots = _slice_spectrum(fix_all_but(p, pivot, fixed))
         full = np.empty((len(roots), m), dtype=np.complex128)
         full[:, [s for s in range(m) if s != pivot]] = fixed
         full[:, pivot] = [root for root, _mult in roots]

@@ -12,16 +12,15 @@ import math
 import numpy as np
 
 from matpolyeq import linalg
-from matpolyeq.errors import DegreeZero, SingularMatrix, TransformSingular
+from matpolyeq.errors import SingularMatrix, TransformSingular
 from matpolyeq.polymatrix import (
     ROOT_CLUSTER_TOL,
     ScalarPolynomial,
     VarietyPoint,
-    det_poly_univariate,
+    _slice_spectrum,
     evaluate,
     fix_all_but,
     null_vectors_at,
-    poly_roots,
 )
 from matpolyeq.solver import (
     Diagnostic,
@@ -78,6 +77,8 @@ def poly_roots_per_root(sp, cluster_tol=ROOT_CLUSTER_TOL):
 def sample_variety_per_point(p, side, count, seed, strategy):
     """``sample_variety`` one root at a time.
 
+    The roots of each slice come from the library's own slice eigensolve, so
+    what is compared is the stacked null-space and determinant path.
     Returns the ``(values, null_vector, det_residual)`` triples and the
     largest number of roots one slice produced.
     """
@@ -97,10 +98,7 @@ def sample_variety_per_point(p, side, count, seed, strategy):
             radii = rng.uniform(0.5, 2.0, size=m - 1)
             angles = rng.uniform(0.0, 2.0 * np.pi, size=m - 1)
             fixed = radii * np.exp(1j * angles)
-        try:
-            roots = poly_roots(det_poly_univariate(fix_all_but(p, pivot, fixed)))
-        except DegreeZero:
-            continue
+        roots = _slice_spectrum(fix_all_but(p, pivot, fixed))
         widest = max(widest, len(roots))
         for root, _ in roots:
             point = np.insert(fixed, pivot, root)

@@ -9,6 +9,7 @@ from matpolyeq.instances import plant_instance, symbolic_det_oracle
 from matpolyeq.polymatrix import (
     MatrixPolynomial,
     ScalarPolynomial,
+    _slice_spectrum,
     det_poly_univariate,
     evaluate,
     fix_all_but,
@@ -216,6 +217,90 @@ def test_poly_roots_match_per_root_reference():
         coeffs = np.poly(roots)[::-1] * (rng.standard_normal() + 1j)
         sp = ScalarPolynomial(coeffs)
         assert poly_roots(sp) == poly_roots_per_root(sp)
+
+
+def expanded_spectrum(p):
+    return [z for z, mult in _slice_spectrum(p) for _ in range(mult)]
+
+
+def test_slice_spectrum_matches_symbolic_oracle():
+    # every other slice gets a leading coefficient of rank < n, which sends
+    # it through the reversal; the count of finite eigenvalues must still be
+    # the degree of det P, so no infinite eigenvalue survives
+    rng = np.random.default_rng(17)
+    reversed_slices = 0
+    for trial in range(120):
+        n = int(rng.integers(1, 5))
+        degree = int(rng.integers(1, 4))
+        p = random_integer_poly(rng, n, degree)
+        terms = dict(p.terms)
+        if trial % 2:
+            rank = int(rng.integers(0, n))
+            left = rng.integers(-3, 4, (n, rank))
+            terms[(degree,)] = (left @ rng.integers(-3, 4, (rank, n))).astype(complex)
+        p = MatrixPolynomial(arity=1, dim=n, terms=terms)
+        exact = symbolic_det_oracle(p).trimmed(0.0).coefficients
+        if not np.any(exact) or (degree,) not in p.terms:
+            continue
+        top = p.terms[(degree,)]
+        reversed_slices += np.linalg.matrix_rank(top) < n
+        want = np.roots(exact[::-1]) if len(exact) > 1 else np.zeros(0)
+        got = expanded_spectrum(p)
+        assert len(got) == len(want)
+        for z in got:
+            gap = np.abs(want - z)
+            j = int(np.argmin(gap))
+            assert gap[j] <= 1e-8 * (1.0 + abs(want[j]))
+            want = np.delete(want, j)
+    assert reversed_slices >= 30
+
+
+def test_slice_spectrum_infinite_and_degree_zero():
+    z_top = np.diag([1.0, 0.0])
+    # diag(z, 1): one root at 0 and one infinite eigenvalue
+    p = MatrixPolynomial(arity=1, dim=2, terms={(1,): z_top, (0,): np.diag([0.0, 1.0])})
+    ((root, mult),) = _slice_spectrum(p)
+    assert abs(root) <= 1e-12 and mult == 1
+    # [[1, z], [0, 1]] has det 1: every eigenvalue is infinite
+    unimodular = MatrixPolynomial(
+        arity=1, dim=2, terms={(1,): np.array([[0.0, 1.0], [0.0, 0.0]]), (0,): I2}
+    )
+    assert _slice_spectrum(unimodular) == []
+    assert _slice_spectrum(MatrixPolynomial(arity=1, dim=2, terms={(0,): I2})) == []
+    with pytest.raises(IdenticallySingular):
+        _slice_spectrum(MatrixPolynomial(arity=1, dim=2, terms={(0,): z_top}))
+
+
+@pytest.mark.parametrize("strategy", ["grid", "random"])
+@pytest.mark.parametrize("seed", range(6))
+def test_sample_variety_double_eigenvalue_keeps_both_null_vectors(seed, strategy):
+    # P(x, y) = ((x - 0.7)^2 + y - 1) I2: every zero is a double eigenvalue
+    # of its slice with a two-dimensional null space
+    p = MatrixPolynomial(
+        arity=2,
+        dim=2,
+        terms={(2, 0): I2, (1, 0): -1.4 * I2, (0, 1): I2, (0, 0): -0.51 * I2},
+    )
+    points = sample_variety(p, "right", count=8, seed=seed, strategy=strategy)
+    groups = {}
+    for pt in points:
+        x, y = pt.values
+        assert abs((x - 0.7) ** 2 + y - 1.0) <= 1e-12
+        groups.setdefault(pt.values.tobytes(), []).append(pt.null_vector)
+    values = [np.frombuffer(key, dtype=np.complex128) for key in groups]
+    for i, a in enumerate(values):
+        for b in values[:i]:
+            assert np.linalg.norm(a - b) > 1e-6
+    for first, second in groups.values():
+        assert abs(np.vdot(first, second)) <= 1e-12
+
+
+def test_sample_variety_rank_one_slices_identically_singular():
+    col = np.array([[1.0, 0.0], [1.0, 0.0]])
+    p = MatrixPolynomial(arity=2, dim=2, terms={(1, 0): col, (0, 1): 2 * col, (0, 0): col})
+    for strategy in ("grid", "random"):
+        with pytest.raises(IdenticallySingular):
+            sample_variety(p, "right", count=4, seed=0, strategy=strategy)
 
 
 @pytest.mark.parametrize("strategy", ["grid", "random"])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from per_point import (
     greedy_select_per_candidate,
     solve_multivariate_per_point,
@@ -625,6 +627,61 @@ def test_duality_bivariate():
     family = result.families[0]
     mapped = [family.unknowns[1].T, family.unknowns[0].T]
     assert verify_residual(inst.equation, mapped) <= 1e-8
+
+
+BOTH_ORIENTATIONS = [Orientation.UNKNOWNS_LEFT, Orientation.UNKNOWNS_RIGHT]
+
+
+def assert_solves(eq, unknowns):
+    assert verify_residual(eq, unknowns) <= 1e-8
+    assert commutation_check(unknowns) <= 1e-8
+
+
+@pytest.mark.parametrize("orientation", BOTH_ORIENTATIONS)
+@pytest.mark.parametrize("m", [2, 3])
+def test_solve_multivariate_planted_dimension_16(m, orientation):
+    eq = plant_instance(16, m, 2, orientation, 160 + m).equation
+    result = solve_multivariate(eq)
+    assert result.families
+    for family in result.families:
+        assert_solves(eq, family.unknowns)
+
+
+planted_cases = st.tuples(
+    st.sampled_from([4, 8]),
+    st.sampled_from([2, 3]),
+    st.sampled_from(BOTH_ORIENTATIONS),
+    st.integers(0, 10_000),
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=planted_cases, exponent=st.sampled_from([-8, 8]))
+def test_solve_multivariate_coefficient_scaling_invariance(case, exponent):
+    # c P has the variety of P: the same points, and a family solving P
+    n, m, orientation, seed = case
+    eq = plant_instance(n, m, 2, orientation, seed).equation
+    scale = 10.0**exponent
+    terms = {exps: scale * a for exps, a in eq.poly.terms.items()}
+    scaled = StructuredEquation(MatrixPolynomial(m, n, terms), orientation)
+    side = "left" if orientation is Orientation.UNKNOWNS_LEFT else "right"
+    want = sample_variety(eq.poly, side, 3 * n, seed)
+    got = sample_variety(scaled.poly, side, 3 * n, seed)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.linalg.norm(a.values - b.values) <= 1e-9 * (1.0 + np.linalg.norm(b.values))
+    (family,) = solve_multivariate(scaled).families
+    assert_solves(eq, family.unknowns)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=planted_cases)
+def test_solve_multivariate_transpose_duality(case):
+    # a family of the dual equation maps back to one of the original
+    n, m, orientation, seed = case
+    eq = plant_instance(n, m, 2, orientation, seed).equation
+    (family,) = solve_multivariate(dual_equation(eq)).families
+    assert_solves(eq, [x.T for x in family.unknowns[::-1]])
 
 
 def sandwich_equation(terms, n):
