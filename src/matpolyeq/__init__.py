@@ -1,11 +1,14 @@
 """Spectral solver for structured matrix polynomial equations.
 
 Equations in one or several unknown matrices, with all unknowns on one
-side of the coefficients, are solved through the determinant polynomial
-of the associated polynomial matrix: its zeros carry the candidate
+side of the coefficients, are solved through the spectrum of the
+associated polynomial matrix: its eigenvalues carry the candidate
 eigenvalues, null vectors there carry the shared eigenvectors, and an
 invertible stack of those vectors reconstructs every unknown as
-X_s = T F_s T^{-1}.  Planted instances provide ground truth for testing.
+X_s = T F_s T^{-1}.  One unknown takes its eigenvalues from the roots of
+the determinant polynomial; several take them from a block companion
+eigensolve of each univariate slice.  Planted instances provide ground
+truth for testing.
 """
 
 from .errors import (

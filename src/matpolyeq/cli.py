@@ -72,9 +72,7 @@ def _config_from(args) -> SolverConfig:
         tol_rank=args.tol_rank,
         tol_residual=args.tol_residual,
         max_classes=args.max_classes,
-        sample_count=args.samples,
         seed=args.seed,
-        strategy=args.strategy,
     )
 
 
@@ -183,9 +181,7 @@ def cmd_sample_variety(args) -> int:
     except DocumentError as exc:
         return _fail(str(exc))
     try:
-        points = sample_variety(
-            eq.poly, args.side, args.count, args.seed, args.strategy
-        )
+        points = sample_variety(eq.poly, args.side, args.count, args.seed)
     except NoPointsFound as exc:
         print(f"sample-variety: {exc}", file=sys.stderr)
         return EXIT_NO_RESULT
@@ -251,9 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--max-classes", type=int, default=SolverConfig.max_classes, dest="max_classes"
     )
-    solve.add_argument("--samples", type=int, default=SolverConfig.sample_count)
     solve.add_argument("--seed", type=int, required=True)
-    solve.add_argument("--strategy", choices=("grid", "random"), default=SolverConfig.strategy)
     solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser(
@@ -285,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--count", type=int, default=8)
     sample.add_argument("--seed", type=int, required=True)
     sample.add_argument("--side", choices=("left", "right"), default="right")
-    sample.add_argument("--strategy", choices=("grid", "random"), default="grid")
     sample.add_argument("--output", default=None)
     sample.set_defaults(func=cmd_sample_variety)
 

@@ -200,12 +200,10 @@ def fix_all_but(p: MatrixPolynomial, pivot: int, fixed) -> MatrixPolynomial:
             f"fixed values have length {vals.shape[0]}, expected {p.arity - 1}"
         )
     others = [s for s in range(p.arity) if s != pivot]
+    keys = sorted(p.terms)
+    factors = _monomials(vals[None], [[exps[s] for s in others] for exps in keys], 1.0 + 0j)
     new_terms: dict[tuple[int, ...], np.ndarray] = {}
-    for exps in sorted(p.terms):
-        factor = 1.0 + 0j
-        for j, s in enumerate(others):
-            if exps[s]:
-                factor *= vals[j] ** exps[s]
+    for exps, factor in zip(keys, factors[0]):
         key = (exps[pivot],)
         contrib = factor * p.terms[exps]
         if key in new_terms:
@@ -227,9 +225,7 @@ def _root_scale(p: MatrixPolynomial) -> float:
     return float(ratio ** (1.0 / (hi - lo)))
 
 
-def det_poly_univariate(
-    p: MatrixPolynomial, det_zero_tol: float = DET_ZERO_REL
-) -> ScalarPolynomial:
+def det_poly_univariate(p: MatrixPolynomial) -> ScalarPolynomial:
     """Determinant of a univariate polynomial matrix, as a scalar polynomial.
 
     det P has degree at most n * p_max, so it is recovered exactly (up to
@@ -240,7 +236,7 @@ def det_poly_univariate(
     to zero and trailing zeros are trimmed.
 
     Raises IdenticallySingular when every sampled determinant is at or
-    below ``det_zero_tol`` times ``||P||_F ** n`` at that node, i.e. when
+    below ``DET_ZERO_REL`` times ``||P||_F ** n`` at that node, i.e. when
     det P is the zero polynomial.  The bound scales with P as the
     determinant does, so the test is scale-free; all nodes are evaluated
     and tested at once.  It exceeds Hadamard's bound (the product of the
@@ -264,7 +260,7 @@ def det_poly_univariate(
         dets[lo : lo + size] = np.linalg.det(pz)
         norms[lo : lo + size] = np.linalg.norm(pz, axis=(1, 2))
     with np.errstate(over="ignore"):
-        if not np.any(np.abs(dets) > det_zero_tol * norms**n):
+        if not np.any(np.abs(dets) > DET_ZERO_REL * norms**n):
             raise IdenticallySingular("determinant vanishes at every sample node")
     # values at radius * exp(+2 pi i j / M) invert through the forward DFT
     coeffs = np.fft.fft(dets) / count
@@ -274,13 +270,13 @@ def det_poly_univariate(
     return ScalarPolynomial(coeffs).trimmed()
 
 
-def _cluster_roots(raw: np.ndarray, cluster_tol: float) -> list[tuple[complex, int]]:
+def _cluster_roots(raw: np.ndarray) -> list[tuple[complex, int]]:
     # single-linkage union-find over the linked pairs of one pairwise-distance
     # matrix, taken in (i, j) order; groups come out ordered by their first
     # member, each with its members in ascending order
     d = len(raw)
     mags = np.abs(raw)
-    reach = cluster_tol * (1.0 + np.maximum(mags[:, None], mags[None, :]))
+    reach = ROOT_CLUSTER_TOL * (1.0 + np.maximum(mags[:, None], mags[None, :]))
     rows, cols = np.nonzero(np.abs(raw[:, None] - raw[None, :]) <= reach)
     parent = list(range(d))
 
@@ -313,12 +309,10 @@ def _horner(coeffs: list[complex], z: complex) -> complex:
     return acc
 
 
-def poly_roots(
-    sp: ScalarPolynomial, cluster_tol: float = ROOT_CLUSTER_TOL
-) -> list[tuple[complex, int]]:
+def poly_roots(sp: ScalarPolynomial) -> list[tuple[complex, int]]:
     """All complex roots with multiplicities, via the companion matrix.
 
-    Roots within ``cluster_tol * (1 + |root|)`` of each other are merged
+    Roots within ``ROOT_CLUSTER_TOL * (1 + |root|)`` of each other are merged
     into a single root (their centroid) with summed multiplicity; simple
     roots are polished with up to three Newton steps, each kept only if it
     lowers |p|.  The result is sorted lexicographically by (real, imag).
@@ -333,7 +327,7 @@ def poly_roots(
     values = c[::-1].tolist()
     slopes = (c[1:] * np.arange(1, len(c)))[::-1].tolist()
     polished = []
-    for root, mult in _cluster_roots(raw, cluster_tol):
+    for root, mult in _cluster_roots(raw):
         newton_steps = 3 if mult == 1 else 0
         for _ in range(newton_steps):
             pv = _horner(values, root)
@@ -402,7 +396,7 @@ def _slice_spectrum(p: MatrixPolynomial) -> list[tuple[complex, int]]:
         rev_scale = float((np.linalg.norm(rev[0]) / np.linalg.norm(rev[d])) ** (1.0 / d))
         w = _companion_eigvals(rev, rev_scale)
         raw = z0 + 1.0 / w[np.abs(w) > INFINITE_ROOT_TOL * rev_scale]
-    return _cluster_roots(raw, ROOT_CLUSTER_TOL)
+    return _cluster_roots(raw)
 
 
 def _term_scales(p: MatrixPolynomial, points: np.ndarray) -> np.ndarray:
@@ -451,13 +445,7 @@ def null_vectors_at(p: MatrixPolynomial, point, side: str) -> list[np.ndarray]:
     return vectors[0]
 
 
-def sample_variety(
-    p: MatrixPolynomial,
-    side: str,
-    count: int,
-    seed: int,
-    strategy: str = "grid",
-) -> list[VarietyPoint]:
+def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> list[VarietyPoint]:
     """Sample zeros of the multivariate determinant polynomial.
 
     Parameters
@@ -465,13 +453,12 @@ def sample_variety(
     p : MatrixPolynomial with arity >= 2.
     side : 'left' or 'right'; which null vectors to attach.
     count : stop once at least this many points were collected.
-    seed : seeds the random strategy and phases the grid strategy; >= 0.
-    strategy : 'grid' walks equispaced points on the unit circle; 'random'
-        draws fixed values uniformly from the annulus 0.5 <= |z| <= 2.
+    seed : phases the walk along the unit circle; >= 0.
 
     At most ``4 * count + 8`` slices are taken.  Each slice fixes every
-    variable except a round-robin pivot and takes the finite eigenvalues of
-    the univariate slice from one block companion eigensolve
+    variable except a round-robin pivot at equispaced points of the unit
+    circle, and takes the finite eigenvalues of the univariate slice from
+    one block companion eigensolve
     (:func:`_slice_spectrum`), merged into distinct roots.  Each root
     becomes a full point with the null vectors of P there, accepted at the
     relative threshold ``DEFAULT_TOL_ZERO``, so a repeated root yields one
@@ -489,7 +476,6 @@ def sample_variety(
     if seed < 0:
         raise ValueError("seed must be >= 0")
     m = p.arity
-    rng = np.random.default_rng(seed)
     budget = 4 * count + 8
     phase = math.fmod(seed * 0.6180339887498949, 1.0)
     points: list[VarietyPoint] = []
@@ -497,18 +483,11 @@ def sample_variety(
         if len(points) >= count:
             break
         pivot = sl % m
-        if strategy == "grid":
-            pos = (sl + phase) / budget
-            fixed = np.array(
-                [np.exp(2j * np.pi * (pos + j / m)) for j in range(m - 1)],
-                dtype=np.complex128,
-            )
-        elif strategy == "random":
-            radii = rng.uniform(0.5, 2.0, size=m - 1)
-            angles = rng.uniform(0.0, 2.0 * np.pi, size=m - 1)
-            fixed = radii * np.exp(1j * angles)
-        else:
-            raise ValueError(f"strategy must be 'grid' or 'random', got {strategy!r}")
+        pos = (sl + phase) / budget
+        fixed = np.array(
+            [np.exp(2j * np.pi * (pos + j / m)) for j in range(m - 1)],
+            dtype=np.complex128,
+        )
         roots = _slice_spectrum(fix_all_but(p, pivot, fixed))
         full = np.empty((len(roots), m), dtype=np.complex128)
         full[:, [s for s in range(m) if s != pivot]] = fixed
@@ -527,7 +506,5 @@ def sample_variety(
                         )
                     )
     if not points:
-        raise NoPointsFound(
-            f"no variety points found in {budget} slices (strategy {strategy!r})"
-        )
+        raise NoPointsFound(f"no variety points found in {budget} slices")
     return points

@@ -2,10 +2,12 @@
 
 An equation is a polynomial with square matrix coefficients plus an
 orientation saying on which side of the coefficients the unknown matrices
-sit.  Solving goes through the scalar spectrum: roots of the determinant
-polynomial supply candidate eigenvalues, null vectors of P evaluated there
-supply shared-eigenvector candidates, and stacking n of them into an
-invertible transform reconstructs unknowns of the form X_s = T F_s T^{-1}.
+sit.  Solving goes through the scalar spectrum: eigenvalues of P supply
+candidate eigenvalues, null vectors of P there supply shared-eigenvector
+candidates, and stacking n of them into an invertible transform
+reconstructs unknowns of the form X_s = T F_s T^{-1}.  The univariate path
+takes its eigenvalues from the roots of the determinant polynomial; the
+multivariate path takes the slice eigenvalues from the companion eigensolve.
 
 The univariate path enumerates eigenvalue classes as tuples of root indices
 and assembles them in one batch loop: a chunk of classes becomes one index
@@ -37,14 +39,15 @@ from .errors import (
     NoPointsFound,
     NotASolution,
     NotSimultaneouslyDiagonalizable,
+    SingularMatrix,
     TransformSingular,
 )
 from .polymatrix import (
     MatrixPolynomial,
     VarietyPoint,
+    _evaluate_stack,
     _null_spaces,
     det_poly_univariate,
-    evaluate,
     poly_roots,
     sample_variety,
     total_degree,
@@ -66,6 +69,12 @@ SANDWICH_SLOTS = {
     "E": (0, 1),
     "F": (0, 0),
 }
+
+#: Fewest variety points a multivariate solve samples; it takes 3n when larger.
+MIN_SAMPLE_COUNT = 32
+#: Relative off-diagonal mass allowed when the sandwich probe diagonalizes
+#: both candidates in one eigenbasis.
+JOINT_DIAGONAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -99,14 +108,12 @@ class StructuredEquation:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and sampling knobs shared by the solve operations."""
+    """Tolerances, class cap and sampling seed shared by the solve operations."""
 
     tol_rank: float = linalg.DEFAULT_TOL_RANK
     tol_residual: float = 1e-8
     max_classes: int = 200
-    sample_count: int = 32
     seed: int = 0
-    strategy: str = "grid"
 
     def __post_init__(self):
         for name in ("tol_rank", "tol_residual"):
@@ -114,12 +121,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive")
         if self.max_classes < 1:
             raise ValueError("max_classes must be >= 1")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.strategy not in ("grid", "random"):
-            raise ValueError(f"strategy must be 'grid' or 'random', got {self.strategy!r}")
 
 
 @dataclass
@@ -508,10 +511,10 @@ def family_from_points(
 def solve_multivariate(eq: StructuredEquation, cfg: SolverConfig | None = None) -> SolveResult:
     """Solve a several-unknown equation from sampled variety points.
 
-    Samples zeros of det P with null vectors on the side matching the
-    orientation, then greedily picks n points: start from the smallest
-    determinant residual and repeatedly add the point maximizing the
-    smallest singular value of the growing stack.  Ill-conditioned
+    Samples max(``MIN_SAMPLE_COUNT``, 3n) zeros of det P with null vectors
+    on the side matching the orientation, then greedily picks n points:
+    start from the smallest determinant residual and repeatedly add the
+    point maximizing the smallest singular value of the growing stack.  Ill-conditioned
     selections are retried with a fresh seed stream up to 8 attempts.
     """
     cfg = cfg or SolverConfig()
@@ -526,11 +529,7 @@ def solve_multivariate(eq: StructuredEquation, cfg: SolverConfig | None = None) 
     for attempt in range(8):
         try:
             points = sample_variety(
-                eq.poly,
-                side,
-                count=max(cfg.sample_count, 3 * n),
-                seed=cfg.seed + attempt,
-                strategy=cfg.strategy,
+                eq.poly, side, count=max(MIN_SAMPLE_COUNT, 3 * n), seed=cfg.seed + attempt
             )
         except NoPointsFound as exc:
             diagnostics.append(Diagnostic(f"attempt {attempt}", f"NoPointsFound: {exc}"))
@@ -591,14 +590,13 @@ def quotient_factor(
     )
     eye = np.eye(n, dtype=np.complex128)
     nodes = np.exp(2j * np.pi * np.arange(p * n + 1) / (p * n + 1))
-    for z in nodes:
-        pz = evaluate(eq.poly, [z])
-        qz = evaluate(q, [z]) if q.terms else zero
-        gap = np.linalg.norm(pz - (z * eye - xm) @ qz)
-        if gap > 1e-8 * (1.0 + np.linalg.norm(pz)):
-            raise FactorCheckFailed(
-                f"identity off by {gap:.3e} at z={_fmt_c(z)}"
-            )
+    pz = _evaluate_stack(eq.poly, nodes[:, None])
+    qz = _evaluate_stack(q, nodes[:, None])
+    gaps = np.linalg.norm(pz - (nodes[:, None, None] * eye - xm) @ qz, axis=(1, 2))
+    failing = np.flatnonzero(gaps > 1e-8 * (1.0 + np.linalg.norm(pz, axis=(1, 2))))
+    if failing.size:
+        k = failing[0]
+        raise FactorCheckFailed(f"identity off by {gaps[k]:.3e} at z={_fmt_c(nodes[k])}")
     return q
 
 
@@ -660,7 +658,7 @@ class SandwichProbeReport:
     rows: list[SandwichProbeRow]
 
 
-def _joint_eigenbasis(x: np.ndarray, y: np.ndarray, tol: float):
+def _joint_eigenbasis(x: np.ndarray, y: np.ndarray):
     vals, vecs = linalg.eigen(x)
     n = x.shape[0]
     # refine eigenvector choice inside repeated-eigenvalue clusters so that
@@ -680,17 +678,17 @@ def _joint_eigenbasis(x: np.ndarray, y: np.ndarray, tol: float):
             norms[norms == 0] = 1.0
             vecs[:, idx:j] = refined / norms
         idx = j
-    svals = np.linalg.svd(vecs, compute_uv=False)
-    if svals[-1] <= 1e-12 * svals[0]:
+    try:
+        vecs_inv, _ = linalg.inverse(vecs, tol_rank=1e-12)
+    except SingularMatrix as exc:
         raise NotSimultaneouslyDiagonalizable(
             "first matrix has no well-conditioned eigenvector basis"
-        )
-    vecs_inv, _ = linalg.inverse(vecs, tol_rank=1e-14)
+        ) from exc
     dx = vecs_inv @ x @ vecs
     dy = vecs_inv @ y @ vecs
     for name, d in (("first", dx), ("second", dy)):
         off = d - np.diag(np.diag(d))
-        if np.linalg.norm(off) > tol * (1.0 + np.linalg.norm(d)):
+        if np.linalg.norm(off) > JOINT_DIAGONAL_TOL * (1.0 + np.linalg.norm(d)):
             raise NotSimultaneouslyDiagonalizable(
                 f"{name} matrix is not diagonal in the shared basis"
                 f" (off-diagonal mass {np.linalg.norm(off):.3e})"
@@ -698,14 +696,12 @@ def _joint_eigenbasis(x: np.ndarray, y: np.ndarray, tol: float):
     return vecs, vecs_inv, np.diag(dx), np.diag(dy)
 
 
-def sandwich_probe(
-    eq: StructuredEquation, x, y, tol_joint: float = 1e-6
-) -> SandwichProbeReport:
+def sandwich_probe(eq: StructuredEquation, x, y) -> SandwichProbeReport:
     """Diagnose a candidate (X, Y) pair for the bivariate sandwich equation.
 
-    Extracts a shared eigenbasis from X, validates it against Y, and
-    reports, per eigenpair (alpha_k, mu_k), the scalar identity
-    g_k P(alpha_k, mu_k) t_k together with |det P| there.
+    Extracts a shared eigenbasis from X, checks that it diagonalizes X and
+    Y to ``JOINT_DIAGONAL_TOL``, and reports, per eigenpair (alpha_k, mu_k),
+    the scalar identity g_k P(alpha_k, mu_k) t_k together with |det P| there.
     """
     if eq.orientation is not Orientation.SANDWICH_BIVARIATE:
         raise DimensionMismatch("sandwich_probe needs a sandwich equation")
@@ -714,10 +710,10 @@ def sandwich_probe(
     n = eq.dim
     if xm.shape != (n, n) or ym.shape != (n, n):
         raise DimensionMismatch("candidates must be n x n for the equation dimension")
-    T, T_inv, alphas, mus = _joint_eigenbasis(xm, ym, tol_joint)
+    T, T_inv, alphas, mus = _joint_eigenbasis(xm, ym)
+    stack = _evaluate_stack(eq.poly, np.stack([alphas, mus], axis=1))
     rows = []
-    for k in range(n):
-        pk = evaluate(eq.poly, [alphas[k], mus[k]])
+    for k, pk in enumerate(stack):
         g = T_inv[k]
         t = T[:, k]
         identity = complex(g @ pk @ t)

@@ -23,6 +23,7 @@ from matpolyeq.polymatrix import (
     null_vectors_at,
 )
 from matpolyeq.solver import (
+    MIN_SAMPLE_COUNT,
     Diagnostic,
     Orientation,
     SolutionFamily,
@@ -74,7 +75,7 @@ def poly_roots_per_root(sp, cluster_tol=ROOT_CLUSTER_TOL):
     return out
 
 
-def sample_variety_per_point(p, side, count, seed, strategy):
+def sample_variety_per_point(p, side, count, seed):
     """``sample_variety`` one root at a time.
 
     The roots of each slice come from the library's own slice eigensolve, so
@@ -83,7 +84,6 @@ def sample_variety_per_point(p, side, count, seed, strategy):
     largest number of roots one slice produced.
     """
     m = p.arity
-    rng = np.random.default_rng(seed)
     budget = 4 * count + 8
     phase = math.fmod(seed * 0.6180339887498949, 1.0)
     points, widest = [], 0
@@ -91,13 +91,8 @@ def sample_variety_per_point(p, side, count, seed, strategy):
         if len(points) >= count:
             break
         pivot = sl % m
-        if strategy == "grid":
-            pos = (sl + phase) / budget
-            fixed = np.array([np.exp(2j * np.pi * (pos + j / m)) for j in range(m - 1)])
-        else:
-            radii = rng.uniform(0.5, 2.0, size=m - 1)
-            angles = rng.uniform(0.0, 2.0 * np.pi, size=m - 1)
-            fixed = radii * np.exp(1j * angles)
+        pos = (sl + phase) / budget
+        fixed = np.array([np.exp(2j * np.pi * (pos + j / m)) for j in range(m - 1)])
         roots = _slice_spectrum(fix_all_but(p, pivot, fixed))
         widest = max(widest, len(roots))
         for root, _ in roots:
@@ -142,17 +137,12 @@ def solve_multivariate_per_point(eq, cfg):
     """
     side = "left" if eq.orientation is Orientation.UNKNOWNS_LEFT else "right"
     n = eq.dim
-    count = max(cfg.sample_count, 3 * n)
+    count = max(MIN_SAMPLE_COUNT, 3 * n)
     diagnostics = []
     for attempt in range(8):
-        triples, _ = sample_variety_per_point(
-            eq.poly, side, count, cfg.seed + attempt, cfg.strategy
-        )
+        triples, _ = sample_variety_per_point(eq.poly, side, count, cfg.seed + attempt)
         if not triples:
-            failure = (
-                f"NoPointsFound: no variety points found in {4 * count + 8} slices"
-                f" (strategy {cfg.strategy!r})"
-            )
+            failure = f"NoPointsFound: no variety points found in {4 * count + 8} slices"
             diagnostics.append(Diagnostic(f"attempt {attempt}", failure))
             continue
         points = [VarietyPoint(v, vec, side, dres) for v, vec, dres in triples]

@@ -319,6 +319,12 @@ def test_usage_error_exit_code():
     assert main(["solve"]) == 1  # missing input and --seed
     assert main(["no-such-command"]) == 1
     assert main(["solve", str(DATA / "scalar_quadratic.json"), "--seed", "0", "--threads", "0"]) == 1
+    # the variety is sampled one way, at a fixed count
+    assert main(["solve", str(DATA / "circle.json"), "--seed", "0", "--strategy", "grid"]) == 1
+    assert main(["solve", str(DATA / "circle.json"), "--seed", "0", "--samples", "32"]) == 1
+    assert main(
+        ["sample-variety", str(DATA / "circle.json"), "--seed", "0", "--strategy", "grid"]
+    ) == 1
 
 
 @pytest.mark.parametrize("flag", ["--tol-residual", "--tol-rank"])
@@ -445,19 +451,6 @@ def test_document_error_names_nested_path(tmp_path, capsys):
         json.dump(doc, fh)
     assert main(["solve", str(eq_path), "--seed", "0"]) == 1
     assert "$.terms[0].coefficient[0][0]" in capsys.readouterr().err
-
-
-def test_solve_random_strategy(tmp_path):
-    out = tmp_path / "sol.json"
-    rc = main([
-        "solve", str(DATA / "circle.json"), "--seed", "4", "--strategy", "random",
-        "--output", str(out),
-    ])
-    assert rc == 0
-    f = load(out)["families"][0]
-    x = to_complex(f["unknowns"][0][0][0])
-    y = to_complex(f["unknowns"][1][0][0])
-    assert abs(x**2 + y**2 - 2.0) <= 1e-10
 
 
 def test_round_trip_stability():

@@ -271,9 +271,8 @@ def test_slice_spectrum_infinite_and_degree_zero():
         _slice_spectrum(MatrixPolynomial(arity=1, dim=2, terms={(0,): z_top}))
 
 
-@pytest.mark.parametrize("strategy", ["grid", "random"])
 @pytest.mark.parametrize("seed", range(6))
-def test_sample_variety_double_eigenvalue_keeps_both_null_vectors(seed, strategy):
+def test_sample_variety_double_eigenvalue_keeps_both_null_vectors(seed):
     # P(x, y) = ((x - 0.7)^2 + y - 1) I2: every zero is a double eigenvalue
     # of its slice with a two-dimensional null space
     p = MatrixPolynomial(
@@ -281,7 +280,7 @@ def test_sample_variety_double_eigenvalue_keeps_both_null_vectors(seed, strategy
         dim=2,
         terms={(2, 0): I2, (1, 0): -1.4 * I2, (0, 1): I2, (0, 0): -0.51 * I2},
     )
-    points = sample_variety(p, "right", count=8, seed=seed, strategy=strategy)
+    points = sample_variety(p, "right", count=8, seed=seed)
     groups = {}
     for pt in points:
         x, y = pt.values
@@ -298,20 +297,18 @@ def test_sample_variety_double_eigenvalue_keeps_both_null_vectors(seed, strategy
 def test_sample_variety_rank_one_slices_identically_singular():
     col = np.array([[1.0, 0.0], [1.0, 0.0]])
     p = MatrixPolynomial(arity=2, dim=2, terms={(1, 0): col, (0, 1): 2 * col, (0, 0): col})
-    for strategy in ("grid", "random"):
-        with pytest.raises(IdenticallySingular):
-            sample_variety(p, "right", count=4, seed=0, strategy=strategy)
+    with pytest.raises(IdenticallySingular):
+        sample_variety(p, "right", count=4, seed=0)
 
 
-@pytest.mark.parametrize("strategy", ["grid", "random"])
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_sample_variety_matches_per_point_reference(side, strategy):
+def test_sample_variety_matches_per_point_reference(side):
     # the n = 12, degree 3 slices have more roots than one chunk holds
     beyond_chunk = 0
     for n, m, degree, seed in ((4, 2, 2, 1), (5, 3, 2, 2), (12, 2, 3, 0)):
         p = plant_instance(n, m, degree, Orientation.UNKNOWNS_RIGHT, seed).equation.poly
-        got = sample_variety(p, side, 3 * n, seed, strategy)
-        want, widest = sample_variety_per_point(p, side, 3 * n, seed, strategy)
+        got = sample_variety(p, side, 3 * n, seed)
+        want, widest = sample_variety_per_point(p, side, 3 * n, seed)
         beyond_chunk = max(beyond_chunk, widest - linalg.chunk_size(n * n))
         assert len(got) == len(want)
         for pt, (values, vector, dres) in zip(got, want):
@@ -330,7 +327,7 @@ def test_sample_variety_rejects_negative_seed():
 def test_sample_variety_circle():
     # x^2 + y^2 = 2: every sampled point lies on the scaled circle
     p = MatrixPolynomial(arity=2, dim=1, terms={(2, 0): I1, (0, 2): I1, (0, 0): -2 * I1})
-    points = sample_variety(p, "right", count=4, seed=0, strategy="grid")
+    points = sample_variety(p, "right", count=4, seed=0)
     assert len(points) >= 4
     for pt in points:
         a, b = pt.values
@@ -352,10 +349,10 @@ def test_fixed_slices_through_chosen_values():
     assert np.allclose(sorted(r.real for r in roots0), [-np.sqrt(2.0), np.sqrt(2.0)])
 
 
-def test_sample_variety_soundness_random_strategy():
+def test_sample_variety_left_soundness():
     rng = np.random.default_rng(15)
     p = random_integer_poly(rng, 2, 2, arity=2)
-    points = sample_variety(p, "left", count=8, seed=99, strategy="random")
+    points = sample_variety(p, "left", count=8, seed=99)
     for pt in points:
         pz = evaluate(p, pt.values)
         smax = np.linalg.svd(pz, compute_uv=False)[0]
@@ -372,8 +369,8 @@ def test_sample_variety_no_points():
 def test_sample_variety_deterministic_under_seed():
     rng = np.random.default_rng(16)
     p = random_integer_poly(rng, 2, 2, arity=2)
-    a = sample_variety(p, "right", count=6, seed=5, strategy="random")
-    b = sample_variety(p, "right", count=6, seed=5, strategy="random")
+    a = sample_variety(p, "right", count=6, seed=5)
+    b = sample_variety(p, "right", count=6, seed=5)
     assert len(a) == len(b)
     for pa, pb in zip(a, b):
         assert np.array_equal(pa.values, pb.values)

@@ -14,6 +14,7 @@ from matpolyeq import linalg
 from matpolyeq.errors import (
     DegreeZero,
     DimensionMismatch,
+    FactorCheckFailed,
     InsufficientRoots,
     NotASolution,
     NotSimultaneouslyDiagonalizable,
@@ -582,6 +583,13 @@ def test_quotient_factor_rejects_non_solution():
         quotient_factor(scalar_quadratic(), np.array([[3.0]]))
 
 
+def test_quotient_factor_names_first_failing_node():
+    # X = 3 leaves P(z) - (z - 3) Q(z) = 2 at every node; the gate is opened
+    # wide enough to let it through, so the identity check must catch it
+    with pytest.raises(FactorCheckFailed, match=r"identity off by 2\.000e\+00 at z=1\+0j"):
+        quotient_factor(scalar_quadratic(), np.array([[3.0]]), tol_residual=1.0)
+
+
 def test_quotient_factor_rejects_nan_residual():
     # X @ X overflows, so the residual is inf / inf = nan
     p = MatrixPolynomial(arity=1, dim=1, terms={(2,): I1, (0,): -I1})
@@ -732,8 +740,17 @@ def test_sandwich_probe_rejects_non_commuting():
     eq = sandwich_equation(terms, 2)
     a = np.array([[0.0, 1.0], [0.0, 0.0]]) + np.diag([1.0, 2.0])
     b = np.array([[0.0, 0.0], [1.0, 0.0]]) + np.diag([3.0, 4.0])
-    with pytest.raises(NotSimultaneouslyDiagonalizable):
+    with pytest.raises(NotSimultaneouslyDiagonalizable, match="second matrix"):
         sandwich_probe(eq, a, b)
+
+
+def test_sandwich_probe_rejects_nearly_defective_first_matrix():
+    # two eigenvalues 1e-6 apart, too far apart to be refined as one cluster,
+    # with eigenvectors about 1e-14 apart
+    eq = sandwich_equation({(0, 0): I2}, 2)
+    x = np.array([[1.0, 1e8], [0.0, 1.0 + 1e-6]])
+    with pytest.raises(NotSimultaneouslyDiagonalizable, match="no well-conditioned eigenvector"):
+        sandwich_probe(eq, x, I2)
 
 
 def test_sandwich_template_enforced():
