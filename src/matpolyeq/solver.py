@@ -361,20 +361,23 @@ def _assemble_families(
     else:
         xs = [(stack * lam[:, None, :]) @ inv for lam in eigenvalues]
     resid = _relative_residuals(eq, xs)
+    # families hold row views of the stacks, not copies
+    transforms = list(stack)
+    spectra, unknowns = list(zip(*eigenvalues)), list(zip(*xs))
     out: list[SolutionFamily | str] = []
-    for k in range(len(stack)):
+    for k, (res, cnd) in enumerate(zip(resid.tolist(), cond.tolist())):
         if singular[k] is not None:
             out.append(f"TransformSingular: {singular[k]}")
-        elif not resid[k] <= cfg.tol_residual:  # a nan residual fails too
-            out.append(f"residual {resid[k]:.3e} exceeds tol_residual {cfg.tol_residual:.0e}")
+        elif not res <= cfg.tol_residual:  # a nan residual fails too
+            out.append(f"residual {res:.3e} exceeds tol_residual {cfg.tol_residual:.0e}")
         else:
             out.append(
                 SolutionFamily(
-                    transform=stack[k].copy(),
-                    eigenvalues=[lam[k].copy() for lam in eigenvalues],
-                    unknowns=[x[k].copy() for x in xs],
-                    residual=float(resid[k]),
-                    transform_condition=float(cond[k]),
+                    transform=transforms[k],
+                    eigenvalues=list(spectra[k]),
+                    unknowns=list(unknowns[k]),
+                    residual=res,
+                    transform_condition=cnd,
                 )
             )
     return out
@@ -455,33 +458,36 @@ def solve_univariate(eq: StructuredEquation, cfg: SolverConfig | None = None) ->
 
 
 def _greedy_select(points: list[VarietyPoint], n: int) -> list[VarietyPoint] | None:
-    # start from the smallest determinant residual, then repeatedly add the
-    # first point maximising the smallest singular value of the stack with
-    # its null vector appended; the candidates of a step share one SVD call
+    # column-pivoted Gram-Schmidt: start from the smallest determinant
+    # residual, then repeatedly add the first point whose null vector lies
+    # farthest from the span of those chosen.  Column j of resid is what is
+    # left of null vector j; each pick projects one direction out of all
+    # columns, elementwise so that equal columns stay bit-equal
     if len(points) < n:
         return None
     start = min(range(len(points)), key=lambda i: points[i].det_residual)
+    resid = np.array([pt.null_vector for pt in points], dtype=np.complex128).T
+    basis = np.empty((resid.shape[0], 0), dtype=np.complex128)
+    taken = np.zeros(len(points), dtype=bool)
     chosen = [start]
-    vectors = np.array([pt.null_vector for pt in points])
-    dim = vectors.shape[1]
-    while len(chosen) < n:
-        k = len(chosen)
-        taken = set(chosen)
-        candidates = np.array([j for j in range(len(points)) if j not in taken])
+    while True:
+        if chosen[-1] >= 0:
+            taken[chosen[-1]] = True
+            q = resid[:, chosen[-1]]
+            q = q - basis @ (basis.conj().T @ q)  # one reorthogonalization pass
+            norm = np.linalg.norm(q)
+            if norm > 0.0:
+                q /= norm
+                basis = np.column_stack([basis, q])
+                resid -= q[:, None] * (q.conj()[:, None] * resid).sum(axis=0)
+        if len(chosen) == n:
+            return [points[j] for j in chosen]
         # chosen points and nan score -1 and never win; a step with nothing
         # else left appends index -1
-        sigma = np.full(len(points), -1.0)
-        size = linalg.chunk_size(dim * (k + 1))
-        for lo in range(0, len(candidates), size):
-            part = candidates[lo : lo + size]
-            stack = np.empty((len(part), dim, k + 1), dtype=np.complex128)
-            stack[:, :, :k] = vectors[chosen].T
-            stack[:, :, k] = vectors[part]
-            smallest = np.linalg.svd(stack, compute_uv=False)[:, -1]
-            sigma[part] = np.where(smallest >= 0.0, smallest, -1.0)
-        best = int(np.argmax(sigma))
-        chosen.append(best if sigma[best] > -1.0 else -1)
-    return [points[j] for j in chosen]
+        score = np.linalg.norm(resid, axis=0)
+        score[taken | np.isnan(score)] = -1.0
+        best = int(np.argmax(score))
+        chosen.append(best if score[best] > -1.0 else -1)
 
 
 def family_from_points(
@@ -512,10 +518,12 @@ def solve_multivariate(eq: StructuredEquation, cfg: SolverConfig | None = None) 
     """Solve a several-unknown equation from sampled variety points.
 
     Samples max(``MIN_SAMPLE_COUNT``, 3n) zeros of det P with null vectors
-    on the side matching the orientation, then greedily picks n points:
+    on the side matching the orientation, then greedily picks n points by
+    column-pivoted Gram-Schmidt (Businger & Golub, Numer. Math. 1965):
     start from the smallest determinant residual and repeatedly add the
-    point maximizing the smallest singular value of the growing stack.  Ill-conditioned
-    selections are retried with a fresh seed stream up to 8 attempts.
+    point whose null vector lies farthest from the span of those chosen.
+    Ill-conditioned selections are retried with a fresh seed stream up to
+    8 attempts.
     """
     cfg = cfg or SolverConfig()
     if eq.arity < 2:
@@ -670,7 +678,11 @@ def _joint_eigenbasis(x: np.ndarray, y: np.ndarray):
             j += 1
         if j - idx > 1:
             block = vecs[:, idx:j]
-            restricted, *_ = np.linalg.lstsq(block, y @ block, rcond=None)
+            restricted, _, rank, _ = np.linalg.lstsq(block, y @ block, rcond=None)
+            if rank < j - idx:
+                raise NotSimultaneouslyDiagonalizable(
+                    "first matrix has no well-conditioned eigenvector basis"
+                )
             sub_vals, sub_vecs = np.linalg.eig(restricted)
             order = linalg.lex_argsort(sub_vals)
             refined = block @ sub_vecs[:, order]

@@ -105,27 +105,31 @@ def sample_variety_per_point(p, side, count, seed):
 
 
 def greedy_select_per_candidate(points, n):
-    """Indices chosen by one SVD per candidate, and the number of tied steps."""
+    """Indices chosen by distance from the span of the chosen null vectors.
+
+    Each step measures every unchosen candidate's distance from that span
+    with its own ``lstsq`` solve and takes the first farthest one.  Returns
+    the indices and the number of steps whose best distance was tied.
+    """
     if len(points) < n:
         return None, 0
     start = min(range(len(points)), key=lambda i: points[i].det_residual)
     chosen = [start]
-    stacked = [points[start].null_vector]
     ties = 0
     while len(chosen) < n:
-        best_j, best_s, sigmas = -1, -1.0, []
+        span = np.column_stack([points[j].null_vector for j in chosen])
+        best_j, best_d, dists = -1, -1.0, []
         for j in range(len(points)):
             if j in chosen:
                 continue
-            svals = np.linalg.svd(
-                np.column_stack(stacked + [points[j].null_vector]), compute_uv=False
-            )
-            sigmas.append(svals[-1])
-            if svals[-1] > best_s:
-                best_j, best_s = j, float(svals[-1])
-        ties += sigmas.count(best_s) > 1
+            v = points[j].null_vector
+            coef, *_ = np.linalg.lstsq(span, v, rcond=None)
+            d = float(np.linalg.norm(v - span @ coef))
+            dists.append(d)
+            if d > best_d:
+                best_j, best_d = j, d
+        ties += dists.count(best_d) > 1
         chosen.append(best_j)
-        stacked.append(points[best_j].null_vector)
     return chosen, ties
 
 

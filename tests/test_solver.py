@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -185,12 +186,10 @@ def test_solver_config_rejects_negative_seed():
 def test_greedy_select_matches_per_candidate_loop():
     eq = plant_instance(8, 2, 2, Orientation.UNKNOWNS_RIGHT, 4).equation
     points = sample_variety(eq.poly, "right", 40, 0)
-    # a copy of every point ties each candidate with its twin; the first wins,
-    # and the candidates of the last steps no longer fit in one chunk
+    # a copy of every point ties each candidate with its twin; the first wins
     doubled = points + [
         VarietyPoint(pt.values, pt.null_vector, pt.side, pt.det_residual) for pt in points
     ]
-    assert len(doubled) - 7 > linalg.chunk_size(8 * 8)
     for pool in (points, doubled):
         want, ties = greedy_select_per_candidate(pool, 8)
         got = _greedy_select(pool, 8)
@@ -198,6 +197,24 @@ def test_greedy_select_matches_per_candidate_loop():
         assert all(a is pool[j] for a, j in zip(got, want))
     assert ties > 0
     assert _greedy_select(points[:7], 8) is None
+
+
+def test_solve_multivariate_rank_deficient_pool_is_transform_singular():
+    # P = U diag(x - 1/2, y - 1/2, 1, 1) U^T: every null vector lies in the
+    # span of U e1 and U e2, so no 4 variety points stack into an invertible T
+    u, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))
+    terms = {(1, 0): [1, 0, 0, 0], (0, 1): [0, 1, 0, 0], (0, 0): [-0.5, -0.5, 1, 1]}
+    p = MatrixPolynomial(
+        arity=2, dim=4, terms={e: u @ np.diag(d) @ u.T for e, d in terms.items()}
+    )
+    eq = StructuredEquation(poly=p, orientation=Orientation.UNKNOWNS_RIGHT)
+    vectors = np.array([pt.null_vector for pt in sample_variety(p, "right", 32, 0)])
+    assert np.linalg.matrix_rank(vectors, tol=1e-8) == 2
+    with pytest.raises(TransformSingular, match="within 8 attempts") as info:
+        solve_multivariate(eq)
+    diagnostics = info.value.diagnostics
+    assert [d.label for d in diagnostics] == [f"attempt {a}" for a in range(8)]
+    assert all(d.failure.startswith("TransformSingular: smallest singular") for d in diagnostics)
 
 
 @pytest.mark.parametrize("orientation", [Orientation.UNKNOWNS_LEFT, Orientation.UNKNOWNS_RIGHT])
@@ -287,9 +304,10 @@ def test_batched_families_match_per_class_reference(orientation):
         assert family.transform_condition == pytest.approx(cond, rel=1e-12)
         recomputed = verify_residual(eq, family.unknowns)
         assert abs(family.residual - recomputed) <= 1e-12 * recomputed
-        # a family owns its arrays; none is a view into the chunk it came from
-        owned = [family.transform, *family.eigenvalues, *family.unknowns]
-        assert all(a.flags.owndata for a in owned)
+    # families are row views of their chunk's stacks, so no two may overlap
+    arrays = [[f.transform, *f.eigenvalues, *f.unknowns] for f in result.families]
+    for mine, next_ in itertools.pairwise(arrays):
+        assert not any(np.may_share_memory(a, b) for a, b in zip(mine, next_))
 
 
 @pytest.mark.parametrize("orientation", [Orientation.UNKNOWNS_LEFT, Orientation.UNKNOWNS_RIGHT])
@@ -749,6 +767,15 @@ def test_sandwich_probe_rejects_nearly_defective_first_matrix():
     # with eigenvectors about 1e-14 apart
     eq = sandwich_equation({(0, 0): I2}, 2)
     x = np.array([[1.0, 1e8], [0.0, 1.0 + 1e-6]])
+    with pytest.raises(NotSimultaneouslyDiagonalizable, match="no well-conditioned eigenvector"):
+        sandwich_probe(eq, x, I2)
+
+
+def test_sandwich_probe_rejects_defective_first_matrix():
+    # a Jordan block: eig returns two parallel eigenvectors for the double
+    # eigenvalue 1, so the cluster has no basis to refine
+    eq = sandwich_equation({(0, 0): I2}, 2)
+    x = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(NotSimultaneouslyDiagonalizable, match="no well-conditioned eigenvector"):
         sandwich_probe(eq, x, I2)
 
