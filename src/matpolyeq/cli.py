@@ -69,7 +69,6 @@ def _parse_fix(text: str) -> list[complex]:
 
 def _config_from(args) -> SolverConfig:
     return SolverConfig(
-        tol_rank=args.tol_rank,
         tol_residual=args.tol_residual,
         max_classes=args.max_classes,
         seed=args.seed,
@@ -152,8 +151,8 @@ def cmd_detpoly(args) -> int:
     except DocumentError as exc:
         return _fail(str(exc))
     if eq.arity == 1:
-        if fixed:
-            return _fail("detpoly: a univariate equation takes no --fix values")
+        if fixed or args.pivot != 0:
+            return _fail("detpoly: a univariate equation takes no --fix values and only pivot 0")
         slice_poly = eq.poly
     else:
         slice_poly = fix_all_but(eq.poly, args.pivot, np.array(fixed))
@@ -243,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--tol-residual", type=float, default=SolverConfig.tol_residual, dest="tol_residual"
     )
-    solve.add_argument("--tol-rank", type=float, default=SolverConfig.tol_rank, dest="tol_rank")
     solve.add_argument(
         "--max-classes", type=int, default=SolverConfig.max_classes, dest="max_classes"
     )

@@ -260,7 +260,7 @@ def load_document(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, overlong integers
         raise DocumentError(f"{path}: invalid JSON ({exc})") from exc
 
 

@@ -418,21 +418,18 @@ def term_scale(p: MatrixPolynomial, point) -> float:
 def _null_spaces(p: MatrixPolynomial, points: np.ndarray, side: str):
     """Null vectors of P at each row of a (K, arity) stack of points.
 
-    Yields ``(chunk, pz, vectors)`` for consecutive chunks of the points, so
-    that no stacked temporary exceeds ``linalg.CHUNK_ENTRIES``: ``pz`` holds
-    P at the chunk's points and ``vectors[k]`` the list that
-    :func:`null_vectors_at` returns for point k of the chunk.
+    Returns ``(pz, vectors)``: ``pz`` holds P at the points and
+    ``vectors[k]`` the list that :func:`null_vectors_at` returns for point
+    k.  The stack is not chunked: callers pass one point, the roots of one
+    slice or the roots of one determinant, at most d * n points.
     """
-    size = linalg.chunk_size(p.dim * p.dim)
-    for lo in range(0, len(points), size):
-        chunk = points[lo : lo + size]
-        pz = _evaluate_stack(p, chunk)
-        u, s, vh = np.linalg.svd(pz)
-        ref = np.maximum(s[:, 0], _term_scales(p, chunk))
-        # where ref is 0 every singular value is 0, so all of them count
-        counts = np.sum(s <= DEFAULT_TOL_ZERO * ref[:, None], axis=1)
-        rows = np.conj(vh if side == "right" else u.transpose(0, 2, 1), order="C")
-        yield chunk, pz, [list(rows[k, ::-1][:c]) for k, c in enumerate(counts)]
+    pz = _evaluate_stack(p, points)
+    u, s, vh = np.linalg.svd(pz)
+    ref = np.maximum(s[:, 0], _term_scales(p, points))
+    # where ref is 0 every singular value is 0, so all of them count
+    counts = np.sum(s <= DEFAULT_TOL_ZERO * ref[:, None], axis=1)
+    rows = np.conj(vh if side == "right" else u.transpose(0, 2, 1), order="C")
+    return pz, [list(rows[k, ::-1][:c]) for k, c in enumerate(counts)]
 
 
 def null_vectors_at(p: MatrixPolynomial, point, side: str) -> list[np.ndarray]:
@@ -441,8 +438,7 @@ def null_vectors_at(p: MatrixPolynomial, point, side: str) -> list[np.ndarray]:
     Acceptance is sigma <= ``DEFAULT_TOL_ZERO`` * max(sigma_max, term_scale);
     the second reference keeps 1x1 and fully vanishing evaluations decidable.
     """
-    ((_, _, vectors),) = _null_spaces(p, _point(p, point)[None], side)
-    return vectors[0]
+    return _null_spaces(p, _point(p, point)[None], side)[1][0]
 
 
 def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> list[VarietyPoint]:
@@ -492,19 +488,14 @@ def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> lis
         full = np.empty((len(roots), m), dtype=np.complex128)
         full[:, [s for s in range(m) if s != pivot]] = fixed
         full[:, pivot] = [root for root, _mult in roots]
-        for chunk, pz, vectors in _null_spaces(p, full, side):
-            found = [k for k, vecs in enumerate(vectors) if vecs]
-            if not found:
-                continue
-            dets = np.linalg.det(pz[found])
-            for k, det in zip(found, dets):
-                dres = abs(det)
-                for vec in vectors[k]:
-                    points.append(
-                        VarietyPoint(
-                            values=chunk[k], null_vector=vec, side=side, det_residual=dres
-                        )
-                    )
+        pz, vectors = _null_spaces(p, full, side)
+        found = [k for k, vecs in enumerate(vectors) if vecs]
+        for k, det in zip(found, np.linalg.det(pz[found])):
+            dres = abs(det)
+            for vec in vectors[k]:
+                points.append(
+                    VarietyPoint(values=full[k], null_vector=vec, side=side, det_residual=dres)
+                )
     if not points:
         raise NoPointsFound(f"no variety points found in {budget} slices")
     return points

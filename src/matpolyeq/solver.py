@@ -9,12 +9,15 @@ reconstructs unknowns of the form X_s = T F_s T^{-1}.  The univariate path
 takes its eigenvalues from the roots of the determinant polynomial; the
 multivariate path takes the slice eigenvalues from the companion eigensolve.
 
-The univariate path enumerates eigenvalue classes as tuples of root indices
-and assembles them in one batch loop: a chunk of classes becomes one index
+The univariate path first takes the null space at every root, then lets a
+root enter classes at most as often as it has null vectors, so a root
+without one leaves the pool, as it does in the multivariate sampler.  It
+enumerates eigenvalue classes of that pool as tuples of root indices and
+assembles them in one batch loop: a chunk of classes becomes one index
 array, which gathers a (K, n, n) stack of transforms whose rank test,
 inverse, reconstruction and residual are computed together.  Directions are
 chosen class by class only for classes with a repeated root or a null space
-wider than one vector, and the class count computed from the root
+wider than one vector, and the class count computed from the capped
 multiplicities says whether the enumeration was truncated.  The
 multivariate path assembles a transform from sampled variety points as a
 batch of one.  Both go through the same assembler, so they share one
@@ -110,15 +113,13 @@ class StructuredEquation:
 class SolverConfig:
     """Tolerances, class cap and sampling seed shared by the solve operations."""
 
-    tol_rank: float = linalg.DEFAULT_TOL_RANK
     tol_residual: float = 1e-8
     max_classes: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("tol_rank", "tol_residual"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        if not self.tol_residual > 0:
+            raise ValueError("tol_residual must be positive")
         if self.max_classes < 1:
             raise ValueError("max_classes must be >= 1")
         if self.seed < 0:
@@ -142,7 +143,7 @@ class SolutionFamily:
 
 @dataclass
 class Diagnostic:
-    """A non-silent per-class or per-attempt failure record."""
+    """A non-silent per-root, per-class or per-attempt failure record."""
 
     label: str
     failure: str
@@ -313,33 +314,21 @@ def _select_directions(basis: list[np.ndarray], current: list[np.ndarray], r: in
     return chosen
 
 
-def _fit_directions(
-    idx: np.ndarray, roots: np.ndarray, nulls: list, vectors: np.ndarray
-) -> dict[int, str]:
+def _fit_directions(idx: np.ndarray, nulls: list, vectors: np.ndarray) -> None:
     """Fit a chunk's stacked null vectors to classes that need a choice.
 
     ``idx[k]`` holds the ascending root indices of class k and ``nulls[i]``
-    the null space basis at ``roots[i]``.  A class with a repeated root or a
-    null space of dimension > 1 gets its ``vectors[k]`` from
-    :func:`_select_directions`.  Returns, per class whose root has a null
-    space thinner than its multiplicity in the class, the reason it fails.
+    the null space basis at root i, with at least as many vectors as root i
+    may appear in a class.  A class with a repeated root or a null space of
+    dimension > 1 gets its ``vectors[k]`` from :func:`_select_directions`.
     """
-    failures = {}
     for k, cls in enumerate(idx.tolist()):
         counts = [(i, len(list(group))) for i, group in itertools.groupby(cls)]
-        thin = [(i, r) for i, r in counts if len(nulls[i]) < r]
-        if thin:
-            i, r = thin[0]
-            failures[k] = (
-                f"null space at {_fmt_c(roots[i])} has dimension {len(nulls[i])}"
-                f" < required multiplicity {r}"
-            )
-        elif any(r > 1 or len(nulls[i]) > 1 for i, r in counts):
+        if any(r > 1 or len(nulls[i]) > 1 for i, r in counts):
             chosen: list[np.ndarray] = []
             for i, r in counts:
                 chosen.extend(_select_directions(nulls[i], chosen, r))
             vectors[k] = chosen
-    return failures
 
 
 def _assemble_families(
@@ -355,7 +344,7 @@ def _assemble_families(
     """
     left = eq.orientation is Orientation.UNKNOWNS_LEFT
     stack = vectors if left else vectors.transpose(0, 2, 1)
-    inv, cond, singular = linalg.inverse_stack(stack, tol_rank=cfg.tol_rank)
+    inv, cond, singular = linalg.inverse_stack(stack)
     if left:
         xs = [(inv * lam[:, None, :]) @ stack for lam in eigenvalues]
     else:
@@ -383,53 +372,53 @@ def _assemble_families(
     return out
 
 
-def _class_batches(eq: StructuredEquation, pool: list, count: int, cfg: SolverConfig):
+def _class_batches(
+    eq: StructuredEquation, roots: np.ndarray, nulls: list, indices, count: int, cfg: SolverConfig
+):
     """Outcomes of the first ``count`` classes of a root pool, per chunk.
 
-    ``pool`` lists ``(root, multiplicity)`` in lexicographic order.  A
-    chunk's classes become one (K, n) index array that gathers their
-    eigenvalues and unit null vectors; only a pool with a repeated root or a
-    null space whose dimension is not 1 goes through :func:`_fit_directions`,
-    whose failures replace the outcomes of their classes.  Yields
+    ``roots`` holds the pool in lexicographic order, ``nulls[i]`` the null
+    space basis at ``roots[i]`` and ``indices`` the classes from
+    :func:`_class_indices`.  A chunk's classes become one (K, n) index array
+    that gathers their eigenvalues and unit null vectors.  A root repeats in
+    a class only when its null space is wider than one vector, so only a
+    pool with such a root goes through :func:`_fit_directions`.  Yields
     ``(classes, outcomes)`` per chunk, ``classes`` as a (K, n) array.
     """
     n = eq.dim
-    roots = np.array([root for root, _ in pool], dtype=np.complex128)
-    mults = [mult for _, mult in pool]
-    indices = itertools.chain.from_iterable(_class_indices(mults, n))
-    side = "left" if eq.orientation is Orientation.UNKNOWNS_LEFT else "right"
-    nulls = [b for _, _, vectors in _null_spaces(eq.poly, roots[:, None], side) for b in vectors]
+    indices = itertools.chain.from_iterable(indices)
     # each root's first null vector, normalised as _select_directions would
-    units = np.array(
-        [b[0] / np.linalg.norm(b[0]) if b else np.zeros(n) for b in nulls], dtype=np.complex128
-    )
-    simple = all(mult == 1 and len(b) == 1 for mult, b in zip(mults, nulls))
+    units = np.array([b[0] / np.linalg.norm(b[0]) for b in nulls], dtype=np.complex128)
+    simple = all(len(b) == 1 for b in nulls)
     size = linalg.chunk_size(n * n)
     for lo in range(0, count, size):
         k = min(size, count - lo)
         idx = np.fromiter(indices, dtype=np.intp, count=k * n).reshape(k, n)
         classes, vectors = roots[idx], units[idx]
-        failures = {} if simple else _fit_directions(idx, roots, nulls, vectors)
-        outcomes = _assemble_families(eq, classes[None], vectors, cfg)
-        for j, failure in failures.items():
-            outcomes[j] = failure
-        yield classes, outcomes
+        if not simple:
+            _fit_directions(idx, nulls, vectors)
+        yield classes, _assemble_families(eq, classes[None], vectors, cfg)
 
 
 def solve_univariate(eq: StructuredEquation, cfg: SolverConfig | None = None) -> SolveResult:
     """Solve a one-unknown equation by eigenvalue-class enumeration.
 
     Every n-sub-multiset of the determinant-polynomial roots is a candidate
-    spectrum.  For each class, null vectors of P at the class roots are
-    stacked into the transform; a root of multiplicity r consumes r
-    orthonormal null vectors and the class fails if the null space is
-    thinner.  Classes are enumerated as tuples of root indices and assembled
-    in one batch loop, a chunk of stacked transforms at a time; directions
-    are chosen class by class only for classes with a repeated root or a
-    wider null space.  The class count, computed from the multiplicities,
-    says whether ``cfg.max_classes`` truncated the enumeration.  Classes
-    with singular stacks or failing residuals are reported in the
-    diagnostics, in class order, never returned.
+    spectrum, with each root used at most as often as P has independent
+    null vectors there (Tisseur & Meerbergen, SIAM Rev. 2001): the null
+    spaces at all roots come from one stacked SVD, a root whose null space
+    is thinner than its multiplicity is reported once in the diagnostics,
+    and a root without null vectors leaves the pool.  For each class, null
+    vectors at the class roots are stacked into the transform, r
+    orthonormal ones for a root taken r times.  Classes are enumerated as
+    tuples of root indices and assembled in one batch loop, a chunk of
+    stacked transforms at a time; directions are chosen class by class only
+    for classes with a repeated root or a wider null space.  The class
+    count, computed from the capped multiplicities, says whether
+    ``cfg.max_classes`` truncated the enumeration.  Classes with singular
+    stacks or failing residuals are reported in the diagnostics, in class
+    order, never returned.  Raises ``InsufficientRoots``, carrying the root
+    diagnostics, when the capped pool holds fewer than n roots.
     """
     cfg = cfg or SolverConfig()
     if eq.arity != 1:
@@ -440,20 +429,37 @@ def solve_univariate(eq: StructuredEquation, cfg: SolverConfig | None = None) ->
         pool = eigen_candidates(eq)
     except DegreeZero as exc:
         raise InsufficientRoots(str(exc)) from exc
-    count = _class_count([mult for _, mult in pool], eq.dim)
+    side = "left" if eq.orientation is Orientation.UNKNOWNS_LEFT else "right"
+    roots = np.array([root for root, _ in pool], dtype=np.complex128)
+    _, nulls = _null_spaces(eq.poly, roots[:, None], side)
+    diagnostics = [
+        Diagnostic(f"root {_fmt_c(root)}", f"null space has dimension {len(b)} < multiplicity {m}")
+        for (root, m), b in zip(pool, nulls)
+        if len(b) < m
+    ]
+    keep = [i for i, b in enumerate(nulls) if b]
+    mults = [min(pool[i][1], len(nulls[i])) for i in keep]
+    try:
+        indices = _class_indices(mults, eq.dim)
+    except InsufficientRoots as exc:
+        exc.diagnostics = diagnostics
+        raise
+    count = _class_count(mults, eq.dim)
+    if count > cfg.max_classes:
+        diagnostics.append(
+            Diagnostic("class enumeration", f"truncated at max_classes={cfg.max_classes}")
+        )
     families: list[SolutionFamily] = []
-    diagnostics: list[Diagnostic] = []
-    for classes, outcomes in _class_batches(eq, pool, min(count, cfg.max_classes), cfg):
+    batches = _class_batches(
+        eq, roots[keep], [nulls[i] for i in keep], indices, min(count, cfg.max_classes), cfg
+    )
+    for classes, outcomes in batches:
         for cls, outcome in zip(classes, outcomes):
             if isinstance(outcome, SolutionFamily):
                 families.append(outcome)
             else:
                 label = "class (" + ", ".join(_fmt_c(r) for r in cls) + ")"
                 diagnostics.append(Diagnostic(label, outcome))
-    if count > cfg.max_classes:
-        diagnostics.insert(
-            0, Diagnostic("class enumeration", f"truncated at max_classes={cfg.max_classes}")
-        )
     return SolveResult(families=families, diagnostics=diagnostics)
 
 

@@ -186,7 +186,7 @@ def solve_univariate_per_class(eq, cfg):
         stack = rows if left else rows.T
         lam = np.array(cls, dtype=np.complex128)
         try:
-            inv, cond = linalg.inverse(stack, tol_rank=cfg.tol_rank)
+            inv, cond = linalg.inverse(stack)
         except SingularMatrix as exc:
             diagnostics.append(Diagnostic(label, f"TransformSingular: {exc}"))
             continue

@@ -115,6 +115,13 @@ def test_detpoly_pivot_out_of_range():
     assert rc == 1
 
 
+def test_detpoly_univariate_takes_only_pivot_0(tmp_path, capsys):
+    eq_path = str(DATA / "scalar_quadratic.json")
+    assert main(["detpoly", eq_path, "--pivot", "0", "--output", str(tmp_path / "d.json")]) == 0
+    assert main(["detpoly", eq_path, "--pivot", "1"]) == 1
+    assert "only pivot 0" in capsys.readouterr().err
+
+
 def test_detpoly_matches_symbolic_oracle(tmp_path):
     from matpolyeq.instances import symbolic_det_oracle
     from matpolyeq.polymatrix import MatrixPolynomial
@@ -322,12 +329,15 @@ def test_usage_error_exit_code():
     # the variety is sampled one way, at a fixed count
     assert main(["solve", str(DATA / "circle.json"), "--seed", "0", "--strategy", "grid"]) == 1
     assert main(["solve", str(DATA / "circle.json"), "--seed", "0", "--samples", "32"]) == 1
+    # the transform rank gate is fixed at linalg.DEFAULT_TOL_RANK
+    quadratic = str(DATA / "scalar_quadratic.json")
+    assert main(["solve", quadratic, "--seed", "0", "--tol-rank", "1e-10"]) == 1
     assert main(
         ["sample-variety", str(DATA / "circle.json"), "--seed", "0", "--strategy", "grid"]
     ) == 1
 
 
-@pytest.mark.parametrize("flag", ["--tol-residual", "--tol-rank"])
+@pytest.mark.parametrize("flag", ["--tol-residual"])
 def test_solve_nan_tolerance_exit_1(tmp_path, capsys, flag):
     out = tmp_path / "sol.json"
     eq_path = str(DATA / "scalar_quadratic.json")
@@ -372,6 +382,31 @@ def test_verify_huge_integer_in_solution_exit_1(tmp_path, capsys):
         "$.families[0].unknowns[0][1][1]: number out of float range"
         in capsys.readouterr().err
     )
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        (DATA / "scalar_quadratic.json").read_bytes() + b"\xff",
+        b'{"dimension": 1' + b"0" * 5000 + b"}",
+    ],
+    ids=["non-utf8", "overlong-integer"],
+)
+def test_solve_unreadable_document_exit_1(tmp_path, capsys, content):
+    eq_path = tmp_path / "eq.json"
+    eq_path.write_bytes(content)
+    assert main(["solve", str(eq_path), "--seed", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{eq_path}: invalid JSON") and "Traceback" not in err
+
+
+def test_verify_non_utf8_solution_exit_1(tmp_path, capsys):
+    eq_path = str(DATA / "scalar_quadratic.json")
+    sol_path = tmp_path / "sol.json"
+    assert main(["solve", eq_path, "--seed", "0", "--output", str(sol_path)]) == 0
+    sol_path.write_bytes(b"\xff" + sol_path.read_bytes())
+    assert main(["verify", eq_path, str(sol_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"{sol_path}: invalid JSON")
 
 
 @pytest.mark.parametrize("value", [5, None, {}, "xy"], ids=["int", "null", "object", "string"])

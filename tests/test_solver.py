@@ -171,7 +171,7 @@ def test_enumerate_classes_cap():
     assert truncations == ["truncated at max_classes=5"]
 
 
-@pytest.mark.parametrize("name", ["tol_rank", "tol_residual"])
+@pytest.mark.parametrize("name", ["tol_residual"])
 @pytest.mark.parametrize("value", [0.0, float("nan")])
 def test_solver_config_rejects_nonpositive_tolerances(name, value):
     with pytest.raises(ValueError, match=f"{name} must be positive"):
@@ -232,7 +232,8 @@ def test_solve_multivariate_matches_per_point_reference(n, m, orientation):
 @pytest.mark.parametrize("orientation", [Orientation.UNKNOWNS_LEFT, Orientation.UNKNOWNS_RIGHT])
 def test_solve_univariate_mixed_pool_outcomes_in_class_order(orientation):
     # diag((z-1)^2, (z-2)(z-3)): the double root 1 has a one-dimensional null
-    # space (e1), while 2 and 3 share the null vector e2
+    # space (e1), so it enters a class at most once, while 2 and 3 share the
+    # null vector e2; the capped pool makes 3 classes, not 4
     p = MatrixPolynomial(
         arity=1, dim=2, terms={(2,): I2, (1,): np.diag([-2.0, -5.0]), (0,): np.diag([1.0, 6.0])}
     )
@@ -241,29 +242,26 @@ def test_solve_univariate_mixed_pool_outcomes_in_class_order(orientation):
     assert [(round(r.real), m) for r, m in pool] == [(1, 2), (2, 1), (3, 1)]
     one, two, three = (r for r, _ in pool)
     result = solve_univariate(eq)
-    assert [d.label for d in result.diagnostics] == [
-        class_label((one, one)), class_label((two, three))
-    ]
-    thin, singular = (d.failure for d in result.diagnostics)
-    assert thin.endswith("has dimension 1 < required multiplicity 2")
-    assert singular.startswith("TransformSingular: smallest singular value")
+    thin = Diagnostic(
+        f"root {one.real:.6g}{one.imag:+.6g}j", "null space has dimension 1 < multiplicity 2"
+    )
+    assert [d.label for d in result.diagnostics] == [thin.label, class_label((two, three))]
+    assert result.diagnostics[0].failure == thin.failure
+    assert result.diagnostics[1].failure.startswith("TransformSingular: smallest singular value")
     assert len(result.families) == 2
     for family, diagonal in zip(result.families, ([1.0, 2.0], [1.0, 3.0])):
         assert np.allclose(family.eigenvalues[0], diagonal)
         assert np.allclose(family.unknowns[0], np.diag(diagonal), atol=1e-10)
-    # a cap of k keeps the outcomes of the first k of the 4 classes, after
-    # one truncation diagnostic when k < 4
-    classes = list(iter_solution_classes(pool, 2))
-    rejected = {d.label: d for d in result.diagnostics}
-    for cap in range(1, 5):
-        labels = [class_label(cls) for cls in classes[:cap]]
-        diagnostics = [rejected[label] for label in labels if label in rejected]
-        families = result.families[: cap - len(diagnostics)]
-        if cap < 4:
-            truncated = Diagnostic("class enumeration", f"truncated at max_classes={cap}")
-            diagnostics.insert(0, truncated)
+    # a cap of k keeps the outcomes of the first k of the 3 classes, after
+    # the root diagnostic and, when k < 3, one truncation diagnostic
+    for cap in range(1, 4):
+        diagnostics = [thin]
+        if cap < 3:
+            diagnostics.append(Diagnostic("class enumeration", f"truncated at max_classes={cap}"))
+        else:
+            diagnostics.append(result.diagnostics[1])
         capped = solve_univariate(eq, SolverConfig(max_classes=cap))
-        assert_same_solution(capped, families, diagnostics)
+        assert_same_solution(capped, result.families[: min(cap, 2)], diagnostics)
 
 
 def test_solve_univariate_residual_rejections_in_class_order():
@@ -363,6 +361,42 @@ def test_solve_univariate_insufficient_roots():
     eq = StructuredEquation(poly=p, orientation=Orientation.UNKNOWNS_LEFT)
     with pytest.raises(InsufficientRoots, match="total multiplicity 1 < dimension 2"):
         solve_univariate(eq)
+
+
+@pytest.mark.parametrize("orientation", [Orientation.UNKNOWNS_LEFT, Orientation.UNKNOWNS_RIGHT])
+def test_solve_univariate_jordan_block_insufficient_roots(orientation):
+    # zI - J for a 2 x 2 Jordan block J: det P = (z - 1)^2, but P(1) has a
+    # one-dimensional null space, so the root 1 enters the pool once
+    j = np.array([[1.0, 1.0], [0.0, 1.0]])
+    p = MatrixPolynomial(arity=1, dim=2, terms={(1,): I2, (0,): -j})
+    eq = StructuredEquation(poly=p, orientation=orientation)
+    ((root, mult),) = eigen_candidates(eq)
+    assert mult == 2
+    with pytest.raises(InsufficientRoots, match="total multiplicity 1 < dimension 2") as info:
+        solve_univariate(eq)
+    assert [(d.label, d.failure) for d in info.value.diagnostics] == [
+        (f"root {root.real:.6g}{root.imag:+.6g}j", "null space has dimension 1 < multiplicity 2")
+    ]
+
+
+@pytest.mark.parametrize(
+    ("n", "orientation", "seed"),
+    [
+        (10, Orientation.UNKNOWNS_RIGHT, 33),
+        (11, Orientation.UNKNOWNS_LEFT, 22),
+        (11, Orientation.UNKNOWNS_RIGHT, 22),
+    ],
+)
+def test_solve_univariate_drops_roots_without_null_vectors(n, orientation, seed):
+    # these determinants have roots at which P has no null vector; they must
+    # leave the pool, or each of the first 200 classes would contain one
+    eq = plant_instance(n, 1, 2, orientation, seed).equation
+    result = solve_univariate(eq)
+    dropped = [d for d in result.diagnostics if d.label.startswith("root ")]
+    assert dropped
+    assert all(d.failure == "null space has dimension 0 < multiplicity 1" for d in dropped)
+    assert len(result.families) == 200
+    assert max(verify_residual(eq, f.unknowns) for f in result.families) <= 1e-8
 
 
 def test_solve_univariate_scalar_quadratic():
