@@ -33,7 +33,7 @@ from .linalg import as_matrix, as_vector, eigen, inverse
 from .polymatrix import (
     MatrixPolynomial,
     ScalarPolynomial,
-    VarietyPoint,
+    VarietySample,
     det_poly_univariate,
     evaluate,
     fix_all_but,
@@ -92,7 +92,7 @@ __all__ = [
     "SolverConfig",
     "StructuredEquation",
     "TransformSingular",
-    "VarietyPoint",
+    "VarietySample",
     "as_matrix",
     "as_vector",
     "commutation_check",

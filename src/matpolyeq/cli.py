@@ -91,9 +91,7 @@ def cmd_solve(args) -> int:
             result = solve_multivariate(eq, cfg)
         families, diagnostics = result.families, result.diagnostics
     except (NoPointsFound, TransformSingular, InsufficientRoots) as exc:
-        diagnostics = list(exc.diagnostics) or [
-            Diagnostic("solver", f"{type(exc).__name__}: {exc}")
-        ]
+        diagnostics = [Diagnostic("solver", f"{type(exc).__name__}: {exc}"), *exc.diagnostics]
         io.dump_document(io.solution_to_document([], diagnostics), args.output)
         return EXIT_NO_RESULT
     io.dump_document(io.solution_to_document(families, diagnostics), args.output)
@@ -180,26 +178,20 @@ def cmd_sample_variety(args) -> int:
     except DocumentError as exc:
         return _fail(str(exc))
     try:
-        points = sample_variety(eq.poly, args.side, args.count, args.seed)
+        sample = sample_variety(eq.poly, args.side, args.count, args.seed)
     except NoPointsFound as exc:
         print(f"sample-variety: {exc}", file=sys.stderr)
         return EXIT_NO_RESULT
     except ValueError as exc:
         return _fail(f"sample-variety: {exc}")
-    io.dump_document(
-        {
-            "points": [
-                {
-                    "values": io.to_pairs(pt.values),
-                    "null_vector": io.to_pairs(pt.null_vector),
-                    "side": pt.side,
-                    "det_residual": pt.det_residual,
-                }
-                for pt in points
-            ]
-        },
-        args.output,
+    rows = zip(
+        io.to_pairs(sample.values), io.to_pairs(sample.null_vectors), sample.det_residuals.tolist()
     )
+    points = [
+        {"values": values, "null_vector": vector, "side": sample.side, "det_residual": dres}
+        for values, vector, dres in rows
+    ]
+    io.dump_document({"points": points}, args.output)
     return EXIT_OK
 
 

@@ -5,7 +5,8 @@ with square complex coefficient matrices A_i.  This module provides
 evaluation, univariate slicing, extraction of the scalar determinant
 polynomial by evaluation and interpolation on scaled roots of unity,
 companion-matrix root finding with relative clustering, and sampling of
-the zero set of det P together with attached null vectors.  The sampler
+the zero set of det P together with attached null vectors, returned as one
+:class:`VarietySample` of stacked arrays, a row per point.  The sampler
 takes the eigenvalues of each univariate slice from a scaled block
 companion linearization of the slice itself (a reversed one when the
 leading coefficient is singular), not from its determinant polynomial.
@@ -100,6 +101,8 @@ class ScalarPolynomial:
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
+        # Horner's rule reads these Python complex numbers, highest degree first
+        object.__setattr__(self, "_descending", c[::-1].tolist())
 
     @property
     def degree(self) -> int:
@@ -117,25 +120,27 @@ class ScalarPolynomial:
 
     def __call__(self, z: complex) -> complex:
         acc = 0j
-        for c in self.coefficients[::-1]:
+        for c in self._descending:
             acc = acc * z + c
         return complex(acc)
 
 
 @dataclass(frozen=True)
-class VarietyPoint:
-    """A zero of det P with an attached unit null vector of P at that zero."""
+class VarietySample:
+    """Zeros of det P, one row per point, each with a unit null vector of P.
+
+    ``values`` is (K, arity), ``null_vectors`` is (K, n) and
+    ``det_residuals`` holds |det P| at each of the K points; ``side`` says
+    which null vectors they are.
+    """
 
     values: np.ndarray
-    null_vector: np.ndarray
+    null_vectors: np.ndarray
+    det_residuals: np.ndarray
     side: str
-    det_residual: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", linalg.as_vector(self.values))
-        object.__setattr__(self, "null_vector", linalg.as_vector(self.null_vector))
-        if self.side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
+    def __len__(self) -> int:
+        return len(self.det_residuals)
 
 
 def total_degree(p: MatrixPolynomial) -> int:
@@ -271,42 +276,26 @@ def det_poly_univariate(p: MatrixPolynomial) -> ScalarPolynomial:
 
 
 def _cluster_roots(raw: np.ndarray) -> list[tuple[complex, int]]:
-    # single-linkage union-find over the linked pairs of one pairwise-distance
-    # matrix, taken in (i, j) order; groups come out ordered by their first
-    # member, each with its members in ascending order
+    # single linkage by label propagation over one pairwise-distance matrix:
+    # each root takes the smallest label it links to until no label moves, so
+    # a group is labelled by its first member and lists its members in
+    # ascending order
     d = len(raw)
     mags = np.abs(raw)
     reach = ROOT_CLUSTER_TOL * (1.0 + np.maximum(mags[:, None], mags[None, :]))
-    rows, cols = np.nonzero(np.abs(raw[:, None] - raw[None, :]) <= reach)
-    parent = list(range(d))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if i < j:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
+    linked = np.abs(raw[:, None] - raw[None, :]) <= reach
+    label = np.arange(d)
+    while True:
+        moved = np.minimum(label, np.where(linked, label, d).min(axis=1, initial=d))
+        if np.array_equal(moved, label):
+            break
+        label = moved
     groups: dict[int, list[int]] = {}
-    for i in range(d):
-        groups.setdefault(find(i), []).append(i)
-    clustered = [
-        (complex(np.mean(raw[idx])), len(idx)) for idx in groups.values()
-    ]
+    for i, first in enumerate(label.tolist()):
+        groups.setdefault(first, []).append(i)
+    clustered = [(complex(np.mean(raw[idx])), len(idx)) for idx in groups.values()]
     clustered.sort(key=lambda rm: linalg.lex_key(rm[0]))
     return clustered
-
-
-def _horner(coeffs: list[complex], z: complex) -> complex:
-    # coefficients from the highest degree down
-    acc = 0j
-    for c in coeffs:
-        acc = acc * z + c
-    return acc
 
 
 def poly_roots(sp: ScalarPolynomial) -> list[tuple[complex, int]]:
@@ -324,20 +313,20 @@ def poly_roots(sp: ScalarPolynomial) -> list[tuple[complex, int]]:
     if trimmed.degree == 0:
         raise DegreeZero("nonzero constant polynomial has no roots")
     raw = np.roots(c[::-1])  # companion-matrix eigenvalues, balanced by geev
-    values = c[::-1].tolist()
-    slopes = (c[1:] * np.arange(1, len(c)))[::-1].tolist()
+    slope = ScalarPolynomial(c[1:] * np.arange(1, len(c)))
     polished = []
     for root, mult in _cluster_roots(raw):
-        newton_steps = 3 if mult == 1 else 0
-        for _ in range(newton_steps):
-            pv = _horner(values, root)
-            dv = _horner(slopes, root)
-            if abs(dv) < 1e-300:
-                break
-            moved = root - pv / dv
-            if not abs(_horner(values, moved)) < abs(pv):
-                break
-            root = moved
+        if mult == 1:
+            pv = trimmed(root)
+            for _ in range(3):
+                dv = slope(root)
+                if abs(dv) < 1e-300:
+                    break
+                moved = root - pv / dv
+                pm = trimmed(moved)
+                if not abs(pm) < abs(pv):
+                    break
+                root, pv = moved, pm
         polished.append((root, mult))
     polished.sort(key=lambda rm: linalg.lex_key(rm[0]))
     return polished
@@ -441,7 +430,7 @@ def null_vectors_at(p: MatrixPolynomial, point, side: str) -> list[np.ndarray]:
     return _null_spaces(p, _point(p, point)[None], side)[1][0]
 
 
-def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> list[VarietyPoint]:
+def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> VarietySample:
     """Sample zeros of the multivariate determinant polynomial.
 
     Parameters
@@ -458,10 +447,11 @@ def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> lis
     (:func:`_slice_spectrum`), merged into distinct roots.  Each root
     becomes a full point with the null vectors of P there, accepted at the
     relative threshold ``DEFAULT_TOL_ZERO``, so a repeated root yields one
-    point per null vector.  The roots of a slice are evaluated as one
+    row per null vector.  The roots of a slice are evaluated as one
     stack.  Slices with no finite eigenvalue contribute nothing; a slice
     that is rank-deficient at every test point propagates
-    IdenticallySingular.
+    IdenticallySingular.  The rows are returned as one
+    :class:`VarietySample`, in the order they were found.
     """
     if p.arity < 2:
         raise DimensionMismatch(f"sample_variety needs arity >= 2, got {p.arity}")
@@ -474,9 +464,9 @@ def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> lis
     m = p.arity
     budget = 4 * count + 8
     phase = math.fmod(seed * 0.6180339887498949, 1.0)
-    points: list[VarietyPoint] = []
+    values, vectors, residuals = [], [], []
     for sl in range(budget):
-        if len(points) >= count:
+        if len(residuals) >= count:
             break
         pivot = sl % m
         pos = (sl + phase) / budget
@@ -488,14 +478,14 @@ def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> lis
         full = np.empty((len(roots), m), dtype=np.complex128)
         full[:, [s for s in range(m) if s != pivot]] = fixed
         full[:, pivot] = [root for root, _mult in roots]
-        pz, vectors = _null_spaces(p, full, side)
-        found = [k for k, vecs in enumerate(vectors) if vecs]
+        pz, nulls = _null_spaces(p, full, side)
+        found = [k for k, vecs in enumerate(nulls) if vecs]
         for k, det in zip(found, np.linalg.det(pz[found])):
             dres = abs(det)
-            for vec in vectors[k]:
-                points.append(
-                    VarietyPoint(values=full[k], null_vector=vec, side=side, det_residual=dres)
-                )
-    if not points:
+            for vec in nulls[k]:
+                values.append(full[k])
+                vectors.append(vec)
+                residuals.append(dres)
+    if not residuals:
         raise NoPointsFound(f"no variety points found in {budget} slices")
-    return points
+    return VarietySample(np.array(values), np.array(vectors), np.array(residuals), side)

@@ -47,7 +47,7 @@ from .errors import (
 )
 from .polymatrix import (
     MatrixPolynomial,
-    VarietyPoint,
+    VarietySample,
     _evaluate_stack,
     _null_spaces,
     det_poly_univariate,
@@ -463,58 +463,57 @@ def solve_univariate(eq: StructuredEquation, cfg: SolverConfig | None = None) ->
     return SolveResult(families=families, diagnostics=diagnostics)
 
 
-def _greedy_select(points: list[VarietyPoint], n: int) -> list[VarietyPoint] | None:
+def _greedy_select(sample: VarietySample, n: int) -> list[int] | None:
     # column-pivoted Gram-Schmidt: start from the smallest determinant
     # residual, then repeatedly add the first point whose null vector lies
     # farthest from the span of those chosen.  Column j of resid is what is
     # left of null vector j; each pick projects one direction out of all
     # columns, elementwise so that equal columns stay bit-equal
-    if len(points) < n:
+    if len(sample) < n:
         return None
-    start = min(range(len(points)), key=lambda i: points[i].det_residual)
-    resid = np.array([pt.null_vector for pt in points], dtype=np.complex128).T
+    resid = sample.null_vectors.T.copy(order="K")
     basis = np.empty((resid.shape[0], 0), dtype=np.complex128)
-    taken = np.zeros(len(points), dtype=bool)
-    chosen = [start]
+    taken = np.zeros(len(sample), dtype=bool)
+    chosen = [int(np.argmin(sample.det_residuals))]
     while True:
-        if chosen[-1] >= 0:
-            taken[chosen[-1]] = True
-            q = resid[:, chosen[-1]]
-            q = q - basis @ (basis.conj().T @ q)  # one reorthogonalization pass
-            norm = np.linalg.norm(q)
-            if norm > 0.0:
-                q /= norm
-                basis = np.column_stack([basis, q])
-                resid -= q[:, None] * (q.conj()[:, None] * resid).sum(axis=0)
+        taken[chosen[-1]] = True
+        q = resid[:, chosen[-1]]
+        q = q - basis @ (basis.conj().T @ q)  # one reorthogonalization pass
+        norm = np.linalg.norm(q)
+        if norm > 0.0:
+            q /= norm
+            basis = np.column_stack([basis, q])
+            resid -= q[:, None] * (q.conj()[:, None] * resid).sum(axis=0)
         if len(chosen) == n:
-            return [points[j] for j in chosen]
-        # chosen points and nan score -1 and never win; a step with nothing
-        # else left appends index -1
+            return chosen
         score = np.linalg.norm(resid, axis=0)
-        score[taken | np.isnan(score)] = -1.0
-        best = int(np.argmax(score))
-        chosen.append(best if score[best] > -1.0 else -1)
+        score[taken] = -1.0
+        chosen.append(int(np.argmax(score)))
 
 
 def family_from_points(
-    eq: StructuredEquation, points: list[VarietyPoint], cfg: SolverConfig | None = None
+    eq: StructuredEquation, values, null_vectors, cfg: SolverConfig | None = None
 ) -> SolutionFamily:
     """Assemble one solution family from n variety points.
 
-    Column (row) k of the stacked bracket equals P(point_k) applied to the
-    k-th null vector, which vanishes by construction, so any n points with
-    an invertible stack yield an exact solution.
+    ``values`` is the (n, arity) array of the points and ``null_vectors``
+    the (n, n) array of their null vectors, one row per point.  Column
+    (row) k of the stacked bracket equals P(point_k) applied to the k-th
+    null vector, which vanishes by construction, so any n points with an
+    invertible stack yield an exact solution.  The points are taken in
+    lexicographic order of their values.
     """
     cfg = cfg or SolverConfig()
     n = eq.dim
-    if len(points) != n:
-        raise DimensionMismatch(f"need exactly {n} points, got {len(points)}")
-    pts = sorted(points, key=lambda pt: tuple(linalg.lex_key(v) for v in pt.values))
-    vectors = np.array([[pt.null_vector for pt in pts]], dtype=np.complex128)
-    eigenvalues = np.array(
-        [[[pt.values[s] for pt in pts]] for s in range(eq.arity)], dtype=np.complex128
-    )
-    (outcome,) = _assemble_families(eq, eigenvalues, vectors, cfg)
+    values, vectors = linalg.as_matrix(values), linalg.as_matrix(null_vectors)
+    if values.shape != (n, eq.arity) or vectors.shape != (n, n):
+        raise DimensionMismatch(
+            f"need {n} points with {eq.arity} values and {n}-vectors,"
+            f" got values {values.shape} and null vectors {vectors.shape}"
+        )
+    order = sorted(range(n), key=lambda k: tuple(linalg.lex_key(v) for v in values[k]))
+    eigenvalues = values[order].T[:, None]
+    (outcome,) = _assemble_families(eq, eigenvalues, vectors[order][None], cfg)
     if isinstance(outcome, str):
         raise TransformSingular(outcome)
     return outcome
@@ -524,10 +523,11 @@ def solve_multivariate(eq: StructuredEquation, cfg: SolverConfig | None = None) 
     """Solve a several-unknown equation from sampled variety points.
 
     Samples max(``MIN_SAMPLE_COUNT``, 3n) zeros of det P with null vectors
-    on the side matching the orientation, then greedily picks n points by
-    column-pivoted Gram-Schmidt (Businger & Golub, Numer. Math. 1965):
-    start from the smallest determinant residual and repeatedly add the
-    point whose null vector lies farthest from the span of those chosen.
+    on the side matching the orientation, then greedily picks n rows of the
+    sample by column-pivoted Gram-Schmidt (Businger & Golub, Numer. Math.
+    1965): start from the smallest determinant residual and repeatedly add
+    the point whose null vector lies farthest from the span of those
+    chosen.  The chosen rows go to :func:`family_from_points` as arrays.
     Ill-conditioned selections are retried with a fresh seed stream up to
     8 attempts.
     """
@@ -542,21 +542,21 @@ def solve_multivariate(eq: StructuredEquation, cfg: SolverConfig | None = None) 
     sampled_any = False
     for attempt in range(8):
         try:
-            points = sample_variety(
+            sample = sample_variety(
                 eq.poly, side, count=max(MIN_SAMPLE_COUNT, 3 * n), seed=cfg.seed + attempt
             )
         except NoPointsFound as exc:
             diagnostics.append(Diagnostic(f"attempt {attempt}", f"NoPointsFound: {exc}"))
             continue
         sampled_any = True
-        selected = _greedy_select(points, n)
-        if selected is None:
+        chosen = _greedy_select(sample, n)
+        if chosen is None:
             diagnostics.append(
-                Diagnostic(f"attempt {attempt}", f"only {len(points)} points, need {n}")
+                Diagnostic(f"attempt {attempt}", f"only {len(sample)} points, need {n}")
             )
             continue
         try:
-            family = family_from_points(eq, selected, cfg)
+            family = family_from_points(eq, sample.values[chosen], sample.null_vectors[chosen], cfg)
         except TransformSingular as exc:
             diagnostics.append(Diagnostic(f"attempt {attempt}", str(exc)))
             continue

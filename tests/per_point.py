@@ -16,7 +16,6 @@ from matpolyeq.errors import SingularMatrix, TransformSingular
 from matpolyeq.polymatrix import (
     ROOT_CLUSTER_TOL,
     ScalarPolynomial,
-    VarietyPoint,
     _slice_spectrum,
     evaluate,
     fix_all_but,
@@ -80,13 +79,12 @@ def sample_variety_per_point(p, side, count, seed):
 
     The roots of each slice come from the library's own slice eigensolve, so
     what is compared is the stacked null-space and determinant path.
-    Returns the ``(values, null_vector, det_residual)`` triples and the
-    largest number of roots one slice produced.
+    Returns the ``(values, null_vector, det_residual)`` triples.
     """
     m = p.arity
     budget = 4 * count + 8
     phase = math.fmod(seed * 0.6180339887498949, 1.0)
-    points, widest = [], 0
+    points = []
     for sl in range(budget):
         if len(points) >= count:
             break
@@ -94,35 +92,35 @@ def sample_variety_per_point(p, side, count, seed):
         pos = (sl + phase) / budget
         fixed = np.array([np.exp(2j * np.pi * (pos + j / m)) for j in range(m - 1)])
         roots = _slice_spectrum(fix_all_but(p, pivot, fixed))
-        widest = max(widest, len(roots))
         for root, _ in roots:
             point = np.insert(fixed, pivot, root)
             vectors = null_vectors_at(p, point, side)
             if vectors:
                 dres = abs(np.linalg.det(evaluate(p, point)))
                 points.extend((point, vec, dres) for vec in vectors)
-    return points, widest
+    return points
 
 
-def greedy_select_per_candidate(points, n):
+def greedy_select_per_candidate(null_vectors, det_residuals, n):
     """Indices chosen by distance from the span of the chosen null vectors.
 
-    Each step measures every unchosen candidate's distance from that span
-    with its own ``lstsq`` solve and takes the first farthest one.  Returns
-    the indices and the number of steps whose best distance was tied.
+    Starts from the first smallest determinant residual.  Each step measures
+    every unchosen candidate's distance from that span with its own
+    ``lstsq`` solve and takes the first farthest one.  Returns the indices
+    and the number of steps whose best distance was tied.
     """
-    if len(points) < n:
+    if len(null_vectors) < n:
         return None, 0
-    start = min(range(len(points)), key=lambda i: points[i].det_residual)
+    start = min(range(len(det_residuals)), key=lambda i: det_residuals[i])
     chosen = [start]
     ties = 0
     while len(chosen) < n:
-        span = np.column_stack([points[j].null_vector for j in chosen])
+        span = np.column_stack([null_vectors[j] for j in chosen])
         best_j, best_d, dists = -1, -1.0, []
-        for j in range(len(points)):
+        for j in range(len(null_vectors)):
             if j in chosen:
                 continue
-            v = points[j].null_vector
+            v = null_vectors[j]
             coef, *_ = np.linalg.lstsq(span, v, rcond=None)
             d = float(np.linalg.norm(v - span @ coef))
             dists.append(d)
@@ -144,20 +142,22 @@ def solve_multivariate_per_point(eq, cfg):
     count = max(MIN_SAMPLE_COUNT, 3 * n)
     diagnostics = []
     for attempt in range(8):
-        triples, _ = sample_variety_per_point(eq.poly, side, count, cfg.seed + attempt)
+        triples = sample_variety_per_point(eq.poly, side, count, cfg.seed + attempt)
         if not triples:
             failure = f"NoPointsFound: no variety points found in {4 * count + 8} slices"
             diagnostics.append(Diagnostic(f"attempt {attempt}", failure))
             continue
-        points = [VarietyPoint(v, vec, side, dres) for v, vec, dres in triples]
-        chosen, _ = greedy_select_per_candidate(points, n)
+        values, vectors, residuals = zip(*triples)
+        chosen, _ = greedy_select_per_candidate(vectors, residuals, n)
         if chosen is None:
             diagnostics.append(
-                Diagnostic(f"attempt {attempt}", f"only {len(points)} points, need {n}")
+                Diagnostic(f"attempt {attempt}", f"only {len(triples)} points, need {n}")
             )
             continue
         try:
-            family = family_from_points(eq, [points[j] for j in chosen], cfg)
+            family = family_from_points(
+                eq, [values[j] for j in chosen], [vectors[j] for j in chosen], cfg
+            )
         except TransformSingular as exc:
             diagnostics.append(Diagnostic(f"attempt {attempt}", str(exc)))
             continue

@@ -8,7 +8,8 @@ import pytest
 
 from matpolyeq import io
 from matpolyeq.cli import main
-from matpolyeq.solver import verify_residual
+from matpolyeq.polymatrix import MatrixPolynomial
+from matpolyeq.solver import Orientation, StructuredEquation, verify_residual
 
 DATA = Path(__file__).parent / "data"
 
@@ -472,6 +473,41 @@ def test_solve_insufficient_roots_exit_2(tmp_path):
     written = load(out)
     assert written["families"] == []
     assert "InsufficientRoots" in written["diagnostics"][0]["failure"]
+
+
+def write_equation(path, terms, dim, orientation):
+    poly = MatrixPolynomial(arity=len(next(iter(terms))), dim=dim, terms=terms)
+    io.dump_document(io.equation_to_document(StructuredEquation(poly, orientation)), str(path))
+
+
+def test_solve_failure_document_names_exception_first(tmp_path):
+    # zI - J for a Jordan block J: the double root 0 has one null vector, so
+    # the capped pool is too small, and its root diagnostic follows the error
+    eq_path, out = tmp_path / "jordan.json", tmp_path / "sol.json"
+    jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
+    write_equation(eq_path, {(1,): np.eye(2), (0,): -jordan}, 2, Orientation.UNKNOWNS_LEFT)
+    assert main(["solve", str(eq_path), "--seed", "0", "--output", str(out)]) == 2
+    written = load(out)
+    assert written["families"] == []
+    first, root = written["diagnostics"]
+    assert first["class_or_attempt"] == "solver"
+    assert first["failure"].startswith("InsufficientRoots: ")
+    assert "total multiplicity 1 < dimension 2" in first["failure"]
+    assert root["class_or_attempt"].startswith("root ")
+
+
+def test_solve_multivariate_failure_document_keeps_attempts(tmp_path):
+    # the rank-deficient pool of the solver tests, solved through the CLI
+    u, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))
+    diagonals = {(1, 0): [1, 0, 0, 0], (0, 1): [0, 1, 0, 0], (0, 0): [-0.5, -0.5, 1, 1]}
+    terms = {e: u @ np.diag(d) @ u.T for e, d in diagonals.items()}
+    eq_path, out = tmp_path / "pool.json", tmp_path / "sol.json"
+    write_equation(eq_path, terms, 4, Orientation.UNKNOWNS_RIGHT)
+    assert main(["solve", str(eq_path), "--seed", "0", "--output", str(out)]) == 2
+    diagnostics = load(out)["diagnostics"]
+    labels = [d["class_or_attempt"] for d in diagnostics]
+    assert labels == ["solver"] + [f"attempt {a}" for a in range(8)]
+    assert diagnostics[0]["failure"].startswith("TransformSingular: no well-conditioned")
 
 
 def test_document_error_names_nested_path(tmp_path, capsys):

@@ -3,7 +3,6 @@ import pytest
 
 from per_point import poly_roots_per_root, sample_variety_per_point
 
-from matpolyeq import linalg
 from matpolyeq.errors import DegreeZero, DimensionMismatch, IdenticallySingular, NoPointsFound
 from matpolyeq.instances import plant_instance, symbolic_det_oracle
 from matpolyeq.polymatrix import (
@@ -280,12 +279,12 @@ def test_sample_variety_double_eigenvalue_keeps_both_null_vectors(seed):
         dim=2,
         terms={(2, 0): I2, (1, 0): -1.4 * I2, (0, 1): I2, (0, 0): -0.51 * I2},
     )
-    points = sample_variety(p, "right", count=8, seed=seed)
+    sample = sample_variety(p, "right", count=8, seed=seed)
     groups = {}
-    for pt in points:
-        x, y = pt.values
+    for values, vector in zip(sample.values, sample.null_vectors):
+        x, y = values
         assert abs((x - 0.7) ** 2 + y - 1.0) <= 1e-12
-        groups.setdefault(pt.values.tobytes(), []).append(pt.null_vector)
+        groups.setdefault(values.tobytes(), []).append(vector)
     values = [np.frombuffer(key, dtype=np.complex128) for key in groups]
     for i, a in enumerate(values):
         for b in values[:i]:
@@ -303,19 +302,28 @@ def test_sample_variety_rank_one_slices_identically_singular():
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_sample_variety_matches_per_point_reference(side):
-    # the n = 12, degree 3 slices have more roots than one chunk holds
-    beyond_chunk = 0
     for n, m, degree, seed in ((4, 2, 2, 1), (5, 3, 2, 2), (12, 2, 3, 0)):
         p = plant_instance(n, m, degree, Orientation.UNKNOWNS_RIGHT, seed).equation.poly
         got = sample_variety(p, side, 3 * n, seed)
-        want, widest = sample_variety_per_point(p, side, 3 * n, seed)
-        beyond_chunk = max(beyond_chunk, widest - linalg.chunk_size(n * n))
+        want = sample_variety_per_point(p, side, 3 * n, seed)
+        assert got.side == side
         assert len(got) == len(want)
-        for pt, (values, vector, dres) in zip(got, want):
-            assert np.array_equal(pt.values, values)
-            assert np.array_equal(pt.null_vector, vector)
-            assert pt.det_residual == dres
-    assert beyond_chunk > 0
+        rows = zip(got.values, got.null_vectors, got.det_residuals.tolist())
+        for (values, vector, dres), (want_values, want_vector, want_dres) in zip(rows, want):
+            assert np.array_equal(values, want_values)
+            assert np.array_equal(vector, want_vector)
+            assert dres == want_dres
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_sample_variety_rows_align(m):
+    p = plant_instance(4, m, 2, Orientation.UNKNOWNS_LEFT, 7).equation.poly
+    sample = sample_variety(p, "left", 12, 0)
+    k = len(sample)
+    assert k >= 12
+    assert sample.values.shape == (k, m)
+    assert sample.null_vectors.shape == (k, 4)
+    assert sample.det_residuals.shape == (k,)
 
 
 def test_sample_variety_rejects_negative_seed():
@@ -327,15 +335,14 @@ def test_sample_variety_rejects_negative_seed():
 def test_sample_variety_circle():
     # x^2 + y^2 = 2: every sampled point lies on the scaled circle
     p = MatrixPolynomial(arity=2, dim=1, terms={(2, 0): I1, (0, 2): I1, (0, 0): -2 * I1})
-    points = sample_variety(p, "right", count=4, seed=0)
-    assert len(points) >= 4
-    for pt in points:
-        a, b = pt.values
+    sample = sample_variety(p, "right", count=4, seed=0)
+    assert len(sample) >= 4
+    for (a, b), vector in zip(sample.values, sample.null_vectors):
         assert abs(a**2 + b**2 - 2.0) <= 1e-10
-        assert np.linalg.norm(pt.null_vector) == pytest.approx(1.0)
-        assert abs(abs(pt.null_vector[0]) - 1.0) <= 1e-12
+        assert np.linalg.norm(vector) == pytest.approx(1.0)
+        assert abs(abs(vector[0]) - 1.0) <= 1e-12
     # the first grid slice fixes the second variable at 1
-    values = {tuple(np.round(pt.values, 8)) for pt in points}
+    values = {tuple(np.round(v, 8)) for v in sample.values}
     assert (1.0, 1.0) in values and (-1.0, 1.0) in values
 
 
@@ -352,12 +359,13 @@ def test_fixed_slices_through_chosen_values():
 def test_sample_variety_left_soundness():
     rng = np.random.default_rng(15)
     p = random_integer_poly(rng, 2, 2, arity=2)
-    points = sample_variety(p, "left", count=8, seed=99)
-    for pt in points:
-        pz = evaluate(p, pt.values)
+    sample = sample_variety(p, "left", count=8, seed=99)
+    assert sample.side == "left"
+    for values, vector, dres in zip(sample.values, sample.null_vectors, sample.det_residuals):
+        pz = evaluate(p, values)
         smax = np.linalg.svd(pz, compute_uv=False)[0]
-        assert np.linalg.norm(pt.null_vector @ pz) <= 1e-6 * max(1.0, smax)
-        assert pt.det_residual == pytest.approx(abs(np.linalg.det(pz)), abs=1e-9)
+        assert np.linalg.norm(vector @ pz) <= 1e-6 * max(1.0, smax)
+        assert dres == pytest.approx(abs(np.linalg.det(pz)), abs=1e-9)
 
 
 def test_sample_variety_no_points():
@@ -372,9 +380,9 @@ def test_sample_variety_deterministic_under_seed():
     a = sample_variety(p, "right", count=6, seed=5)
     b = sample_variety(p, "right", count=6, seed=5)
     assert len(a) == len(b)
-    for pa, pb in zip(a, b):
-        assert np.array_equal(pa.values, pb.values)
-        assert np.array_equal(pa.null_vector, pb.null_vector)
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.null_vectors, b.null_vectors)
+    assert np.array_equal(a.det_residuals, b.det_residuals)
 
 
 def test_total_degree():

@@ -17,6 +17,7 @@ from matpolyeq.errors import (
     DimensionMismatch,
     FactorCheckFailed,
     InsufficientRoots,
+    NonFiniteInput,
     NotASolution,
     NotSimultaneouslyDiagonalizable,
     TransformSingular,
@@ -24,7 +25,7 @@ from matpolyeq.errors import (
 from matpolyeq.instances import plant_instance
 from matpolyeq.polymatrix import (
     MatrixPolynomial,
-    VarietyPoint,
+    VarietySample,
     evaluate,
     null_vectors_at,
     sample_variety,
@@ -185,18 +186,18 @@ def test_solver_config_rejects_negative_seed():
 
 def test_greedy_select_matches_per_candidate_loop():
     eq = plant_instance(8, 2, 2, Orientation.UNKNOWNS_RIGHT, 4).equation
-    points = sample_variety(eq.poly, "right", 40, 0)
+    sample = sample_variety(eq.poly, "right", 40, 0)
     # a copy of every point ties each candidate with its twin; the first wins
-    doubled = points + [
-        VarietyPoint(pt.values, pt.null_vector, pt.side, pt.det_residual) for pt in points
-    ]
-    for pool in (points, doubled):
-        want, ties = greedy_select_per_candidate(pool, 8)
-        got = _greedy_select(pool, 8)
-        assert len(got) == len(want)
-        assert all(a is pool[j] for a, j in zip(got, want))
+    arrays = (sample.values, sample.null_vectors, sample.det_residuals)
+    doubled = VarietySample(*(np.concatenate([a, a]) for a in arrays), side=sample.side)
+    for pool in (sample, doubled):
+        want, ties = greedy_select_per_candidate(pool.null_vectors, pool.det_residuals, 8)
+        assert _greedy_select(pool, 8) == want
     assert ties > 0
-    assert _greedy_select(points[:7], 8) is None
+    head = VarietySample(
+        sample.values[:7], sample.null_vectors[:7], sample.det_residuals[:7], sample.side
+    )
+    assert _greedy_select(head, 8) is None
 
 
 def test_solve_multivariate_rank_deficient_pool_is_transform_singular():
@@ -208,7 +209,7 @@ def test_solve_multivariate_rank_deficient_pool_is_transform_singular():
         arity=2, dim=4, terms={e: u @ np.diag(d) @ u.T for e, d in terms.items()}
     )
     eq = StructuredEquation(poly=p, orientation=Orientation.UNKNOWNS_RIGHT)
-    vectors = np.array([pt.null_vector for pt in sample_variety(p, "right", 32, 0)])
+    vectors = sample_variety(p, "right", 32, 0).null_vectors
     assert np.linalg.matrix_rank(vectors, tol=1e-8) == 2
     with pytest.raises(TransformSingular, match="within 8 attempts") as info:
         solve_multivariate(eq)
@@ -480,20 +481,13 @@ def test_solve_multivariate_scalar_circle():
 
 def test_family_from_points_reproduces_manual_plant():
     eq, x, y = manual_plant_bivariate()
-    points = []
-    for a, b in [(1.0, 3.0), (2.0, 4.0)]:
-        vecs = null_vectors_at(eq.poly, [a, b], "right")
+    values = [(1.0, 3.0), (2.0, 4.0)]
+    vectors = []
+    for point in values:
+        vecs = null_vectors_at(eq.poly, point, "right")
         assert len(vecs) == 1
-        dres = abs(np.linalg.det(evaluate(eq.poly, [a, b])))
-        points.append(
-            VarietyPoint(
-                values=np.array([a, b], complex),
-                null_vector=vecs[0],
-                side="right",
-                det_residual=dres,
-            )
-        )
-    family = family_from_points(eq, points)
+        vectors.append(vecs[0])
+    family = family_from_points(eq, values, vectors)
     assert np.linalg.norm(family.unknowns[0] - x) <= 1e-7 * np.linalg.norm(x)
     assert np.linalg.norm(family.unknowns[1] - y) <= 1e-7 * np.linalg.norm(y)
 
@@ -503,15 +497,20 @@ def test_family_from_points_rejects_overflowing_residual():
     # is nan, which the gate must reject like any residual above tolerance
     p = MatrixPolynomial(arity=2, dim=2, terms={(2, 0): I2, (0, 1): I2, (0, 0): -I2})
     eq = StructuredEquation(poly=p, orientation=Orientation.UNKNOWNS_RIGHT)
-    points = [
-        VarietyPoint(
-            values=np.array(values, complex), null_vector=np.array(vector, complex),
-            side="right", det_residual=0.0,
-        )
-        for values, vector in [((1e200, 1.0), (1.0, 0.0)), ((2.0, -3.0), (0.0, 1.0))]
-    ]
+    values = [(1e200, 1.0), (2.0, -3.0)]
     with pytest.raises(TransformSingular, match="residual nan exceeds"):
-        family_from_points(eq, points)
+        family_from_points(eq, values, I2)
+
+
+def test_family_from_points_rejects_malformed_rows():
+    eq, _, _ = manual_plant_bivariate()
+    values = np.array([(1.0, 3.0), (2.0, 4.0)])
+    with pytest.raises(DimensionMismatch, match="need 2 points"):
+        family_from_points(eq, values[:1], I2[:1])
+    with pytest.raises(DimensionMismatch, match="need 2 points"):
+        family_from_points(eq, values, np.eye(2, 3))
+    with pytest.raises(NonFiniteInput):
+        family_from_points(eq, values, [[1.0, 0.0], [np.nan, 1.0]])
 
 
 def test_slices_through_planted_eigenvalues():
@@ -728,8 +727,8 @@ def test_solve_multivariate_coefficient_scaling_invariance(case, exponent):
     want = sample_variety(eq.poly, side, 3 * n, seed)
     got = sample_variety(scaled.poly, side, 3 * n, seed)
     assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert np.linalg.norm(a.values - b.values) <= 1e-9 * (1.0 + np.linalg.norm(b.values))
+    gap = np.linalg.norm(got.values - want.values, axis=1)
+    assert np.all(gap <= 1e-9 * (1.0 + np.linalg.norm(want.values, axis=1)))
     (family,) = solve_multivariate(scaled).families
     assert_solves(eq, family.unknowns)
 
