@@ -3,13 +3,15 @@
 A :class:`MatrixPolynomial` is P(z1, ..., zm) = sum_i z1^{i1} ... zm^{im} A_i
 with square complex coefficient matrices A_i.  This module provides
 evaluation, univariate slicing, extraction of the scalar determinant
-polynomial by evaluation and interpolation on scaled roots of unity,
-companion-matrix root finding with relative clustering, and sampling of
-the zero set of det P together with attached null vectors, returned as one
-:class:`VarietySample` of stacked arrays, a row per point.  The sampler
-takes the eigenvalues of each univariate slice from a scaled block
-companion linearization of the slice itself (a reversed one when the
-leading coefficient is singular), not from its determinant polynomial.
+polynomial by evaluation and interpolation on scaled roots of unity, and
+sampling of the zero set of det P together with attached null vectors,
+returned as one :class:`VarietySample` of stacked arrays, a row per point.
+Every root list comes from one scaled block companion eigensolve with
+relative clustering, and no root is polished: the roots of a scalar
+polynomial are its 1x1 case, and the sampler takes the eigenvalues of each
+univariate slice from the linearization of the slice itself (a reversed one
+when the leading coefficient is singular), not from its determinant
+polynomial.
 Evaluations, determinants and null vectors are computed on stacks of points
 with the scalar arithmetic of a single point, so a stacked result equals the
 single-point one bit for bit.
@@ -101,8 +103,6 @@ class ScalarPolynomial:
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
-        # Horner's rule reads these Python complex numbers, highest degree first
-        object.__setattr__(self, "_descending", c[::-1].tolist())
 
     @property
     def degree(self) -> int:
@@ -120,7 +120,7 @@ class ScalarPolynomial:
 
     def __call__(self, z: complex) -> complex:
         acc = 0j
-        for c in self._descending:
+        for c in self.coefficients[::-1].tolist():
             acc = acc * z + c
         return complex(acc)
 
@@ -218,16 +218,33 @@ def fix_all_but(p: MatrixPolynomial, pivot: int, fixed) -> MatrixPolynomial:
     return MatrixPolynomial(arity=1, dim=p.dim, terms=new_terms)
 
 
-def _root_scale(p: MatrixPolynomial) -> float:
-    # (||A_lo|| / ||A_hi||)^(1 / (hi - lo)) over the lowest and highest
-    # nonzero terms: the geometric mean root modulus of a balanced
-    # polynomial, the scaling of Fan, Lin & Van Dooren
-    exps = sorted(e for (e,) in p.terms)
-    lo, hi = exps[0], exps[-1]
+def _coefficients(p: MatrixPolynomial) -> np.ndarray:
+    """The coefficients A_0, ..., A_d of a univariate P as a (d + 1, n, n) stack.
+
+    Absent terms are zero blocks; P without terms gives one zero block.
+    """
+    coeffs = np.zeros((total_degree(p) + 1, p.dim, p.dim), dtype=np.complex128)
+    for (k,), a in p.terms.items():
+        coeffs[k] = a
+    return coeffs
+
+
+def _root_scale(coeffs: np.ndarray) -> float:
+    # (||C_lo|| / ||C_hi||)^(1 / (hi - lo)) over the lowest and highest
+    # nonzero blocks of a coefficient stack: the geometric mean root modulus
+    # of a balanced polynomial, the scaling of Fan, Lin & Van Dooren
+    nonzero = np.flatnonzero(np.any(coeffs != 0, axis=(1, 2)))
+    lo, hi = int(nonzero[0]), int(nonzero[-1])
     if hi == lo:
         return 1.0
-    ratio = np.linalg.norm(p.terms[(lo,)]) / np.linalg.norm(p.terms[(hi,)])
-    return float(ratio ** (1.0 / (hi - lo)))
+    # each norm is taken of its block divided by 2^e, e the exponent of the
+    # block's largest real or imaginary part: the division is exact, so the
+    # ratio is the unscaled one bit for bit wherever squaring the entries
+    # neither overflows nor underflows, and stays finite where it would
+    _, e = np.frexp(np.abs(coeffs.view(np.float64)).max(axis=(1, 2)))
+    lo_norm = np.linalg.norm(coeffs[lo] * np.ldexp(1.0, -e[lo]))
+    hi_norm = np.linalg.norm(coeffs[hi] * np.ldexp(1.0, -e[hi]))
+    return float(np.ldexp(lo_norm / hi_norm, e[lo] - e[hi]) ** (1.0 / (hi - lo)))
 
 
 def det_poly_univariate(p: MatrixPolynomial) -> ScalarPolynomial:
@@ -253,9 +270,9 @@ def det_poly_univariate(p: MatrixPolynomial) -> ScalarPolynomial:
     n = p.dim
     if not p.terms:
         raise IdenticallySingular("zero polynomial matrix")
-    pmax = max(e for (e,) in p.terms)
-    count = n * pmax + 1
-    radius = max(1.0, _root_scale(p))
+    coeffs = _coefficients(p)
+    count = n * (len(coeffs) - 1) + 1
+    radius = max(1.0, _root_scale(coeffs))
     nodes = radius * np.exp(2j * np.pi * np.arange(count) / count)
     dets = np.empty(count, dtype=np.complex128)
     norms = np.empty(count)
@@ -299,12 +316,14 @@ def _cluster_roots(raw: np.ndarray) -> list[tuple[complex, int]]:
 
 
 def poly_roots(sp: ScalarPolynomial) -> list[tuple[complex, int]]:
-    """All complex roots with multiplicities, via the companion matrix.
+    """All complex roots with multiplicities, from the scaled companion matrix.
 
-    Roots within ``ROOT_CLUSTER_TOL * (1 + |root|)`` of each other are merged
-    into a single root (their centroid) with summed multiplicity; simple
-    roots are polished with up to three Newton steps, each kept only if it
-    lowers |p|.  The result is sorted lexicographically by (real, imag).
+    The roots are the eigenvalues of the companion of the trimmed polynomial,
+    scaled and solved as the 1x1 case of the block companion of
+    :func:`_slice_spectrum`; no root is polished afterwards.  Roots within
+    ``ROOT_CLUSTER_TOL * (1 + |root|)`` of each other are merged into a
+    single root (their centroid) with summed multiplicity.  The result is
+    sorted lexicographically by (real, imag).
     """
     trimmed = sp.trimmed()
     c = trimmed.coefficients
@@ -312,30 +331,14 @@ def poly_roots(sp: ScalarPolynomial) -> list[tuple[complex, int]]:
         raise DegreeZero("zero polynomial has no well-defined roots")
     if trimmed.degree == 0:
         raise DegreeZero("nonzero constant polynomial has no roots")
-    raw = np.roots(c[::-1])  # companion-matrix eigenvalues, balanced by geev
-    slope = ScalarPolynomial(c[1:] * np.arange(1, len(c)))
-    polished = []
-    for root, mult in _cluster_roots(raw):
-        if mult == 1:
-            pv = trimmed(root)
-            for _ in range(3):
-                dv = slope(root)
-                if abs(dv) < 1e-300:
-                    break
-                moved = root - pv / dv
-                pm = trimmed(moved)
-                if not abs(pm) < abs(pv):
-                    break
-                root, pv = moved, pm
-        polished.append((root, mult))
-    polished.sort(key=lambda rm: linalg.lex_key(rm[0]))
-    return polished
+    return _cluster_roots(_companion_eigvals(c[:, None, None]))
 
 
-def _companion_eigvals(coeffs: np.ndarray, gamma: float) -> np.ndarray:
+def _companion_eigvals(coeffs: np.ndarray) -> np.ndarray:
     # eigenvalues of sum_k z^k C_k, C_d nonsingular, from the block companion
-    # of the monic polynomial in z / gamma
+    # of the monic polynomial in z / gamma, gamma the root scale of the stack
     d, n = len(coeffs) - 1, coeffs.shape[1]
+    gamma = _root_scale(coeffs)
     scaled = coeffs * (gamma ** np.arange(d + 1))[:, None, None]
     companion = np.zeros((d * n, d * n), dtype=np.complex128)
     companion[: (d - 1) * n, n:] = np.eye((d - 1) * n)
@@ -347,44 +350,41 @@ def _slice_spectrum(p: MatrixPolynomial) -> list[tuple[complex, int]]:
     """Finite eigenvalues of a univariate slice, merged like :func:`poly_roots`.
 
     The eigenvalues of P(z) = sum_k z^k A_k come from one eigensolve of the
-    block companion of P scaled by :func:`_root_scale`.  When A_d fails the
-    rank test of ``linalg.DEFAULT_TOL_RANK``, the reversal w^d P(z0 + 1/w)
-    is linearized instead.  Its leading coefficient is P(z0), taken at the
-    best conditioned of ``SHIFT_COUNT`` fixed points on the circle of the
-    root scale.  Its eigenvalues w ~ 0 are the infinite ones and are
-    dropped; every other w maps back to z0 + 1/w.  Raises
+    block companion of P scaled by :func:`_root_scale`, the eigensolve that
+    :func:`poly_roots` runs on a 1x1 stack; no eigenvalue is polished.  When
+    A_d fails the rank test of ``linalg.DEFAULT_TOL_RANK``, the reversal
+    w^d P(z0 + 1/w) is linearized instead.  Its leading coefficient is
+    P(z0), taken at the best conditioned of ``SHIFT_COUNT`` fixed points on
+    the circle of the root scale.  Its eigenvalues w ~ 0 are the infinite
+    ones and are dropped; every other w maps back to z0 + 1/w.  Raises
     IdenticallySingular when P(z0) is rank-deficient at every one of those
     points.  A slice of degree 0 has no eigenvalues.
     """
     if not p.terms:
         raise IdenticallySingular("zero polynomial matrix")
-    d, n = max(e for (e,) in p.terms), p.dim
-    coeffs = np.zeros((d + 1, n, n), dtype=np.complex128)
-    for (k,), a in p.terms.items():
-        coeffs[k] = a
-    radius = _root_scale(p)
+    coeffs = _coefficients(p)
+    d = len(coeffs) - 1
     s = np.linalg.svd(coeffs[d], compute_uv=False)
     if s[-1] > linalg.DEFAULT_TOL_RANK * s[0]:
         if d == 0:
             return []
-        raw = _companion_eigvals(coeffs, radius)
+        raw = _companion_eigvals(coeffs)
     else:
         angles = 2 * np.pi * (np.arange(SHIFT_COUNT) + 0.6180339887498949) / SHIFT_COUNT
-        shifts = radius * np.exp(1j * angles)
+        shifts = _root_scale(coeffs) * np.exp(1j * angles)
         s = np.linalg.svd(_evaluate_stack(p, shifts[:, None]), compute_uv=False)
         ratios = s[:, -1] / np.where(s[:, 0] > 0, s[:, 0], 1.0)
         if not np.any(ratios > linalg.DEFAULT_TOL_RANK):
             raise IdenticallySingular(f"P is rank-deficient at all {SHIFT_COUNT} shift points")
         z0 = shifts[int(np.argmax(ratios))]
-        # A_k (z0 w + 1)^k w^(d-k) puts C(k, i) z0^i A_k on w^(d-k+i)
+        # A_k (z0 w + 1)^k w^(d-k) puts C(k, i) z0^i A_k on w^(d-k+i); its
+        # constant coefficient A_d and its leading one P(z0) are both nonzero
         rev = np.zeros_like(coeffs)
         for k in range(d + 1):
             for i in range(k + 1):
                 rev[d - k + i] += math.comb(k, i) * z0**i * coeffs[k]
-        # the constant coefficient of the reversal is A_d, which is nonzero
-        rev_scale = float((np.linalg.norm(rev[0]) / np.linalg.norm(rev[d])) ** (1.0 / d))
-        w = _companion_eigvals(rev, rev_scale)
-        raw = z0 + 1.0 / w[np.abs(w) > INFINITE_ROOT_TOL * rev_scale]
+        w = _companion_eigvals(rev)
+        raw = z0 + 1.0 / w[np.abs(w) > INFINITE_ROOT_TOL * _root_scale(rev)]
     return _cluster_roots(raw)
 
 

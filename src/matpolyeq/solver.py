@@ -48,6 +48,7 @@ from .errors import (
 from .polymatrix import (
     MatrixPolynomial,
     VarietySample,
+    _coefficients,
     _evaluate_stack,
     _null_spaces,
     det_poly_univariate,
@@ -266,8 +267,6 @@ def _class_indices(mults: list[int], n: int):
     def rec(idx: int, remaining: int):
         if remaining == 0:
             yield ()
-            return
-        if idx == len(mults):
             return
         for take in range(min(mults[idx], remaining), -1, -1):
             if suffix[idx + 1] < remaining - take:
@@ -590,12 +589,11 @@ def quotient_factor(
     resid = verify_residual(eq, [xm])
     if not resid <= tol_residual:  # a nan residual fails too
         raise NotASolution(f"residual {resid:.3e} exceeds {tol_residual:.0e}")
-    p = max((e for (e,) in eq.poly.terms), default=0)
+    coeffs = _coefficients(eq.poly)
+    p = len(coeffs) - 1
     if p < 1:
         raise DegreeZero("constant equations admit no linear factor")
-    zero = np.zeros((n, n), dtype=np.complex128)
-    coeffs = [eq.poly.terms.get((k,), zero) for k in range(p + 1)]
-    quotient = [zero] * p
+    quotient = [None] * p
     quotient[p - 1] = coeffs[p]
     for k in range(p - 1, 0, -1):
         quotient[k - 1] = coeffs[k] + xm @ quotient[k]

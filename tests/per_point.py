@@ -15,7 +15,6 @@ from matpolyeq import linalg
 from matpolyeq.errors import SingularMatrix, TransformSingular
 from matpolyeq.polymatrix import (
     ROOT_CLUSTER_TOL,
-    ScalarPolynomial,
     _slice_spectrum,
     evaluate,
     fix_all_but,
@@ -34,11 +33,25 @@ from matpolyeq.solver import (
 
 
 def poly_roots_per_root(sp, cluster_tol=ROOT_CLUSTER_TOL):
-    """Union-find clustering of pairs, then Newton steps on ``ScalarPolynomial``."""
-    trimmed = sp.trimmed()
-    c = trimmed.coefficients
-    raw = np.roots(c[::-1])
-    d = len(raw)
+    """Scaled scalar companion eigenvalues, then union-find clustering of pairs.
+
+    With c_lo and c_hi the lowest and highest nonzero coefficients, the
+    roots are gamma times the eigenvalues of the companion of the monic
+    polynomial in z / gamma, gamma = (|c_lo| / |c_hi|)^(1 / (hi - lo)).
+    Each cluster becomes its centroid; no root is polished.
+    """
+    c = sp.trimmed().coefficients
+    d = len(c) - 1
+    nonzero = np.flatnonzero(c)
+    lo, hi = int(nonzero[0]), int(nonzero[-1])
+    gamma = 1.0
+    if hi > lo:
+        gamma = float((np.linalg.norm(c[lo]) / np.linalg.norm(c[hi])) ** (1.0 / (hi - lo)))
+    scaled = c * gamma ** np.arange(d + 1)
+    companion = np.zeros((d, d), dtype=np.complex128)
+    companion[:-1, 1:] = np.eye(d - 1)
+    companion[-1] = -np.linalg.solve(scaled[d:, None], scaled[None, :d])[0]
+    raw = gamma * np.linalg.eigvals(companion)
     parent = list(range(d))
 
     def find(i):
@@ -58,20 +71,7 @@ def poly_roots_per_root(sp, cluster_tol=ROOT_CLUSTER_TOL):
         groups.setdefault(find(i), []).append(i)
     clustered = [(complex(np.mean(raw[idx])), len(idx)) for idx in groups.values()]
     clustered.sort(key=lambda rm: linalg.lex_key(rm[0]))
-    slope = ScalarPolynomial(c[1:] * np.arange(1, len(c)))
-    out = []
-    for z, mult in clustered:
-        for _ in range(3 if mult == 1 else 0):
-            pv, dv = trimmed(z), slope(z)
-            if abs(dv) < 1e-300:
-                break
-            z_new = z - pv / dv
-            if not abs(trimmed(z_new)) < abs(pv):
-                break
-            z = z_new
-        out.append((z, mult))
-    out.sort(key=lambda rm: linalg.lex_key(rm[0]))
-    return out
+    return clustered
 
 
 def sample_variety_per_point(p, side, count, seed):

@@ -510,6 +510,30 @@ def test_solve_multivariate_failure_document_keeps_attempts(tmp_path):
     assert diagnostics[0]["failure"].startswith("TransformSingular: no well-conditioned")
 
 
+def test_unimodular_equations_exit_2(tmp_path):
+    # I + zN and I + (z1 + z2)N for nilpotent N have det P = 1 and no solution
+    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+    uni, bi = tmp_path / "uni.json", tmp_path / "bi.json"
+    write_equation(uni, {(0,): np.eye(2), (1,): nilpotent}, 2, Orientation.UNKNOWNS_LEFT)
+    write_equation(
+        bi, {(0, 0): np.eye(2), (1, 0): nilpotent, (0, 1): nilpotent}, 2, Orientation.UNKNOWNS_LEFT
+    )
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(uni), "--seed", "0", "--output", str(out)]) == 2
+    (first,) = load(out)["diagnostics"]
+    assert first["class_or_attempt"] == "solver"
+    assert first["failure"] == "InsufficientRoots: nonzero constant polynomial has no roots"
+    det = tmp_path / "det.json"
+    assert main(["detpoly", str(uni), "--output", str(det)]) == 0
+    assert load(det)["roots"] == []
+    assert main(["solve", str(bi), "--seed", "0", "--output", str(out)]) == 2
+    diagnostics = load(out)["diagnostics"]
+    assert [d["class_or_attempt"] for d in diagnostics] == ["solver"] + [
+        f"attempt {a}" for a in range(8)
+    ]
+    assert diagnostics[0]["failure"] == "NoPointsFound: every sampling attempt came back empty"
+
+
 def test_document_error_names_nested_path(tmp_path, capsys):
     doc = {
         "dimension": 1,

@@ -203,17 +203,33 @@ def test_root_count_matches_degree():
         assert total == sp.trimmed().degree
 
 
+def test_poly_roots_at_extreme_coefficient_scale():
+    # (z - i)(z - 2i)(z - 3i) times 1e±200: the squared coefficients leave the
+    # double range, but the root scale and the roots must not change
+    base = np.array([6j, -11.0, -6j, 1.0])
+    want = poly_roots(ScalarPolynomial(base))
+    for scale in (1e200, 1e-200):
+        got = poly_roots(ScalarPolynomial(scale * base))
+        assert [m for _, m in got] == [m for _, m in want] == [1, 1, 1]
+        assert np.allclose([r for r, _ in got], [r for r, _ in want], rtol=0, atol=1e-12)
+
+
 def test_poly_roots_match_per_root_reference():
-    # random polynomials, some with a repeated factor and a close pair, so
-    # that both clustering and Newton polishing are exercised
+    # random polynomials, some with a repeated factor and a close pair so
+    # that clustering is exercised, then linear ones and ones with a zero
+    # constant term, whose lowest nonzero coefficient sets the scale
     rng = np.random.default_rng(21)
+    inputs = []
     for trial in range(40):
         degree = int(rng.integers(1, 13))
         roots = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
         if trial % 3 == 0 and degree > 2:
             roots[1] = roots[0]
             roots[2] = roots[0] * (1 + 1e-9)
-        coeffs = np.poly(roots)[::-1] * (rng.standard_normal() + 1j)
+        inputs.append(np.poly(roots)[::-1] * (rng.standard_normal() + 1j))
+    inputs += [[2.0 - 1j, 3.0 + 0.5j], [0.0, 1.0], [1e-6, -2e3], [0.0, 0.0, 1.0]]
+    inputs += [[0.0, 2.0, -3.0, 1.0], [0.0, 0.0, 4.0, 0.0, 1.0], [0.0, 1e-3j, 1.0, 1e2]]
+    for coeffs in inputs:
         sp = ScalarPolynomial(coeffs)
         assert poly_roots(sp) == poly_roots_per_root(sp)
 

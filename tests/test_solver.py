@@ -17,6 +17,7 @@ from matpolyeq.errors import (
     DimensionMismatch,
     FactorCheckFailed,
     InsufficientRoots,
+    NoPointsFound,
     NonFiniteInput,
     NotASolution,
     NotSimultaneouslyDiagonalizable,
@@ -364,6 +365,31 @@ def test_solve_univariate_insufficient_roots():
         solve_univariate(eq)
 
 
+NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_solve_univariate_unimodular_has_no_roots():
+    # det(I + zN) = 1 for nilpotent N: the determinant has no root at all
+    p = MatrixPolynomial(arity=1, dim=2, terms={(0,): I2, (1,): NILPOTENT})
+    eq = StructuredEquation(poly=p, orientation=Orientation.UNKNOWNS_LEFT)
+    with pytest.raises(InsufficientRoots, match="nonzero constant polynomial has no roots") as info:
+        solve_univariate(eq)
+    assert isinstance(info.value.__cause__, DegreeZero)
+
+
+def test_solve_multivariate_unimodular_finds_no_points():
+    # det(I + (x + y)N) = 1: every slice is unimodular, so every attempt is empty
+    p = MatrixPolynomial(
+        arity=2, dim=2, terms={(0, 0): I2, (1, 0): NILPOTENT, (0, 1): NILPOTENT}
+    )
+    eq = StructuredEquation(poly=p, orientation=Orientation.UNKNOWNS_LEFT)
+    with pytest.raises(NoPointsFound, match="every sampling attempt came back empty") as info:
+        solve_multivariate(eq)
+    assert [(d.label, d.failure) for d in info.value.diagnostics] == [
+        (f"attempt {a}", "NoPointsFound: no variety points found in 136 slices") for a in range(8)
+    ]
+
+
 @pytest.mark.parametrize("orientation", [Orientation.UNKNOWNS_LEFT, Orientation.UNKNOWNS_RIGHT])
 def test_solve_univariate_jordan_block_insufficient_roots(orientation):
     # zI - J for a 2 x 2 Jordan block J: det P = (z - 1)^2, but P(1) has a
@@ -437,6 +463,24 @@ def test_solve_univariate_recovers_planted_at_small_scale():
     # the determinant test must not read coefficients of order 1e-8 as zero
     inst = plant_instance(4, 1, 2, Orientation.UNKNOWNS_LEFT, 61)
     terms = {exps: 1e-8 * a for exps, a in inst.equation.poly.terms.items()}
+    eq = StructuredEquation(
+        poly=MatrixPolynomial(arity=1, dim=4, terms=terms), orientation=Orientation.UNKNOWNS_LEFT
+    )
+    result = solve_univariate(eq)
+    truth = inst.truth_unknowns[0]
+    best = min(
+        np.linalg.norm(f.unknowns[0] - truth) / np.linalg.norm(truth)
+        for f in result.families
+    )
+    assert best <= 1e-7
+
+
+@pytest.mark.parametrize("scale", [1e45, 1e-45])
+def test_solve_univariate_recovers_planted_at_extreme_scale(scale):
+    # det P has coefficients of order 1e±180 here, whose squares leave the
+    # double range: the root scale must still come out finite and nonzero
+    inst = plant_instance(4, 1, 2, Orientation.UNKNOWNS_LEFT, 61)
+    terms = {exps: scale * a for exps, a in inst.equation.poly.terms.items()}
     eq = StructuredEquation(
         poly=MatrixPolynomial(arity=1, dim=4, terms=terms), orientation=Orientation.UNKNOWNS_LEFT
     )
