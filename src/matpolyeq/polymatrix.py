@@ -11,7 +11,10 @@ relative clustering, and no root is polished: the roots of a scalar
 polynomial are its 1x1 case, and the sampler takes the eigenvalues of each
 univariate slice from the linearization of the slice itself (a reversed one
 when the leading coefficient is singular), not from its determinant
-polynomial.
+polynomial.  The same eigensolve gives the sampler its null vectors: the
+top block of each eigenvector (of the transposed slice for left null
+vectors), kept where its backward error passes the null-vector threshold.
+Clustered roots, and roots whose vector fails it, fall back to an SVD of P.
 Evaluations, determinants and null vectors are computed on stacks of points
 with the scalar arithmetic of a single point, so a stacked result equals the
 single-point one bit for bit.
@@ -26,6 +29,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    ConvergenceFailure,
     DegreeZero,
     DimensionMismatch,
     IdenticallySingular,
@@ -43,6 +47,8 @@ DET_ZERO_REL = 1e-12
 #: Fixed points at which a slice with a singular leading coefficient is
 #: tested for rank; the best conditioned one becomes the reversal shift.
 SHIFT_COUNT = 3
+#: Smallest positive normal double.
+_TINY = np.finfo(np.float64).tiny
 #: Eigenvalues of a reversed slice at or below this modulus, relative to its
 #: root scale, are its infinite ones.  A Jordan chain of length k at infinity
 #: is computed only to about eps^(1/k), 1e-8 for k = 2.
@@ -244,7 +250,15 @@ def _root_scale(coeffs: np.ndarray) -> float:
     _, e = np.frexp(np.abs(coeffs.view(np.float64)).max(axis=(1, 2)))
     lo_norm = np.linalg.norm(coeffs[lo] * np.ldexp(1.0, -e[lo]))
     hi_norm = np.linalg.norm(coeffs[hi] * np.ldexp(1.0, -e[hi]))
-    return float(np.ldexp(lo_norm / hi_norm, e[lo] - e[hi]) ** (1.0 / (hi - lo)))
+    mantissa, k = lo_norm / hi_norm, hi - lo
+    with np.errstate(over="ignore"):
+        ratio = np.ldexp(mantissa, e[lo] - e[hi])
+    if _TINY <= ratio < math.inf:
+        return float(ratio ** (1.0 / k))
+    # the ratio itself leaves the double range: root its mantissa and its
+    # power of two apart
+    q, r = divmod(int(e[lo] - e[hi]), k)
+    return float(np.ldexp(np.ldexp(mantissa, r) ** (1.0 / k), q))
 
 
 def det_poly_univariate(p: MatrixPolynomial) -> ScalarPolynomial:
@@ -292,15 +306,21 @@ def det_poly_univariate(p: MatrixPolynomial) -> ScalarPolynomial:
     return ScalarPolynomial(coeffs).trimmed()
 
 
-def _cluster_roots(raw: np.ndarray) -> list[tuple[complex, int]]:
-    # single linkage by label propagation over one pairwise-distance matrix:
-    # each root takes the smallest label it links to until no label moves, so
-    # a group is labelled by its first member and lists its members in
-    # ascending order
+def _cluster_roots(raw: np.ndarray, scale: float) -> list[list[int]]:
+    """Indices of the roots ``raw`` grouped into clusters by single linkage.
+
+    Two roots link when they lie within ``ROOT_CLUSTER_TOL * (scale + the
+    larger modulus)`` of each other, ``scale`` being the root scale of their
+    coefficient stack.  Each group lists its members in ascending order, and
+    the groups come in the order of their first members.
+    """
     d = len(raw)
     mags = np.abs(raw)
-    reach = ROOT_CLUSTER_TOL * (1.0 + np.maximum(mags[:, None], mags[None, :]))
+    reach = ROOT_CLUSTER_TOL * (scale + np.maximum(mags[:, None], mags[None, :]))
     linked = np.abs(raw[:, None] - raw[None, :]) <= reach
+    # label propagation over the links: each root takes the smallest label
+    # it links to until no label moves, so a group is labelled by its first
+    # member
     label = np.arange(d)
     while True:
         moved = np.minimum(label, np.where(linked, label, d).min(axis=1, initial=d))
@@ -310,9 +330,7 @@ def _cluster_roots(raw: np.ndarray) -> list[tuple[complex, int]]:
     groups: dict[int, list[int]] = {}
     for i, first in enumerate(label.tolist()):
         groups.setdefault(first, []).append(i)
-    clustered = [(complex(np.mean(raw[idx])), len(idx)) for idx in groups.values()]
-    clustered.sort(key=lambda rm: linalg.lex_key(rm[0]))
-    return clustered
+    return list(groups.values())
 
 
 def poly_roots(sp: ScalarPolynomial) -> list[tuple[complex, int]]:
@@ -321,9 +339,10 @@ def poly_roots(sp: ScalarPolynomial) -> list[tuple[complex, int]]:
     The roots are the eigenvalues of the companion of the trimmed polynomial,
     scaled and solved as the 1x1 case of the block companion of
     :func:`_slice_spectrum`; no root is polished afterwards.  Roots within
-    ``ROOT_CLUSTER_TOL * (1 + |root|)`` of each other are merged into a
-    single root (their centroid) with summed multiplicity.  The result is
-    sorted lexicographically by (real, imag).
+    ``ROOT_CLUSTER_TOL * (gamma + |root|)`` of each other, gamma the root
+    scale of the polynomial, are merged into a single root (their centroid)
+    with summed multiplicity.  The result is sorted lexicographically by
+    (real, imag).
     """
     trimmed = sp.trimmed()
     c = trimmed.coefficients
@@ -331,47 +350,80 @@ def poly_roots(sp: ScalarPolynomial) -> list[tuple[complex, int]]:
         raise DegreeZero("zero polynomial has no well-defined roots")
     if trimmed.degree == 0:
         raise DegreeZero("nonzero constant polynomial has no roots")
-    return _cluster_roots(_companion_eigvals(c[:, None, None]))
+    stack = c[:, None, None]
+    scale = _root_scale(stack)
+    raw = scale * _eigensolve(np.linalg.eigvals, _companion(stack, scale))
+    roots = [(complex(np.mean(raw[g])), len(g)) for g in _cluster_roots(raw, scale)]
+    roots.sort(key=lambda rm: linalg.lex_key(rm[0]))
+    return roots
 
 
-def _companion_eigvals(coeffs: np.ndarray) -> np.ndarray:
-    # eigenvalues of sum_k z^k C_k, C_d nonsingular, from the block companion
-    # of the monic polynomial in z / gamma, gamma the root scale of the stack
+def _companion(coeffs: np.ndarray, gamma: float) -> np.ndarray:
+    # block companion of sum_k z^k C_k, C_d nonsingular, as the monic
+    # polynomial in z / gamma: its eigenvalues are the roots over gamma
     d, n = len(coeffs) - 1, coeffs.shape[1]
-    gamma = _root_scale(coeffs)
-    scaled = coeffs * (gamma ** np.arange(d + 1))[:, None, None]
+    with np.errstate(over="ignore"):
+        powers = gamma ** np.arange(d + 1)
+    if _TINY <= powers.min() and powers.max() < math.inf:
+        scaled = coeffs * powers[:, None, None]
+    else:
+        # gamma^d leaves the double range: with gamma = f 2^q, scale by f^k
+        # and then exactly by 2^(qk), so that only the scaled blocks must fit
+        f, q = math.frexp(gamma)
+        k = np.arange(d + 1)
+        parts = (coeffs * (f**k)[:, None, None]).view(np.float64)
+        scaled = np.ldexp(parts, (q * k)[:, None, None]).view(np.complex128)
     companion = np.zeros((d * n, d * n), dtype=np.complex128)
     companion[: (d - 1) * n, n:] = np.eye((d - 1) * n)
     companion[(d - 1) * n :] = -np.linalg.solve(scaled[d], np.concatenate(scaled[:d], axis=1))
-    return gamma * np.linalg.eigvals(companion)
+    return companion
 
 
-def _slice_spectrum(p: MatrixPolynomial) -> list[tuple[complex, int]]:
-    """Finite eigenvalues of a univariate slice, merged like :func:`poly_roots`.
+def _eigensolve(solve, companion: np.ndarray):
+    # np.linalg.eig or eigvals of a companion, with geev's iteration cap
+    # reported as a package error
+    try:
+        return solve(companion)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"companion eigensolve: {exc}") from exc
 
-    The eigenvalues of P(z) = sum_k z^k A_k come from one eigensolve of the
-    block companion of P scaled by :func:`_root_scale`, the eigensolve that
-    :func:`poly_roots` runs on a 1x1 stack; no eigenvalue is polished.  When
+
+def _slice_spectrum(p: MatrixPolynomial, side: str = "right"):
+    """Finite eigenvalues of a univariate slice, their null vectors and clusters.
+
+    The eigenpairs of P(z) = sum_k z^k A_k come from one eigensolve of the
+    block companion of P scaled by :func:`_root_scale`, the companion that
+    :func:`poly_roots` builds for a 1x1 stack; no eigenvalue is polished.  When
     A_d fails the rank test of ``linalg.DEFAULT_TOL_RANK``, the reversal
     w^d P(z0 + 1/w) is linearized instead.  Its leading coefficient is
     P(z0), taken at the best conditioned of ``SHIFT_COUNT`` fixed points on
     the circle of the root scale.  Its eigenvalues w ~ 0 are the infinite
-    ones and are dropped; every other w maps back to z0 + 1/w.  Raises
-    IdenticallySingular when P(z0) is rank-deficient at every one of those
-    points.  A slice of degree 0 has no eigenvalues.
+    ones and are dropped; every other w maps back to z0 + 1/w.  For
+    ``side='left'`` the transposed coefficient stack is linearized, which
+    has the same eigenvalues.
+
+    Returns ``(values, vectors, groups)``: the K finite eigenvalues, the
+    top blocks of their eigenvectors as unit rows of a (K, n) array, which
+    are null vectors of P there (v with P v = 0 on the right, y with
+    y^T P = 0 on the left, with small backward error at a simple
+    eigenvalue: Higham, Li & Tisseur, SIMAX 2007), and the clusters of
+    :func:`_cluster_roots` at the root scale of P.  Raises
+    IdenticallySingular when P(z0) is rank-deficient at every shift point.
+    A slice of degree 0 has no eigenvalues.
     """
     if not p.terms:
         raise IdenticallySingular("zero polynomial matrix")
     coeffs = _coefficients(p)
     d = len(coeffs) - 1
+    scale = _root_scale(coeffs)
     s = np.linalg.svd(coeffs[d], compute_uv=False)
     if s[-1] > linalg.DEFAULT_TOL_RANK * s[0]:
         if d == 0:
-            return []
-        raw = _companion_eigvals(coeffs)
+            return np.zeros(0, dtype=np.complex128), np.zeros((0, p.dim), dtype=np.complex128), []
+        stack, gamma, z0 = coeffs, scale, None
     else:
         angles = 2 * np.pi * (np.arange(SHIFT_COUNT) + 0.6180339887498949) / SHIFT_COUNT
-        shifts = _root_scale(coeffs) * np.exp(1j * angles)
+        shifts = scale * np.exp(1j * angles)
         s = np.linalg.svd(_evaluate_stack(p, shifts[:, None]), compute_uv=False)
         ratios = s[:, -1] / np.where(s[:, 0] > 0, s[:, 0], 1.0)
         if not np.any(ratios > linalg.DEFAULT_TOL_RANK):
@@ -379,13 +431,22 @@ def _slice_spectrum(p: MatrixPolynomial) -> list[tuple[complex, int]]:
         z0 = shifts[int(np.argmax(ratios))]
         # A_k (z0 w + 1)^k w^(d-k) puts C(k, i) z0^i A_k on w^(d-k+i); its
         # constant coefficient A_d and its leading one P(z0) are both nonzero
-        rev = np.zeros_like(coeffs)
+        stack = np.zeros_like(coeffs)
         for k in range(d + 1):
             for i in range(k + 1):
-                rev[d - k + i] += math.comb(k, i) * z0**i * coeffs[k]
-        w = _companion_eigvals(rev)
-        raw = z0 + 1.0 / w[np.abs(w) > INFINITE_ROOT_TOL * _root_scale(rev)]
-    return _cluster_roots(raw)
+                stack[d - k + i] += math.comb(k, i) * z0**i * coeffs[k]
+        gamma = _root_scale(stack)
+    if side == "left":
+        stack = stack.transpose(0, 2, 1)
+    mu, eigvecs = _eigensolve(np.linalg.eig, _companion(stack, gamma))
+    # an eigenvector of the companion stacks v, mu v, ..., mu^(d-1) v for a
+    # null vector v of the slice at gamma mu: keep its top block, unit norm
+    top = eigvecs[: p.dim].T
+    values, vectors = gamma * mu, top / np.linalg.norm(top, axis=1, keepdims=True)
+    if z0 is not None:
+        finite = np.abs(values) > INFINITE_ROOT_TOL * gamma
+        values, vectors = z0 + 1.0 / values[finite], vectors[finite]
+    return values, vectors, _cluster_roots(values, scale)
 
 
 def _term_scales(p: MatrixPolynomial, points: np.ndarray) -> np.ndarray:
@@ -442,16 +503,19 @@ def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> Var
 
     At most ``4 * count + 8`` slices are taken.  Each slice fixes every
     variable except a round-robin pivot at equispaced points of the unit
-    circle, and takes the finite eigenvalues of the univariate slice from
-    one block companion eigensolve
-    (:func:`_slice_spectrum`), merged into distinct roots.  Each root
-    becomes a full point with the null vectors of P there, accepted at the
-    relative threshold ``DEFAULT_TOL_ZERO``, so a repeated root yields one
-    row per null vector.  The roots of a slice are evaluated as one
-    stack.  Slices with no finite eigenvalue contribute nothing; a slice
-    that is rank-deficient at every test point propagates
-    IdenticallySingular.  The rows are returned as one
-    :class:`VarietySample`, in the order they were found.
+    circle, and takes the eigenpairs of the univariate slice from one block
+    companion eigensolve (:func:`_slice_spectrum`), linearizing the
+    transposed slice for left null vectors.  Each root becomes a full point,
+    and the roots of a slice are evaluated as one stack.  A root isolated
+    from the others keeps the top block v of its eigenvector when
+    ||P v|| (||v^T P|| on the left) <= ``DEFAULT_TOL_ZERO`` *
+    :func:`term_scale` there, a bound on ||P||_F.  A cluster of roots, at
+    its centroid, and a root whose vector fails that test take the null
+    vectors of an SVD of P instead (:func:`null_vectors_at`), so a repeated
+    root yields one row per null vector.  Slices with no
+    finite eigenvalue contribute nothing; a slice that is rank-deficient at
+    every test point propagates IdenticallySingular.  The rows are returned
+    as one :class:`VarietySample`, in the order they were found.
     """
     if p.arity < 2:
         raise DimensionMismatch(f"sample_variety needs arity >= 2, got {p.arity}")
@@ -474,18 +538,30 @@ def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> Var
             [np.exp(2j * np.pi * (pos + j / m)) for j in range(m - 1)],
             dtype=np.complex128,
         )
-        roots = _slice_spectrum(fix_all_but(p, pivot, fixed))
-        full = np.empty((len(roots), m), dtype=np.complex128)
+        roots, eigvecs, groups = _slice_spectrum(fix_all_but(p, pivot, fixed), side)
+        full = np.empty((len(groups), m), dtype=np.complex128)
         full[:, [s for s in range(m) if s != pivot]] = fixed
-        full[:, pivot] = [root for root, _mult in roots]
-        pz, nulls = _null_spaces(p, full, side)
-        found = [k for k, vecs in enumerate(nulls) if vecs]
-        for k, det in zip(found, np.linalg.det(pz[found])):
-            dres = abs(det)
-            for vec in nulls[k]:
+        full[:, pivot] = [roots[g[0]] if len(g) == 1 else roots[g].mean() for g in groups]
+        pz = _evaluate_stack(p, full)
+        candidates = eigvecs[[g[0] for g in groups]]
+        if side == "right":
+            image = (pz @ candidates[:, :, None])[:, :, 0]
+        else:
+            image = (candidates[:, None, :] @ pz)[:, 0]
+        isolated = np.array([len(g) == 1 for g in groups], dtype=bool)
+        kept = isolated & (
+            np.linalg.norm(image, axis=1) <= DEFAULT_TOL_ZERO * _term_scales(p, full)
+        )
+        nulls = {}
+        if not kept.all():
+            redo = np.flatnonzero(~kept)
+            nulls = dict(zip(redo.tolist(), _null_spaces(p, full[redo], side)[1]))
+        dets = np.linalg.det(pz)
+        for k in range(len(full)):
+            for vec in [candidates[k]] if kept[k] else nulls[k]:
                 values.append(full[k])
                 vectors.append(vec)
-                residuals.append(dres)
+                residuals.append(abs(dets[k]))
     if not residuals:
         raise NoPointsFound(f"no variety points found in {budget} slices")
     return VarietySample(np.array(values), np.array(vectors), np.array(residuals), side)

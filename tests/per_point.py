@@ -14,11 +14,13 @@ import numpy as np
 from matpolyeq import linalg
 from matpolyeq.errors import SingularMatrix, TransformSingular
 from matpolyeq.polymatrix import (
+    DEFAULT_TOL_ZERO,
     ROOT_CLUSTER_TOL,
     _slice_spectrum,
     evaluate,
     fix_all_but,
     null_vectors_at,
+    term_scale,
 )
 from matpolyeq.solver import (
     MIN_SAMPLE_COUNT,
@@ -38,7 +40,9 @@ def poly_roots_per_root(sp, cluster_tol=ROOT_CLUSTER_TOL):
     With c_lo and c_hi the lowest and highest nonzero coefficients, the
     roots are gamma times the eigenvalues of the companion of the monic
     polynomial in z / gamma, gamma = (|c_lo| / |c_hi|)^(1 / (hi - lo)).
-    Each cluster becomes its centroid; no root is polished.
+    Two roots cluster when they lie within ``cluster_tol * (gamma + the
+    larger modulus)`` of each other.  Each cluster becomes its centroid; no
+    root is polished.
     """
     c = sp.trimmed().coefficients
     d = len(c) - 1
@@ -62,7 +66,7 @@ def poly_roots_per_root(sp, cluster_tol=ROOT_CLUSTER_TOL):
 
     for i in range(d):
         for j in range(i + 1, d):
-            if abs(raw[i] - raw[j]) <= cluster_tol * (1.0 + max(abs(raw[i]), abs(raw[j]))):
+            if abs(raw[i] - raw[j]) <= cluster_tol * (gamma + max(abs(raw[i]), abs(raw[j]))):
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[rj] = ri
@@ -77,8 +81,13 @@ def poly_roots_per_root(sp, cluster_tol=ROOT_CLUSTER_TOL):
 def sample_variety_per_point(p, side, count, seed):
     """``sample_variety`` one root at a time.
 
-    The roots of each slice come from the library's own slice eigensolve, so
-    what is compared is the stacked null-space and determinant path.
+    The eigenvalues of each slice, the top blocks of their eigenvectors and
+    their clusters come from the library's own slice eigensolve, so what is
+    compared is the stacked acceptance, null-space and determinant path.
+    The rule restated here: a root alone in its cluster keeps its vector v
+    when ||P(z) v|| (||v^T P(z)|| on the left) <= ``DEFAULT_TOL_ZERO`` *
+    term_scale(P, z); a cluster, at its centroid, and a rejected root take
+    every vector of ``null_vectors_at``.
     Returns the ``(values, null_vector, det_residual)`` triples.
     """
     m = p.arity
@@ -91,13 +100,18 @@ def sample_variety_per_point(p, side, count, seed):
         pivot = sl % m
         pos = (sl + phase) / budget
         fixed = np.array([np.exp(2j * np.pi * (pos + j / m)) for j in range(m - 1)])
-        roots = _slice_spectrum(fix_all_but(p, pivot, fixed))
-        for root, _ in roots:
-            point = np.insert(fixed, pivot, root)
-            vectors = null_vectors_at(p, point, side)
-            if vectors:
-                dres = abs(np.linalg.det(evaluate(p, point)))
-                points.extend((point, vec, dres) for vec in vectors)
+        roots, eigvecs, groups = _slice_spectrum(fix_all_but(p, pivot, fixed), side)
+        for group in groups:
+            point = np.insert(fixed, pivot, np.mean(roots[group]))
+            pz = evaluate(p, point)
+            dres = abs(np.linalg.det(pz))
+            if len(group) == 1:
+                vec = eigvecs[group[0]]
+                image = pz @ vec if side == "right" else vec @ pz
+                if np.linalg.norm(image) <= DEFAULT_TOL_ZERO * term_scale(p, point):
+                    points.append((point, vec, dres))
+                    continue
+            points.extend((point, vec, dres) for vec in null_vectors_at(p, point, side))
     return points
 
 

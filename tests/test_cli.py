@@ -534,6 +534,20 @@ def test_unimodular_equations_exit_2(tmp_path):
     assert diagnostics[0]["failure"] == "NoPointsFound: every sampling attempt came back empty"
 
 
+def test_solve_eigensolver_failure_exit_1(tmp_path, capsys, monkeypatch):
+    # a companion eigensolve that does not converge is a package error: one
+    # line naming it on stderr, exit 1, no traceback and no document
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", no_convergence)
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(DATA / "circle.json"), "--seed", "0", "--output", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("solve: ConvergenceFailure: ")
+    assert not out.exists()
+
+
 def test_document_error_names_nested_path(tmp_path, capsys):
     doc = {
         "dimension": 1,

@@ -3,9 +3,16 @@ import pytest
 
 from per_point import poly_roots_per_root, sample_variety_per_point
 
-from matpolyeq.errors import DegreeZero, DimensionMismatch, IdenticallySingular, NoPointsFound
+from matpolyeq.errors import (
+    ConvergenceFailure,
+    DegreeZero,
+    DimensionMismatch,
+    IdenticallySingular,
+    NoPointsFound,
+)
 from matpolyeq.instances import plant_instance, symbolic_det_oracle
 from matpolyeq.polymatrix import (
+    DEFAULT_TOL_ZERO,
     MatrixPolynomial,
     ScalarPolynomial,
     _slice_spectrum,
@@ -14,6 +21,7 @@ from matpolyeq.polymatrix import (
     fix_all_but,
     poly_roots,
     sample_variety,
+    term_scale,
     total_degree,
 )
 from matpolyeq.solver import Orientation
@@ -214,6 +222,26 @@ def test_poly_roots_at_extreme_coefficient_scale():
         assert np.allclose([r for r, _ in got], [r for r, _ in want], rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "coeffs, want",
+    [
+        # the lowest and highest coefficients differ by more than the double
+        # range, so their ratio underflows
+        ([1e-200, 0.0, 1e200], [-1e-200j, 1e-200j]),
+        ([1e-170, 1.0, 1e170], [(-1 - 3**0.5 * 1j) / 2e170, (-1 + 3**0.5 * 1j) / 2e170]),
+        # two roots 2e-150 apart are distinct: the cluster radius scales
+        # with the roots, not with 1
+        ([1e-150, 0.0, 1e150], [-1e-150j, 1e-150j]),
+    ],
+    ids=["ratio-1e-400", "ratio-1e-340", "close-pair"],
+)
+def test_poly_roots_beyond_the_double_range(coeffs, want):
+    got = poly_roots(ScalarPolynomial(coeffs))
+    assert [m for _, m in got] == [1, 1]
+    for (root, _), exact in zip(got, want):
+        assert abs(root - exact) <= 1e-14 * abs(exact)
+
+
 def test_poly_roots_match_per_root_reference():
     # random polynomials, some with a repeated factor and a close pair so
     # that clustering is exercised, then linear ones and ones with a zero
@@ -234,14 +262,29 @@ def test_poly_roots_match_per_root_reference():
         assert poly_roots(sp) == poly_roots_per_root(sp)
 
 
-def expanded_spectrum(p):
-    return [z for z, mult in _slice_spectrum(p) for _ in range(mult)]
+def expanded_spectrum(p, side="right"):
+    values, _, groups = _slice_spectrum(p, side)
+    return [np.mean(values[g]) for g in groups for _ in g]
+
+
+def assert_simple_eigenvectors_accepted(p, side):
+    # the sampler's acceptance rule holds for the vector of every eigenvalue
+    # alone in its cluster: ||P(z) v|| (||v^T P(z)|| on the left) within
+    # DEFAULT_TOL_ZERO of the term scale of P at z
+    values, vectors, groups = _slice_spectrum(p, side)
+    for (k,) in (g for g in groups if len(g) == 1):
+        pz = evaluate(p, [values[k]])
+        image = pz @ vectors[k] if side == "right" else vectors[k] @ pz
+        assert np.linalg.norm(vectors[k]) == pytest.approx(1.0)
+        assert np.linalg.norm(image) <= DEFAULT_TOL_ZERO * term_scale(p, [values[k]])
 
 
 def test_slice_spectrum_matches_symbolic_oracle():
     # every other slice gets a leading coefficient of rank < n, which sends
     # it through the reversal; the count of finite eigenvalues must still be
-    # the degree of det P, so no infinite eigenvalue survives
+    # the degree of det P, so no infinite eigenvalue survives.  Both sides,
+    # the transposed linearization included, give the spectrum, and the
+    # eigenvector of every simple eigenvalue is a null vector of P there
     rng = np.random.default_rng(17)
     reversed_slices = 0
     for trial in range(120):
@@ -259,14 +302,16 @@ def test_slice_spectrum_matches_symbolic_oracle():
             continue
         top = p.terms[(degree,)]
         reversed_slices += np.linalg.matrix_rank(top) < n
-        want = np.roots(exact[::-1]) if len(exact) > 1 else np.zeros(0)
-        got = expanded_spectrum(p)
-        assert len(got) == len(want)
-        for z in got:
-            gap = np.abs(want - z)
-            j = int(np.argmin(gap))
-            assert gap[j] <= 1e-8 * (1.0 + abs(want[j]))
-            want = np.delete(want, j)
+        for side in ("right", "left"):
+            want = np.roots(exact[::-1]) if len(exact) > 1 else np.zeros(0)
+            got = expanded_spectrum(p, side)
+            assert len(got) == len(want)
+            for z in got:
+                gap = np.abs(want - z)
+                j = int(np.argmin(gap))
+                assert gap[j] <= 1e-8 * (1.0 + abs(want[j]))
+                want = np.delete(want, j)
+            assert_simple_eigenvectors_accepted(p, side)
     assert reversed_slices >= 30
 
 
@@ -274,14 +319,14 @@ def test_slice_spectrum_infinite_and_degree_zero():
     z_top = np.diag([1.0, 0.0])
     # diag(z, 1): one root at 0 and one infinite eigenvalue
     p = MatrixPolynomial(arity=1, dim=2, terms={(1,): z_top, (0,): np.diag([0.0, 1.0])})
-    ((root, mult),) = _slice_spectrum(p)
-    assert abs(root) <= 1e-12 and mult == 1
+    (root,), _, groups = _slice_spectrum(p)
+    assert abs(root) <= 1e-12 and groups == [[0]]
     # [[1, z], [0, 1]] has det 1: every eigenvalue is infinite
     unimodular = MatrixPolynomial(
         arity=1, dim=2, terms={(1,): np.array([[0.0, 1.0], [0.0, 0.0]]), (0,): I2}
     )
-    assert _slice_spectrum(unimodular) == []
-    assert _slice_spectrum(MatrixPolynomial(arity=1, dim=2, terms={(0,): I2})) == []
+    assert _slice_spectrum(unimodular)[2] == []
+    assert _slice_spectrum(MatrixPolynomial(arity=1, dim=2, terms={(0,): I2}))[2] == []
     with pytest.raises(IdenticallySingular):
         _slice_spectrum(MatrixPolynomial(arity=1, dim=2, terms={(0,): z_top}))
 
@@ -307,6 +352,39 @@ def test_sample_variety_double_eigenvalue_keeps_both_null_vectors(seed):
             assert np.linalg.norm(a - b) > 1e-6
     for first, second in groups.values():
         assert abs(np.vdot(first, second)) <= 1e-12
+
+
+@pytest.mark.parametrize("side, null", [("right", [1, 0]), ("left", [0, 1])])
+def test_sample_variety_jordan_block_takes_one_vector_per_point(side, null):
+    # P(x, y) = [[x - y, 1], [0, x - y]]: every slice root is double with a
+    # one-dimensional null space, e1 on the right and e2 on the left (y^T P =
+    # 0), so its two eigenvalues cluster and the SVD at the centroid gives
+    # exactly one row per distinct point
+    p = MatrixPolynomial(
+        arity=2,
+        dim=2,
+        terms={(1, 0): I2, (0, 1): -I2, (0, 0): np.array([[0.0, 1.0], [0.0, 0.0]])},
+    )
+    sample = sample_variety(p, side, count=8, seed=0)
+    assert len(sample) >= 8
+    for i, ((x, y), vector) in enumerate(zip(sample.values, sample.null_vectors)):
+        assert abs(x - y) <= 1e-12
+        assert abs(np.vdot(null, vector)) == pytest.approx(1.0, abs=1e-12)
+        for other in sample.values[:i]:
+            assert np.linalg.norm(sample.values[i] - other) > 1e-6
+
+
+def test_companion_eigensolve_failure_is_a_package_error(monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", no_convergence)
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    p = MatrixPolynomial(arity=2, dim=1, terms={(2, 0): I1, (0, 2): I1, (0, 0): -2 * I1})
+    with pytest.raises(ConvergenceFailure, match="did not converge"):
+        sample_variety(p, "right", count=4, seed=0)
+    with pytest.raises(ConvergenceFailure, match="did not converge"):
+        poly_roots(ScalarPolynomial([2.0, -3.0, 1.0]))
 
 
 def test_sample_variety_rank_one_slices_identically_singular():
