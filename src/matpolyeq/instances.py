@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonIntegerInput
-from .polymatrix import MatrixPolynomial, ScalarPolynomial, poly_roots
+from .polymatrix import MatrixPolynomial, ScalarPolynomial, _coefficients, poly_roots
 from .solver import (
     SANDWICH_SLOTS,
     Orientation,
@@ -127,11 +127,7 @@ def scalar_oracle(eq: StructuredEquation) -> list[complex]:
     """Roots of the degenerate 1x1 equation, multiplicities expanded."""
     if eq.dim != 1 or eq.arity != 1:
         raise DimensionMismatch("scalar_oracle needs dim 1 and arity 1")
-    kmax = max((e for (e,) in eq.poly.terms), default=0)
-    coeffs = np.zeros(kmax + 1, dtype=np.complex128)
-    for (k,), a in eq.poly.terms.items():
-        coeffs[k] = a[0, 0]
-    roots = poly_roots(ScalarPolynomial(coeffs))
+    roots = poly_roots(ScalarPolynomial(_coefficients(eq.poly)[:, 0, 0]))
     out: list[complex] = []
     for root, mult in roots:
         out.extend([root] * mult)
@@ -196,7 +192,7 @@ def symbolic_det_oracle(p: MatrixPolynomial) -> ScalarPolynomial:
     if n > 4:
         raise DimensionMismatch("symbolic_det_oracle is limited to n <= 4")
     entry_polys = [[[] for _ in range(n)] for _ in range(n)]
-    for (k,), a in sorted(p.terms.items()):
+    for (k,), a in p.terms.items():
         for i in range(n):
             for j in range(n):
                 re, im = a[i, j].real, a[i, j].imag

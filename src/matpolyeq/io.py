@@ -114,8 +114,8 @@ def equation_to_document(eq: StructuredEquation) -> dict:
         }
     else:
         doc["terms"] = [
-            {"exponents": list(exps), "coefficient": to_pairs(eq.poly.terms[exps])}
-            for exps in sorted(eq.poly.terms)
+            {"exponents": list(exps), "coefficient": to_pairs(coeff)}
+            for exps, coeff in eq.poly.terms.items()
         ]
     return doc
 

@@ -15,15 +15,18 @@ polynomial.  The same eigensolve gives the sampler its null vectors: the
 top block of each eigenvector (of the transposed slice for left null
 vectors), kept where its backward error passes the null-vector threshold.
 Clustered roots, and roots whose vector fails it, fall back to an SVD of P.
-Evaluations, determinants and null vectors are computed on stacks of points
-with the scalar arithmetic of a single point, so a stacked result equals the
-single-point one bit for bit.
+P is held as one sorted table of exponent tuples with the matching stack of
+coefficients, and every evaluation, slice and term scale reads that table:
+the monomials of all points and terms are one array expression, and P sums
+their products with the coefficients in real arithmetic.  A single point is
+a stack of one and takes the same array arithmetic, so a stacked result
+equals the single-point one bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .errors import (
     DegreeZero,
     DimensionMismatch,
     IdenticallySingular,
+    NonFiniteInput,
     NoPointsFound,
 )
 
@@ -60,20 +64,26 @@ class MatrixPolynomial:
     """Multivariate polynomial with square matrix coefficients.
 
     ``terms`` maps exponent tuples of length ``arity`` to ``dim x dim``
-    complex matrices.  Exact-zero coefficients are dropped on construction
-    and the stored matrices are frozen.
+    complex matrices.  Exact-zero coefficients are dropped on construction.
+    The polynomial is stored once, as the (T, arity) integer table
+    ``exponents`` of its nonzero terms in ascending lexicographic order and
+    the matching (T, dim, dim) coefficient ``stack``; both are copies of the
+    input and read-only.  ``terms`` is rebuilt in that order, its values
+    being read-only views of ``stack``.
     """
 
     arity: int
     dim: int
     terms: dict[tuple[int, ...], np.ndarray]
+    exponents: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.arity < 1:
             raise DimensionMismatch("arity must be >= 1")
         if self.dim < 1:
             raise DimensionMismatch("dim must be >= 1")
-        clean: dict[tuple[int, ...], np.ndarray] = {}
+        blocks: dict[tuple[int, ...], np.ndarray] = {}
         for exps, coeff in self.terms.items():
             key = tuple(int(e) for e in exps)
             if len(key) != self.arity:
@@ -82,16 +92,25 @@ class MatrixPolynomial:
                 )
             if any(e < 0 for e in key):
                 raise DimensionMismatch(f"exponent tuple {key} has a negative entry")
-            a = linalg.as_matrix(coeff)
+            a = np.asarray(coeff, dtype=np.complex128)
             if a.shape != (self.dim, self.dim):
                 raise DimensionMismatch(
                     f"coefficient for {key} has shape {a.shape}, expected {(self.dim, self.dim)}"
                 )
-            if np.any(a != 0):
-                a = a.copy()
-                a.flags.writeable = False
-                clean[key] = a
-        object.__setattr__(self, "terms", clean)
+            blocks[key] = a
+        keys = sorted(blocks)
+        stack = np.array([blocks[k] for k in keys], dtype=np.complex128)
+        stack = stack.reshape(len(keys), self.dim, self.dim)
+        if not np.isfinite(stack).all():
+            raise NonFiniteInput("matrix entries must be finite")
+        nonzero = np.any(stack != 0, axis=(1, 2))
+        if not nonzero.all():
+            keys, stack = [k for k, a in zip(keys, nonzero) if a], stack[nonzero]
+        exponents = np.array(keys, dtype=np.int64).reshape(len(keys), self.arity)
+        exponents.flags.writeable = stack.flags.writeable = False
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "terms", dict(zip(keys, stack)))
 
 
 @dataclass(frozen=True)
@@ -151,9 +170,7 @@ class VarietySample:
 
 def total_degree(p: MatrixPolynomial) -> int:
     """Largest exponent-tuple sum over nonzero terms (0 for the zero polynomial)."""
-    if not p.terms:
-        return 0
-    return max(sum(exps) for exps in p.terms)
+    return int(p.exponents.sum(axis=1).max(initial=0))
 
 
 def _point(p: MatrixPolynomial, point) -> np.ndarray:
@@ -163,31 +180,27 @@ def _point(p: MatrixPolynomial, point) -> np.ndarray:
     return z
 
 
-def _monomials(rows, keys, one) -> np.ndarray:
-    # monomial values per point and term, formed with the scalar arithmetic of
-    # a single point: array powers differ from scalar ones in the last bit
-    plan = [[(s, e) for s, e in enumerate(exps) if e] for exps in keys]
-    out = []
-    for z in rows:
-        zs = list(z)
-        row = []
-        for pairs in plan:
-            factor = one
-            for s, e in pairs:
-                factor *= zs[s] ** e
-            row.append(factor)
-        out.append(row)
-    return np.array(out, dtype=type(one)).reshape(len(rows), len(keys))
+def _monomials(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    # (K, T) monomial values of K points (rows) at T exponent tuples (rows),
+    # with one array arithmetic for a stack and for a single point
+    return np.prod(points[:, None, :] ** exponents, axis=2)
 
 
 def _evaluate_stack(p: MatrixPolynomial, points: np.ndarray) -> np.ndarray:
     """P at each row of a (K, arity) stack of points, as a (K, n, n) stack."""
-    keys = sorted(p.terms)
-    factors = _monomials(points, keys, 1.0 + 0j)
-    acc = np.zeros((len(points), p.dim, p.dim), dtype=np.complex128)
-    for t, exps in enumerate(keys):
-        acc += factors[:, t, None, None] * p.terms[exps]
-    return acc
+    factors = _monomials(points, p.exponents)
+    # f C = Re(f) C + Im(f) (i C), summed in real arithmetic on (re, im)
+    # pairs: numpy rounds a real product once in every loop, but may fuse the
+    # multiply-add of a complex one in its vector loops and not in its
+    # one-element loop, so 1 x 1 values of a stack could differ from those
+    # of one point in the last bit
+    re, im = factors.real, factors.imag
+    coeffs, turned = p.stack.view(np.float64), (1j * p.stack).view(np.float64)
+    acc = np.zeros((len(points), p.dim, 2 * p.dim))
+    for t in range(len(coeffs)):
+        acc += re[:, t, None, None] * coeffs[t]
+        acc += im[:, t, None, None] * turned[t]
+    return acc.view(np.complex128)
 
 
 def evaluate(p: MatrixPolynomial, point) -> np.ndarray:
@@ -210,18 +223,13 @@ def fix_all_but(p: MatrixPolynomial, pivot: int, fixed) -> MatrixPolynomial:
         raise DimensionMismatch(
             f"fixed values have length {vals.shape[0]}, expected {p.arity - 1}"
         )
-    others = [s for s in range(p.arity) if s != pivot]
-    keys = sorted(p.terms)
-    factors = _monomials(vals[None], [[exps[s] for s in others] for exps in keys], 1.0 + 0j)
-    new_terms: dict[tuple[int, ...], np.ndarray] = {}
-    for exps, factor in zip(keys, factors[0]):
-        key = (exps[pivot],)
-        contrib = factor * p.terms[exps]
-        if key in new_terms:
-            new_terms[key] = new_terms[key] + contrib
-        else:
-            new_terms[key] = contrib
-    return MatrixPolynomial(arity=1, dim=p.dim, terms=new_terms)
+    # fold the table by its pivot column: the term of each row, times its
+    # monomial in the fixed values, adds to the coefficient of its pivot power
+    factors = _monomials(vals[None], np.delete(p.exponents, pivot, axis=1))[0]
+    powers = p.exponents[:, pivot]
+    folded = np.zeros((powers.max(initial=0) + 1, p.dim, p.dim), dtype=np.complex128)
+    np.add.at(folded, powers, factors[:, None, None] * p.stack)
+    return MatrixPolynomial(arity=1, dim=p.dim, terms={(k,): a for k, a in enumerate(folded)})
 
 
 def _coefficients(p: MatrixPolynomial) -> np.ndarray:
@@ -230,8 +238,7 @@ def _coefficients(p: MatrixPolynomial) -> np.ndarray:
     Absent terms are zero blocks; P without terms gives one zero block.
     """
     coeffs = np.zeros((total_degree(p) + 1, p.dim, p.dim), dtype=np.complex128)
-    for (k,), a in p.terms.items():
-        coeffs[k] = a
+    coeffs[p.exponents[:, 0]] = p.stack
     return coeffs
 
 
@@ -450,14 +457,9 @@ def _slice_spectrum(p: MatrixPolynomial, side: str = "right"):
 
 
 def _term_scales(p: MatrixPolynomial, points: np.ndarray) -> np.ndarray:
-    # per point, the sum over terms of |monomial| * ||coefficient||_F, with
-    # each |z_s| taken as a scalar like the monomials themselves
-    moduli = [[abs(v) for v in z] for z in points]
-    factors = _monomials(moduli, list(p.terms), 1.0)
-    total = np.zeros(len(points))
-    for t, coeff in enumerate(p.terms.values()):
-        total += factors[:, t] * float(np.linalg.norm(coeff))
-    return total
+    # per point, the sum over terms of |monomial| * ||coefficient||_F
+    norms = np.linalg.norm(p.stack, axis=(1, 2))
+    return (_monomials(np.abs(points), p.exponents) * norms).sum(axis=1)
 
 
 def term_scale(p: MatrixPolynomial, point) -> float:
@@ -475,8 +477,9 @@ def _null_spaces(p: MatrixPolynomial, points: np.ndarray, side: str):
     """
     pz = _evaluate_stack(p, points)
     u, s, vh = np.linalg.svd(pz)
-    ref = np.maximum(s[:, 0], _term_scales(p, points))
-    # where ref is 0 every singular value is 0, so all of them count
+    # the term scale bounds ||P||_F >= sigma_max; where it is 0 every
+    # singular value is 0, so all of them count
+    ref = _term_scales(p, points)
     counts = np.sum(s <= DEFAULT_TOL_ZERO * ref[:, None], axis=1)
     rows = np.conj(vh if side == "right" else u.transpose(0, 2, 1), order="C")
     return pz, [list(rows[k, ::-1][:c]) for k, c in enumerate(counts)]
@@ -485,8 +488,9 @@ def _null_spaces(p: MatrixPolynomial, points: np.ndarray, side: str):
 def null_vectors_at(p: MatrixPolynomial, point, side: str) -> list[np.ndarray]:
     """Unit null vectors of P(point), smallest singular direction first.
 
-    Acceptance is sigma <= ``DEFAULT_TOL_ZERO`` * max(sigma_max, term_scale);
-    the second reference keeps 1x1 and fully vanishing evaluations decidable.
+    Acceptance is sigma <= ``DEFAULT_TOL_ZERO`` * term_scale, a reference
+    that bounds sigma_max and keeps 1x1 and fully vanishing evaluations
+    decidable.
     """
     return _null_spaces(p, _point(p, point)[None], side)[1][0]
 

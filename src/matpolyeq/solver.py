@@ -48,6 +48,7 @@ from .errors import (
 from .polymatrix import (
     MatrixPolynomial,
     VarietySample,
+    _cluster_roots,
     _coefficients,
     _evaluate_stack,
     _null_spaces,
@@ -160,7 +161,7 @@ def _fmt_c(z: complex) -> str:
     return f"{z.real:.6g}{z.imag:+.6g}j"
 
 
-def _monomial(powers: list[list[np.ndarray]], exps: tuple[int, ...], n: int) -> np.ndarray:
+def _monomial(powers: list[list[np.ndarray]], exps: list[int], n: int) -> np.ndarray:
     acc = None
     for s, e in enumerate(exps):
         if e:
@@ -208,15 +209,15 @@ def _lhs(eq: StructuredEquation, xs: list[np.ndarray]) -> np.ndarray:
             + y @ slot["E"]
             + slot["F"]
         )
-    kmax = [max((exps[s] for exps in eq.poly.terms), default=0) for s in range(eq.arity)]
+    kmax = eq.poly.exponents.max(axis=0, initial=0).tolist()
     powers = [_matrix_powers(xs[s], kmax[s]) for s in range(eq.arity)]
     acc = np.zeros(xs[0].shape, dtype=np.complex128)
-    for exps in sorted(eq.poly.terms):
+    for exps, coeff in zip(eq.poly.exponents.tolist(), eq.poly.stack):
         mono = _monomial(powers, exps, n)
         if eq.orientation is Orientation.UNKNOWNS_LEFT:
-            acc += mono @ eq.poly.terms[exps]
+            acc += mono @ coeff
         else:
-            acc += eq.poly.terms[exps] @ mono
+            acc += coeff @ mono
     return acc
 
 
@@ -235,7 +236,7 @@ def _relative_residuals(eq: StructuredEquation, xs: list[np.ndarray]) -> np.ndar
     # residuals of K candidates at once; xs[s] is the (K, n, n) stack of unknown s
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = _lhs(eq, xs)
-        coeff_sum = sum(float(np.linalg.norm(a)) for a in eq.poly.terms.values())
+        coeff_sum = float(np.linalg.norm(eq.poly.stack, axis=(1, 2)).sum())
         xmax = np.max([np.linalg.norm(x, axis=(-2, -1)) for x in xs], axis=0)
         denom = 1.0 + coeff_sum * np.maximum(1.0, xmax) ** total_degree(eq.poly)
         return np.linalg.norm(lhs, axis=(-2, -1)) / denom
@@ -641,7 +642,7 @@ def dual_equation(eq: StructuredEquation) -> StructuredEquation:
         if eq.orientation is Orientation.UNKNOWNS_LEFT
         else Orientation.UNKNOWNS_LEFT
     )
-    terms = {exps[::-1]: a.T.copy() for exps, a in eq.poly.terms.items()}
+    terms = {exps[::-1]: a.T for exps, a in eq.poly.terms.items()}
     return StructuredEquation(
         poly=MatrixPolynomial(arity=eq.arity, dim=eq.dim, terms=terms),
         orientation=flipped,
@@ -672,28 +673,23 @@ class SandwichProbeReport:
 
 def _joint_eigenbasis(x: np.ndarray, y: np.ndarray):
     vals, vecs = linalg.eigen(x)
-    n = x.shape[0]
-    # refine eigenvector choice inside repeated-eigenvalue clusters so that
-    # y becomes diagonal there too, when possible
-    idx = 0
-    while idx < n:
-        j = idx + 1
-        while j < n and abs(vals[j] - vals[idx]) <= 1e-7 * (1.0 + abs(vals[idx])):
-            j += 1
-        if j - idx > 1:
-            block = vecs[:, idx:j]
-            restricted, _, rank, _ = np.linalg.lstsq(block, y @ block, rcond=None)
-            if rank < j - idx:
-                raise NotSimultaneouslyDiagonalizable(
-                    "first matrix has no well-conditioned eigenvector basis"
-                )
-            sub_vals, sub_vecs = np.linalg.eig(restricted)
-            order = linalg.lex_argsort(sub_vals)
-            refined = block @ sub_vecs[:, order]
-            norms = np.linalg.norm(refined, axis=0)
-            norms[norms == 0] = 1.0
-            vecs[:, idx:j] = refined / norms
-        idx = j
+    # refine eigenvector choice inside each cluster of repeated eigenvalues,
+    # wherever its members sort, so that y becomes diagonal there too, when
+    # possible
+    for group in _cluster_roots(vals, 1.0):
+        if len(group) == 1:
+            continue
+        block = vecs[:, group]
+        restricted, _, rank, _ = np.linalg.lstsq(block, y @ block, rcond=None)
+        if rank < len(group):
+            raise NotSimultaneouslyDiagonalizable(
+                "first matrix has no well-conditioned eigenvector basis"
+            )
+        sub_vals, sub_vecs = np.linalg.eig(restricted)
+        refined = block @ sub_vecs[:, linalg.lex_argsort(sub_vals)]
+        norms = np.linalg.norm(refined, axis=0)
+        norms[norms == 0] = 1.0
+        vecs[:, group] = refined / norms
     try:
         vecs_inv, _ = linalg.inverse(vecs, tol_rank=1e-12)
     except SingularMatrix as exc:

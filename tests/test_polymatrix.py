@@ -1,5 +1,10 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from per_point import poly_roots_per_root, sample_variety_per_point
 
@@ -15,6 +20,7 @@ from matpolyeq.polymatrix import (
     DEFAULT_TOL_ZERO,
     MatrixPolynomial,
     ScalarPolynomial,
+    _evaluate_stack,
     _slice_spectrum,
     det_poly_univariate,
     evaluate,
@@ -502,3 +508,94 @@ def test_total_degree():
 def test_zero_terms_dropped():
     p = MatrixPolynomial(arity=1, dim=2, terms={(0,): np.zeros((2, 2)), (1,): I2})
     assert set(p.terms) == {(1,)}
+
+
+@st.composite
+def tables(draw):
+    """A polynomial of arity 1-3, total degree <= 5, with 1-4 points.
+
+    Each coordinate is 0 or has modulus in [1e-3, 1e3].
+    """
+    arity = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 5)] * arity).filter(lambda e: sum(e) <= 5)
+    keys = draw(st.lists(exps, min_size=1, max_size=8, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = {
+        key: rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for key in keys
+    }
+    coordinate = st.one_of(
+        st.just(0j),
+        st.builds(
+            lambda r, t: r * cmath.exp(1j * t),
+            st.floats(1e-3, 1e3),
+            st.floats(0.0, 2 * math.pi),
+        ),
+    )
+    count = draw(st.integers(1, 4))
+    row = st.lists(coordinate, min_size=arity, max_size=arity)
+    points = draw(st.lists(row, min_size=count, max_size=count))
+    return MatrixPolynomial(arity=arity, dim=dim, terms=terms), np.array(points)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=tables())
+def test_evaluate_matches_python_term_sum(case):
+    p, points = case
+    for z in points:
+        ref = np.zeros((p.dim, p.dim), dtype=complex)
+        scale = 0.0
+        for exps, coeff in p.terms.items():
+            mono = 1 + 0j
+            for v, e in zip(z.tolist(), exps):
+                mono *= complex(v) ** e
+            ref += mono * coeff
+            scale += abs(mono) * np.linalg.norm(coeff)
+        assert np.linalg.norm(evaluate(p, z) - ref) <= 1e-13 * scale
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=tables())
+def test_evaluate_stack_rows_equal_single_points(case):
+    p, points = case
+    stacked = _evaluate_stack(p, points)
+    for k, z in enumerate(points):
+        assert np.array_equal(stacked[k], evaluate(p, z))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=tables())
+def test_term_scale_bounds_evaluation(case):
+    # the triangle inequality, up to the rounding of both sides
+    p, points = case
+    for z in points:
+        assert np.linalg.norm(evaluate(p, z)) <= term_scale(p, z) * (1 + 1e-12)
+
+
+def test_table_is_sorted_and_terms_are_read_only_views():
+    a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+    p = MatrixPolynomial(arity=2, dim=2, terms={(1, 0): a, (0, 2): I2, (0, 0): 0 * I2})
+    assert p.exponents.tolist() == [[0, 2], [1, 0]]
+    assert list(p.terms) == [(0, 2), (1, 0)]
+    for t, key in enumerate(p.terms):
+        assert np.shares_memory(p.terms[key], p.stack)
+        assert np.array_equal(p.terms[key], p.stack[t])
+    with pytest.raises(ValueError):
+        p.terms[(1, 0)][0, 0] = 5.0
+    with pytest.raises(ValueError):
+        p.stack[0] = 0.0
+    with pytest.raises(ValueError):
+        p.exponents[0, 0] = 3
+    a[0, 0] = 99.0
+    assert p.terms[(1, 0)][0, 0] == 1.0
+    assert np.array_equal(evaluate(p, [1.0, 0.0]), [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_empty_table():
+    p = MatrixPolynomial(arity=2, dim=2, terms={(1, 1): np.zeros((2, 2))})
+    assert p.exponents.shape == (0, 2) and p.stack.shape == (0, 2, 2)
+    assert total_degree(p) == 0
+    assert np.array_equal(evaluate(p, [1.0, 2.0]), np.zeros((2, 2)))
+    assert term_scale(p, [1.0, 2.0]) == 0.0
+    assert fix_all_but(p, 0, [3.0]).terms == {}

@@ -830,6 +830,22 @@ def test_sandwich_probe_all_ones_eigenstructure():
         assert row.scalar_identity <= 1e-9 * row.identity_scale
 
 
+@pytest.mark.parametrize("seed", [0, 8])
+def test_sandwich_probe_refines_cluster_split_in_lex_order(seed):
+    # the double eigenvalue 1 of X splits, and 1 + 0.5j has the same real part,
+    # so it can sort between the two copies; Y separates them
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    e = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    t_inv = np.linalg.inv(t)
+    x = t @ np.diag([1, 1, 1 + 0.5j]) @ t_inv + 1e-11 * e
+    y = t @ np.diag([2, 3, 4]) @ t_inv
+    report = sandwich_probe(sandwich_equation({(0, 0): np.eye(3)}, 3), x, y)
+    pairs = sorted((round(r.mu.real), r.alpha) for r in report.rows)
+    assert [mu for mu, _ in pairs] == [2, 3, 4]
+    assert np.allclose([alpha for _, alpha in pairs], [1, 1, 1 + 0.5j], atol=1e-6)
+
+
 def test_sandwich_probe_rejects_non_commuting():
     terms = {(0, 0): I2}
     eq = sandwich_equation(terms, 2)
