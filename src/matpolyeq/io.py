@@ -264,8 +264,8 @@ def load_document(path: str) -> Any:
         raise DocumentError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def dump_document(doc: Any, path: str | None) -> None:
-    """Write ``doc`` as JSON plus a newline to ``path``, or stdout.
+def dump_document(doc: dict[str, Any], path: str | None) -> None:
+    """Write the object ``doc`` as JSON plus a newline to ``path``, or stdout.
 
     Each top-level key, and each item of a top-level list, goes on its own
     line through the C encoder, one item at a time; no string for the whole
@@ -276,10 +276,8 @@ def dump_document(doc: Any, path: str | None) -> None:
     else:
         target = open(path, "w", encoding="utf-8")
     with target as fh:
-        if not isinstance(doc, dict) or not doc:
-            fh.write(json.dumps(doc) + "\n")
-            return
-        sep = "{\n  "
+        fh.write("{")
+        sep = "\n  "
         for key, value in doc.items():
             fh.write(f"{sep}{json.dumps(key)}: ")
             sep = ",\n  "

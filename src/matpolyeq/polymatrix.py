@@ -11,10 +11,10 @@ relative clustering, and no root is polished: the roots of a scalar
 polynomial are its 1x1 case, and the sampler takes the eigenvalues of each
 univariate slice from the linearization of the slice itself (a reversed one
 when the leading coefficient is singular), not from its determinant
-polynomial.  The same eigensolve gives the sampler its null vectors: the
-top block of each eigenvector (of the transposed slice for left null
-vectors), kept where its backward error passes the null-vector threshold.
-Clustered roots, and roots whose vector fails it, fall back to an SVD of P.
+polynomial.  The same eigensolve offers the sampler its null vectors, the
+top blocks of the eigenvectors (of the transposed slice on the left).  One
+routine, ``_null_spaces``, holds the rule for every null vector: it keeps an
+offered vector whose backward error passes, and otherwise takes an SVD of P.
 P is held as one sorted table of exponent tuples with the matching stack of
 coefficients, and every evaluation, slice and term scale reads that table:
 the monomials of all points and terms are one array expression, and P sums
@@ -59,7 +59,7 @@ _TINY = np.finfo(np.float64).tiny
 INFINITE_ROOT_TOL = 1e-5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixPolynomial:
     """Multivariate polynomial with square matrix coefficients.
 
@@ -75,8 +75,8 @@ class MatrixPolynomial:
     arity: int
     dim: int
     terms: dict[tuple[int, ...], np.ndarray]
-    exponents: np.ndarray = field(init=False, repr=False, compare=False)
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    exponents: np.ndarray = field(init=False, repr=False)
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.arity < 1:
@@ -467,30 +467,45 @@ def term_scale(p: MatrixPolynomial, point) -> float:
     return float(_term_scales(p, np.asarray(point, dtype=np.complex128)[None])[0])
 
 
-def _null_spaces(p: MatrixPolynomial, points: np.ndarray, side: str):
+def _null_spaces(p: MatrixPolynomial, points: np.ndarray, side: str, offered=None, isolated=None):
     """Null vectors of P at each row of a (K, arity) stack of points.
 
-    Returns ``(pz, vectors)``: ``pz`` holds P at the points and
-    ``vectors[k]`` the list that :func:`null_vectors_at` returns for point
-    k.  The stack is not chunked: callers pass one point, the roots of one
-    slice or the roots of one determinant, at most d * n points.
+    The one null-vector rule of the package: v is a null vector of P at z
+    when ||P v|| (||v^T P|| on the left), or its singular value, is at most
+    ``DEFAULT_TOL_ZERO`` times the term scale of P at z, a bound on ||P||_F.
+    Point k keeps row k of an ``offered`` (K, n) stack of unit vectors where
+    ``isolated[k]`` and that row passes; the other points take the singular
+    vectors that pass, smallest first, from one SVD of their P, and no SVD
+    runs when none is left.  Returns ``(pz, vectors)``: P at the points and
+    the list of null vectors at each.  The stack is not chunked: callers
+    pass one point, the roots of one slice or of one determinant, at most
+    d * n points.
     """
     pz = _evaluate_stack(p, points)
-    u, s, vh = np.linalg.svd(pz)
     # the term scale bounds ||P||_F >= sigma_max; where it is 0 every
     # singular value is 0, so all of them count
-    ref = _term_scales(p, points)
-    counts = np.sum(s <= DEFAULT_TOL_ZERO * ref[:, None], axis=1)
-    rows = np.conj(vh if side == "right" else u.transpose(0, 2, 1), order="C")
-    return pz, [list(rows[k, ::-1][:c]) for k, c in enumerate(counts)]
+    bound = DEFAULT_TOL_ZERO * _term_scales(p, points)
+    kept = np.zeros(len(points), dtype=bool)
+    if offered is not None:
+        image = pz @ offered[:, :, None] if side == "right" else offered[:, None] @ pz
+        kept = isolated & (np.linalg.norm(image.reshape(-1, p.dim), axis=1) <= bound)
+    vectors = [[offered[k]] if keep else [] for k, keep in enumerate(kept.tolist())]
+    rest = np.flatnonzero(~kept)
+    if len(rest):
+        u, s, vh = np.linalg.svd(pz[rest])
+        counts = np.sum(s <= bound[rest, None], axis=1)
+        rows = np.conj(vh if side == "right" else u.transpose(0, 2, 1), order="C")
+        for k, row, c in zip(rest.tolist(), rows, counts):
+            vectors[k] = list(row[::-1][:c])
+    return pz, vectors
 
 
 def null_vectors_at(p: MatrixPolynomial, point, side: str) -> list[np.ndarray]:
     """Unit null vectors of P(point), smallest singular direction first.
 
-    Acceptance is sigma <= ``DEFAULT_TOL_ZERO`` * term_scale, a reference
-    that bounds sigma_max and keeps 1x1 and fully vanishing evaluations
-    decidable.
+    The SVD case of :func:`_null_spaces`: sigma <= ``DEFAULT_TOL_ZERO`` *
+    term_scale, a reference that bounds sigma_max and keeps 1x1 and fully
+    vanishing evaluations decidable.
     """
     return _null_spaces(p, _point(p, point)[None], side)[1][0]
 
@@ -509,17 +524,14 @@ def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> Var
     variable except a round-robin pivot at equispaced points of the unit
     circle, and takes the eigenpairs of the univariate slice from one block
     companion eigensolve (:func:`_slice_spectrum`), linearizing the
-    transposed slice for left null vectors.  Each root becomes a full point,
-    and the roots of a slice are evaluated as one stack.  A root isolated
-    from the others keeps the top block v of its eigenvector when
-    ||P v|| (||v^T P|| on the left) <= ``DEFAULT_TOL_ZERO`` *
-    :func:`term_scale` there, a bound on ||P||_F.  A cluster of roots, at
-    its centroid, and a root whose vector fails that test take the null
-    vectors of an SVD of P instead (:func:`null_vectors_at`), so a repeated
-    root yields one row per null vector.  Slices with no
-    finite eigenvalue contribute nothing; a slice that is rank-deficient at
-    every test point propagates IdenticallySingular.  The rows are returned
-    as one :class:`VarietySample`, in the order they were found.
+    transposed slice for left null vectors.  Each cluster of roots becomes
+    a point at its centroid, and :func:`_null_spaces` takes the points of a
+    slice as one stack, offered the top blocks of their eigenvectors: a
+    cluster, or an isolated root whose vector fails, takes the vectors of
+    an SVD of P, so a repeated root yields one row per null vector.  Slices
+    with no finite eigenvalue contribute nothing; a slice that is
+    rank-deficient at every test point propagates IdenticallySingular.  The
+    rows are returned as one :class:`VarietySample`, in the order found.
     """
     if p.arity < 2:
         raise DimensionMismatch(f"sample_variety needs arity >= 2, got {p.arity}")
@@ -546,23 +558,11 @@ def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> Var
         full = np.empty((len(groups), m), dtype=np.complex128)
         full[:, [s for s in range(m) if s != pivot]] = fixed
         full[:, pivot] = [roots[g[0]] if len(g) == 1 else roots[g].mean() for g in groups]
-        pz = _evaluate_stack(p, full)
-        candidates = eigvecs[[g[0] for g in groups]]
-        if side == "right":
-            image = (pz @ candidates[:, :, None])[:, :, 0]
-        else:
-            image = (candidates[:, None, :] @ pz)[:, 0]
         isolated = np.array([len(g) == 1 for g in groups], dtype=bool)
-        kept = isolated & (
-            np.linalg.norm(image, axis=1) <= DEFAULT_TOL_ZERO * _term_scales(p, full)
-        )
-        nulls = {}
-        if not kept.all():
-            redo = np.flatnonzero(~kept)
-            nulls = dict(zip(redo.tolist(), _null_spaces(p, full[redo], side)[1]))
+        pz, nulls = _null_spaces(p, full, side, eigvecs[[g[0] for g in groups]], isolated)
         dets = np.linalg.det(pz)
-        for k in range(len(full)):
-            for vec in [candidates[k]] if kept[k] else nulls[k]:
+        for k, vecs in enumerate(nulls):
+            for vec in vecs:
                 values.append(full[k])
                 vectors.append(vec)
                 residuals.append(abs(dets[k]))

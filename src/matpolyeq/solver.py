@@ -82,7 +82,7 @@ MIN_SAMPLE_COUNT = 32
 JOINT_DIAGONAL_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructuredEquation:
     """A matrix polynomial equated to zero, with an unknown-placement tag."""
 

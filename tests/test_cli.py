@@ -9,7 +9,7 @@ import pytest
 from matpolyeq import io
 from matpolyeq.cli import main
 from matpolyeq.polymatrix import MatrixPolynomial
-from matpolyeq.solver import Orientation, StructuredEquation, verify_residual
+from matpolyeq.solver import Orientation, SolutionFamily, StructuredEquation, verify_residual
 
 DATA = Path(__file__).parent / "data"
 
@@ -605,3 +605,47 @@ def test_module_entry_point(tmp_path):
     assert result.returncode == 0
     doc = json.loads(result.stdout)
     assert "coefficients" in doc
+
+
+def test_solve_without_output_writes_stdout(capsys):
+    rc = main(["solve", str(DATA / "scalar_quadratic.json"), "--seed", "0"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.startswith("{\n") and out.endswith("\n}\n")
+    assert len(json.loads(out)["families"]) == 2
+
+
+def test_verify_sandwich_jordan_block_reports_probe_error(tmp_path):
+    eq_path, sol_path, rep_path = tmp_path / "eq.json", tmp_path / "sol.json", tmp_path / "rep.json"
+    main([
+        "plant", "--dimension", "2", "--arity", "2", "--degree", "2",
+        "--orientation", "sandwich", "--seed", "7",
+        "--output", str(eq_path), "--truth", str(tmp_path / "truth.json"),
+    ])
+    jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128)
+    family = SolutionFamily(
+        transform=np.eye(2, dtype=np.complex128),
+        eigenvalues=[np.ones(2, dtype=np.complex128)] * 2,
+        unknowns=[jordan, np.eye(2, dtype=np.complex128)],
+        residual=0.0,
+        transform_condition=1.0,
+    )
+    io.dump_document(io.solution_to_document([family], []), str(sol_path))
+    main(["verify", str(eq_path), str(sol_path), "--output", str(rep_path)])
+    (entry,) = load(rep_path)["families"]
+    assert "probe" not in entry
+    assert entry["probe_error"]
+
+
+def test_detpoly_fix_skips_empty_parts(tmp_path):
+    out, ref = tmp_path / "det.json", tmp_path / "ref.json"
+    circle = str(DATA / "circle.json")
+    assert main(["detpoly", circle, "--pivot", "1", "--fix", "1,", "--output", str(out)]) == 0
+    assert main(["detpoly", circle, "--pivot", "1", "--fix", "1", "--output", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_detpoly_unparsable_fix_exit_1(capsys):
+    rc = main(["detpoly", str(DATA / "circle.json"), "--pivot", "1", "--fix", "abc"])
+    assert rc == 1
+    assert "--fix: cannot parse 'abc' as a complex number" in capsys.readouterr().err

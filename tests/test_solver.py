@@ -778,6 +778,20 @@ def test_solve_multivariate_coefficient_scaling_invariance(case, exponent):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=planted_cases, exponent=st.sampled_from([-4, 4]))
+def test_solve_multivariate_eigenvalue_scaling_invariance(case, exponent):
+    # A_e c^-|e| is P(z / c), which c X_1, ..., c X_m solve: a family of it,
+    # divided by c, solves P
+    n, m, orientation, seed = case
+    eq = plant_instance(n, m, 2, orientation, seed).equation
+    scale = 10.0**exponent
+    terms = {exps: scale ** -sum(exps) * a for exps, a in eq.poly.terms.items()}
+    scaled = StructuredEquation(MatrixPolynomial(m, n, terms), orientation)
+    (family,) = solve_multivariate(scaled).families
+    assert_solves(eq, [x / scale for x in family.unknowns])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(case=planted_cases)
 def test_solve_multivariate_transpose_duality(case):
     # a family of the dual equation maps back to one of the original
