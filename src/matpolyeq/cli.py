@@ -28,8 +28,8 @@ from .solver import (
     Orientation,
     SolutionFamily,
     SolverConfig,
+    _commutations,
     _relative_residuals,
-    commutation_check,
     sandwich_probe,
     solve_multivariate,
     solve_univariate,
@@ -111,14 +111,15 @@ def cmd_verify(args) -> int:
     if families:
         stacks = [np.stack([f.unknowns[s] for f in families]) for s in range(eq.arity)]
         residuals = _relative_residuals(eq, stacks).tolist()
+        commutations = _commutations(stacks).tolist()
     else:
-        residuals = []
+        residuals = commutations = []
     report = []
-    for k, (family, residual) in enumerate(zip(families, residuals)):
+    for k, (family, residual, commutation) in enumerate(zip(families, residuals, commutations)):
         entry = {
             "index": k,
             "residual": residual,
-            "commutation": commutation_check(family.unknowns),
+            "commutation": commutation,
             "ok": residual <= args.tol,
         }
         if eq.orientation is Orientation.SANDWICH_BIVARIATE:

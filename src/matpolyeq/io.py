@@ -2,8 +2,10 @@
 
 Complex numbers serialize as two-element [re, im] arrays and matrices as
 row-major nested arrays; every value reads back bit for bit.  Arrays are
-converted whole in both directions, and a malformed array is walked cell by
-cell only to name the offending field path in the error.
+converted whole in both directions: a solution document's fields are each
+converted across all of its families at once, and the document is walked
+family by family, cell by cell, only to name the offending field path in an
+error.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DocumentError
+from .errors import DimensionMismatch, DocumentError
 from .polymatrix import MatrixPolynomial
 from .solver import Diagnostic, Orientation, SANDWICH_SLOTS, SolutionFamily, StructuredEquation
 
@@ -25,6 +27,12 @@ def to_pairs(values) -> list:
     # complex128 viewed as float64 holds each entry's [re, im] pair
     c = np.asarray(values, dtype=np.complex128, order="C")
     return c.reshape(-1).view(np.float64).reshape(c.shape + (2,)).tolist()
+
+
+# documents are trees this package builds, so the encoder's cycle check is never needed
+_encode = json.JSONEncoder(check_circular=False).encode
+
+_ARRAY_KEYS = ("eigenvalues", "transform", "unknowns")
 
 
 def _number(value: Any, path: str, expected: str) -> float:
@@ -177,21 +185,31 @@ def equation_from_document(doc: Any) -> StructuredEquation:
         raise DocumentError(f"$: {exc}") from exc
 
 
-def family_to_document(family: SolutionFamily) -> dict:
-    return {
-        "eigenvalues": [to_pairs(vals) for vals in family.eigenvalues],
-        "transform": to_pairs(family.transform),
-        "unknowns": [to_pairs(x) for x in family.unknowns],
-        "residual": float(family.residual),
-        "transform_condition": float(family.transform_condition),
-    }
-
-
 def solution_to_document(
     families: list[SolutionFamily], diagnostics: list[Diagnostic]
 ) -> dict:
+    """The solution document; each array field is converted across all families at once.
+
+    The families must share one dimension and arity, else ``DimensionMismatch``.
+    """
+    try:
+        fields = [
+            to_pairs(np.array([getattr(f, key) for f in families], dtype=np.complex128))
+            for key in _ARRAY_KEYS
+        ]
+    except ValueError:
+        raise DimensionMismatch("families must share one dimension and arity") from None
     return {
-        "families": [family_to_document(f) for f in families],
+        "families": [
+            {
+                "eigenvalues": e,
+                "transform": t,
+                "unknowns": u,
+                "residual": float(f.residual),
+                "transform_condition": float(f.transform_condition),
+            }
+            for f, e, t, u in zip(families, *fields)
+        ],
         "diagnostics": [
             {"class_or_attempt": d.label, "failure": d.failure} for d in diagnostics
         ],
@@ -231,16 +249,51 @@ def family_from_document(doc: Any, dim: int, arity: int, path: str) -> SolutionF
     )
 
 
+def _stacked_families(raw: list, dim: int, arity: int) -> list[SolutionFamily] | None:
+    """The families read one array field at a time across all of them, or None
+    if any check fails.  Each family holds views of the stacked arrays."""
+    if not all(
+        isinstance(f, dict) and all(isinstance(f.get(key), list) for key in _ARRAY_KEYS)
+        for f in raw
+    ):
+        return None
+    shapes = [(arity, dim), (dim, dim), (arity, dim, dim)]
+    stacks = [
+        _complex_array([f[key] for f in raw], (len(raw), *shape))
+        for key, shape in zip(_ARRAY_KEYS, shapes)
+    ]
+    if any(stack is None for stack in stacks):
+        return None
+    eigenvalues, transforms, unknowns = stacks
+    return [
+        SolutionFamily(
+            transform=transforms[k],
+            eigenvalues=list(eigenvalues[k]),
+            unknowns=list(unknowns[k]),
+            residual=_number(f.get("residual"), f"$.families[{k}].residual", "expected a number"),
+            transform_condition=_number(
+                f.get("transform_condition"),
+                f"$.families[{k}].transform_condition",
+                "expected a number",
+            ),
+        )
+        for k, f in enumerate(raw)
+    ]
+
+
 def solution_from_document(
     doc: Any, dim: int, arity: int
 ) -> tuple[list[SolutionFamily], list[Diagnostic]]:
     if not isinstance(doc, dict):
         raise DocumentError("$: expected a JSON object")
     families_raw = _require(doc, "families", list, "$")
-    families = [
-        family_from_document(f, dim, arity, f"$.families[{k}]")
-        for k, f in enumerate(families_raw)
-    ]
+    families = _stacked_families(families_raw, dim, arity)
+    if families is None:
+        # the walk raises the first error in document order
+        families = [
+            family_from_document(f, dim, arity, f"$.families[{k}]")
+            for k, f in enumerate(families_raw)
+        ]
     diagnostics_raw = _require(doc, "diagnostics", list, "$") if "diagnostics" in doc else []
     diagnostics = []
     for k, d in enumerate(diagnostics_raw):
@@ -269,24 +322,28 @@ def dump_document(doc: dict[str, Any], path: str | None) -> None:
 
     Each top-level key, and each item of a top-level list, goes on its own
     line through the C encoder, one item at a time; no string for the whole
-    document is ever built.
+    document is ever built.  A path that cannot be opened is a
+    ``DocumentError``.
     """
     if path is None:
         target = contextlib.nullcontext(sys.stdout)
     else:
-        target = open(path, "w", encoding="utf-8")
+        try:
+            target = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise DocumentError(f"cannot write {path}: {exc}") from exc
     with target as fh:
         fh.write("{")
         sep = "\n  "
         for key, value in doc.items():
-            fh.write(f"{sep}{json.dumps(key)}: ")
+            fh.write(f"{sep}{_encode(key)}: ")
             sep = ",\n  "
             if isinstance(value, list) and value:
                 item_sep = "[\n    "
                 for item in value:
-                    fh.write(item_sep + json.dumps(item))
+                    fh.write(item_sep + _encode(item))
                     item_sep = ",\n    "
                 fh.write("\n  ]")
             else:
-                fh.write(json.dumps(value))
+                fh.write(_encode(value))
         fh.write("\n}\n")

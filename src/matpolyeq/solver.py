@@ -40,6 +40,7 @@ from .errors import (
     FactorCheckFailed,
     InsufficientRoots,
     NoPointsFound,
+    NonFiniteInput,
     NotASolution,
     NotSimultaneouslyDiagonalizable,
     SingularMatrix,
@@ -620,12 +621,19 @@ def commutation_check(unknowns) -> float:
     for x in xs:
         if x.shape != (n, n):
             raise DimensionMismatch("unknowns must share one square shape")
-    worst = 0.0
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            comm = np.linalg.norm(xs[i] @ xs[j] - xs[j] @ xs[i])
-            scale = 1.0 + np.linalg.norm(xs[i]) * np.linalg.norm(xs[j])
-            worst = max(worst, float(comm / scale))
+    return float(_commutations([x[None] for x in xs])[0])
+
+
+def _commutations(xs: list[np.ndarray]) -> np.ndarray:
+    # commutation_check of K candidates at once; xs[s] is the (K, n, n) stack of unknown s
+    if not all(np.isfinite(x).all() for x in xs):
+        raise NonFiniteInput("matrix entries must be finite")
+    norms = [np.linalg.norm(x, axis=(-2, -1)) for x in xs]
+    worst = np.zeros(len(xs[0]))
+    for i, j in itertools.combinations(range(len(xs)), 2):
+        comm = np.linalg.norm(xs[i] @ xs[j] - xs[j] @ xs[i], axis=(-2, -1))
+        # fmax skips the nan of a pair whose products overflowed
+        worst = np.fmax(worst, comm / (1.0 + norms[i] * norms[j]))
     return worst
 
 

@@ -649,3 +649,45 @@ def test_detpoly_unparsable_fix_exit_1(capsys):
     rc = main(["detpoly", str(DATA / "circle.json"), "--pivot", "1", "--fix", "abc"])
     assert rc == 1
     assert "--fix: cannot parse 'abc' as a complex number" in capsys.readouterr().err
+
+
+def plant_argv(tmp_path, arity, output="eq.json", truth="truth.json"):
+    return [
+        "plant", "--dimension", "2", "--arity", str(arity), "--degree", "2", "--seed", "11",
+        "--output", str(tmp_path / output), "--truth", str(tmp_path / truth),
+    ]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "plant-output", "plant-truth"])
+def test_unwritable_output_exit_1(tmp_path, capsys, command):
+    missing = "missing/out.json"
+    assert main(plant_argv(tmp_path, 1)) == 0
+    eq_path, truth_path = str(tmp_path / "eq.json"), str(tmp_path / "truth.json")
+    argv = {
+        "solve": ["solve", eq_path, "--seed", "0", "--output", str(tmp_path / missing)],
+        "verify": ["verify", eq_path, truth_path, "--output", str(tmp_path / missing)],
+        "plant-output": plant_argv(tmp_path, 1, output=missing),
+        "plant-truth": plant_argv(tmp_path, 1, truth=missing),
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]}: DocumentError: cannot write {tmp_path / missing}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_verify_non_finite_unknown_exit_1(tmp_path, capsys, arity, value):
+    assert main(plant_argv(tmp_path, arity)) == 0
+    truth_path = tmp_path / "truth.json"
+    doc = load(truth_path)
+    # the second of two families holds the non-finite entry
+    doc["families"].append(json.loads(json.dumps(doc["families"][0])))
+    doc["families"][1]["unknowns"][arity - 1][0][1] = [1.0, value]
+    with open(truth_path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    assert main(["verify", str(tmp_path / "eq.json"), str(truth_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "verify: NonFiniteInput: matrix entries must be finite\n"
+    assert captured.out == ""

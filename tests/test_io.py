@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matpolyeq import io
-from matpolyeq.errors import DocumentError
+from matpolyeq.errors import DimensionMismatch, DocumentError
 from matpolyeq.polymatrix import MatrixPolynomial
 from matpolyeq.solver import (
     SANDWICH_SLOTS,
@@ -117,6 +117,62 @@ def test_solution_round_trip_is_bit_exact(tmp_path_factory, case):
         assert float_bits(got.transform_condition) == float_bits(want.transform_condition)
 
 
+def per_family_layout(families, diagnostics) -> str:
+    """A solution document written family by family, one item per line."""
+
+    def pairs(a):
+        a = np.asarray(a, dtype=np.complex128)
+        return np.stack([a.real, a.imag], axis=-1).tolist()
+
+    def items(key, values):
+        if not values:
+            return f"{json.dumps(key)}: []"
+        lines = ",\n".join("    " + json.dumps(v) for v in values)
+        return f"{json.dumps(key)}: [\n{lines}\n  ]"
+
+    family_docs = [
+        {
+            "eigenvalues": [pairs(v) for v in f.eigenvalues],
+            "transform": pairs(f.transform),
+            "unknowns": [pairs(x) for x in f.unknowns],
+            "residual": float(f.residual),
+            "transform_condition": float(f.transform_condition),
+        }
+        for f in families
+    ]
+    diagnostic_docs = [{"class_or_attempt": d.label, "failure": d.failure} for d in diagnostics]
+    return (
+        "{\n  " + items("families", family_docs)
+        + ",\n  " + items("diagnostics", diagnostic_docs) + "\n}\n"
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=solutions())
+def test_solution_document_bytes_match_per_family_layout(tmp_path_factory, case):
+    _, _, families, diagnostics = case
+    path = tmp_path_factory.mktemp("bytes") / "sol.json"
+    io.dump_document(io.solution_to_document(families, diagnostics), str(path))
+    assert path.read_bytes().decode("utf-8") == per_family_layout(families, diagnostics)
+
+
+def square_family(dim, arity):
+    return SolutionFamily(
+        transform=np.eye(dim),
+        eigenvalues=[np.ones(dim)] * arity,
+        unknowns=[np.eye(dim)] * arity,
+        residual=0.0,
+        transform_condition=1.0,
+    )
+
+
+@pytest.mark.parametrize("shapes", [[(2, 1), (2, 2)], [(2, 1), (3, 1)]], ids=["arity", "dimension"])
+def test_solution_to_document_rejects_mixed_families(shapes):
+    families = [square_family(dim, arity) for dim, arity in shapes]
+    with pytest.raises(DimensionMismatch):
+        io.solution_to_document(families, [])
+
+
 def test_dump_document_writes_one_item_per_line(tmp_path):
     family = SolutionFamily(
         transform=np.eye(2, dtype=np.complex128),
@@ -191,6 +247,21 @@ def nest_every_pair(pairs):
     pairs[:] = [[pair] for pair in pairs]
 
 
+def in_family(k, edit):
+    """A three-family document with family k edited."""
+    doc = solution_doc()
+    doc["families"] = [copy.deepcopy(doc["families"][0]) for _ in range(3)]
+    edit(doc["families"][k])
+    return lambda: io.solution_from_document(doc, 2, 1)
+
+
+def set_key(key, value):
+    def edit(family):
+        family[key] = value
+
+    return edit
+
+
 MATRIX_CELL = "$.terms[0].coefficient[1][0]: expected a [re, im] number pair"
 EIGEN_CELL = "$.families[0].eigenvalues[0][1]: expected a [re, im] number pair"
 BAD_CELLS = {
@@ -229,6 +300,26 @@ ERROR_TABLE = [
         in_eigenvalues(nest_every_pair),
         "$.families[0].eigenvalues[0][0]: expected a [re, im] number pair",
         id="eigenvalue-every-pair-too-deep",
+    ),
+    pytest.param(
+        in_family(1, lambda f: set_cell(["1", 0.0])(f["unknowns"][0])),
+        "$.families[1].unknowns[0][1][0]: expected a [re, im] number pair",
+        id="family-1-cell",
+    ),
+    pytest.param(
+        in_family(2, set_key("transform", [[[1.0, 0.0]] * 3] * 3)),
+        "$.families[2].transform: expected 2 rows",
+        id="family-2-transform-dimension",
+    ),
+    pytest.param(
+        in_family(1, lambda f: f.pop("unknowns")),
+        "$.families[1].unknowns: missing",
+        id="family-1-no-unknowns",
+    ),
+    pytest.param(
+        in_family(1, set_key("residual", True)),
+        "$.families[1].residual: expected a number",
+        id="family-1-bool-residual",
     ),
 ]
 

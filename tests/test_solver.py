@@ -37,6 +37,7 @@ from matpolyeq.solver import (
     SolverConfig,
     StructuredEquation,
     _class_count,
+    _commutations,
     _greedy_select,
     commutation_check,
     dual_equation,
@@ -711,6 +712,30 @@ def test_commutation_check_values():
     b = np.array([[0.0, 0.0], [1.0, 0.0]])
     # commutator is diag(1, -1), norms are 1
     assert commutation_check([a, b]) == pytest.approx(np.sqrt(2.0) / 2.0)
+
+
+def pairwise_commutation(xs) -> float:
+    """The largest normalized commutator norm, one pair of matrices at a time."""
+    worst = 0.0
+    for x, y in itertools.combinations(xs, 2):
+        comm = np.linalg.norm(x @ y - y @ x) / (1.0 + np.linalg.norm(x) * np.linalg.norm(y))
+        worst = max(worst, float(comm))
+    return worst
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_commutations_stack_matches_pairwise_loop(arity):
+    rng = np.random.default_rng(arity)
+    xs = [rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3)) for _ in range(arity)]
+    want = [pairwise_commutation([x[k] for x in xs]) for k in range(5)]
+    # the stacked norms sum in another order: a few ulps apart
+    assert _commutations(xs).tolist() == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert [commutation_check([x[k] for x in xs]) for k in range(5)] == pytest.approx(
+        want, rel=1e-14, abs=0.0
+    )
+    xs[-1][3, 1, 2] = np.nan
+    with pytest.raises(NonFiniteInput, match="matrix entries must be finite"):
+        _commutations(xs)
 
 
 def test_duality_univariate():
