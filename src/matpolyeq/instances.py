@@ -54,12 +54,9 @@ def _draw_eigenvalues(rng: np.random.Generator, n: int) -> np.ndarray:
         radii = rng.uniform(0.5, 2.0, size=n)
         angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
         vals = radii * np.exp(1j * angles)
-        ok = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(vals[i] - vals[j]) < EIGEN_SEPARATION:
-                    ok = False
-        if ok:
+        close = np.abs(vals[:, None] - vals) < EIGEN_SEPARATION
+        np.fill_diagonal(close, False)
+        if not close.any():
             return vals
     raise RuntimeError("could not draw separated eigenvalues")
 

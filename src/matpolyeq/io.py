@@ -3,17 +3,19 @@
 Complex numbers serialize as two-element [re, im] arrays and matrices as
 row-major nested arrays; every value reads back bit for bit.  Arrays are
 converted whole in both directions: a solution document's fields are each
-converted across all of its families at once, and the document is walked
-family by family, cell by cell, only to name the offending field path in an
-error.
+converted across all of its families at once.  Every array read goes
+through one converter, ``_complex_array``; only when its whole-array check
+fails does one locator walk the document in order, to name the first
+offending field path in the error.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import os
 import sys
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -32,7 +34,14 @@ def to_pairs(values) -> list:
 # documents are trees this package builds, so the encoder's cycle check is never needed
 _encode = json.JSONEncoder(check_circular=False).encode
 
-_ARRAY_KEYS = ("eigenvalues", "transform", "unknowns")
+#: A solution family's array fields: key, shape in terms of the document's
+#: arity and dimension, and the noun for the items at each level of the shape.
+_FAMILY_ARRAYS = (
+    ("eigenvalues", ("arity", "dim"), ("lists", "pairs")),
+    ("transform", ("dim", "dim"), ("rows", "entries")),
+    ("unknowns", ("arity", "dim", "dim"), ("matrices", "rows", "entries")),
+)
+_PAIR = "expected a [re, im] number pair"
 
 
 def _number(value: Any, path: str, expected: str) -> float:
@@ -44,56 +53,47 @@ def _number(value: Any, path: str, expected: str) -> float:
         raise DocumentError(f"{path}: number out of float range") from None
 
 
-def _check_pair(value: Any, path: str) -> None:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise DocumentError(f"{path}: expected a [re, im] number pair")
-    for x in value:
-        _number(x, path, "expected a [re, im] number pair")
-
-
-def _complex_array(value: Any, shape: tuple[int, ...]) -> np.ndarray | None:
-    """Nested [re, im] number pairs as a complex array, or None if malformed.
+def _complex_array(value: Any, shape: tuple[int, ...], locate: Callable[[], None]) -> np.ndarray:
+    """Nested [re, im] number pairs as a complex array of ``shape``.
 
     One object-array pass checks the nesting and the number types; the
     float64 pairs are then viewed as complex128, so -0.0, inf and nan
-    keep their bits.
+    keep their bits.  Only if that check fails does ``locate()`` run, to
+    raise the ``DocumentError`` that names the first fault.
     """
     cells = np.array(value, dtype=object)
-    if cells.shape != shape + (2,):
-        return None
-    flat = cells.ravel().tolist()
-    if not all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, flat))):
-        return None
-    try:
-        return np.array(flat, dtype=np.float64).view(np.complex128).reshape(shape)
-    except OverflowError:
-        return None
+    if cells.shape == shape + (2,):
+        flat = cells.ravel().tolist()
+        if all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, flat))):
+            try:
+                return np.array(flat, dtype=np.float64).view(np.complex128).reshape(shape)
+            except OverflowError:
+                pass
+    locate()
+    raise AssertionError("whole-array check and locator disagree")
 
 
-def _rows_to_matrix(value: Any, dim: int, path: str) -> np.ndarray:
-    out = _complex_array(value, (dim, dim))
-    if out is not None:
-        return out
-    # locate the first malformed row or cell for the error message
-    if not isinstance(value, list) or len(value) != dim:
-        raise DocumentError(f"{path}: expected {dim} rows")
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != dim:
-            raise DocumentError(f"{path}[{i}]: expected {dim} entries")
-        for j, cell in enumerate(row):
-            _check_pair(cell, f"{path}[{i}][{j}]")
-    raise AssertionError(f"{path}: bulk check and cell walk disagree")
+def _locate(value: Any, shape: tuple[int, ...], nouns: tuple[str, ...], path: str) -> None:
+    """Raise the first fault of ``value`` against ``shape``, in document order.
+
+    Each level of ``shape`` must be a list of ``nouns[level]``; each leaf a
+    list or tuple of two numbers.
+    """
+    if shape:
+        if not isinstance(value, list) or len(value) != shape[0]:
+            raise DocumentError(f"{path}: expected {shape[0]} {nouns[0]}")
+        for i, item in enumerate(value):
+            _locate(item, shape[1:], nouns[1:], f"{path}[{i}]")
+    elif not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise DocumentError(f"{path}: {_PAIR}")
+    else:
+        for x in value:
+            _number(x, path, _PAIR)
 
 
-def _pairs_to_vector(value: Any, dim: int, path: str) -> np.ndarray:
-    out = _complex_array(value, (dim,))
-    if out is not None:
-        return out
-    if not isinstance(value, list) or len(value) != dim:
-        raise DocumentError(f"{path}: expected {dim} pairs")
-    for k, cell in enumerate(value):
-        _check_pair(cell, f"{path}[{k}]")
-    raise AssertionError(f"{path}: bulk check and cell walk disagree")
+def _matrix(value: Any, dim: int, path: str) -> np.ndarray:
+    shape = (dim, dim)
+    return _complex_array(value, shape, lambda: _locate(value, shape, ("rows", "entries"), path))
 
 
 def _require(doc: dict, key: str, kind, path: str):
@@ -154,9 +154,7 @@ def equation_from_document(doc: Any) -> StructuredEquation:
         for name, key in SANDWICH_SLOTS.items():
             if name not in slots:
                 raise DocumentError(f"$.sandwich_slots.{name}: missing")
-            terms[key] = _rows_to_matrix(
-                slots[name], dim, f"$.sandwich_slots.{name}"
-            )
+            terms[key] = _matrix(slots[name], dim, f"$.sandwich_slots.{name}")
     else:
         raw_terms = _require(doc, "terms", list, "$")
         seen: set[tuple[int, ...]] = set()
@@ -177,7 +175,7 @@ def equation_from_document(doc: Any) -> StructuredEquation:
                 raise DocumentError(f"{path}.exponents: duplicate tuple {list(exps)}")
             seen.add(exps)
             coeff = _require(entry, "coefficient", list, path)
-            terms[exps] = _rows_to_matrix(coeff, dim, f"{path}.coefficient")
+            terms[exps] = _matrix(coeff, dim, f"{path}.coefficient")
     try:
         poly = MatrixPolynomial(arity=arity, dim=dim, terms=terms)
         return StructuredEquation(poly=poly, orientation=orientation)
@@ -195,7 +193,7 @@ def solution_to_document(
     try:
         fields = [
             to_pairs(np.array([getattr(f, key) for f in families], dtype=np.complex128))
-            for key in _ARRAY_KEYS
+            for key, _, _ in _FAMILY_ARRAYS
         ]
     except ValueError:
         raise DimensionMismatch("families must share one dimension and arity") from None
@@ -216,66 +214,45 @@ def solution_to_document(
     }
 
 
-def family_from_document(doc: Any, dim: int, arity: int, path: str) -> SolutionFamily:
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{path}: expected an object")
-    eigen_raw = _require(doc, "eigenvalues", list, path)
-    if len(eigen_raw) != arity:
-        raise DocumentError(f"{path}.eigenvalues: expected {arity} lists")
-    eigenvalues = [
-        _pairs_to_vector(vals, dim, f"{path}.eigenvalues[{s}]")
-        for s, vals in enumerate(eigen_raw)
-    ]
-    transform = _rows_to_matrix(
-        _require(doc, "transform", list, path), dim, f"{path}.transform"
-    )
-    unknowns_raw = _require(doc, "unknowns", list, path)
-    if len(unknowns_raw) != arity:
-        raise DocumentError(f"{path}.unknowns: expected {arity} matrices")
-    unknowns = [
-        _rows_to_matrix(x, dim, f"{path}.unknowns[{s}]")
-        for s, x in enumerate(unknowns_raw)
-    ]
-    residual = _number(doc.get("residual"), f"{path}.residual", "expected a number")
-    condition = _number(
-        doc.get("transform_condition"), f"{path}.transform_condition", "expected a number"
-    )
-    return SolutionFamily(
-        transform=transform,
-        eigenvalues=eigenvalues,
-        unknowns=unknowns,
-        residual=residual,
-        transform_condition=condition,
-    )
+def _scalars(family: dict, path: str) -> dict[str, float]:
+    return {
+        key: _number(family.get(key), f"{path}.{key}", "expected a number")
+        for key in ("residual", "transform_condition")
+    }
 
 
-def _stacked_families(raw: list, dim: int, arity: int) -> list[SolutionFamily] | None:
-    """The families read one array field at a time across all of them, or None
-    if any check fails.  Each family holds views of the stacked arrays."""
+def _families(raw: list, dim: int, arity: int) -> list[SolutionFamily]:
+    """The families, each array field read across all of them at once (each
+    family holds views of the stacked arrays); ``locate`` names a fault."""
+    if not raw:
+        return []
+    sizes = {"arity": arity, "dim": dim}
+
+    def locate() -> None:
+        for k, family in enumerate(raw):
+            path = f"$.families[{k}]"
+            if not isinstance(family, dict):
+                raise DocumentError(f"{path}: expected an object")
+            for key, axes, nouns in _FAMILY_ARRAYS:
+                value = _require(family, key, list, path)
+                _locate(value, tuple(sizes[a] for a in axes), nouns, f"{path}.{key}")
+            _scalars(family, path)
+
     if not all(
-        isinstance(f, dict) and all(isinstance(f.get(key), list) for key in _ARRAY_KEYS)
+        isinstance(f, dict) and all(isinstance(f.get(key), list) for key, _, _ in _FAMILY_ARRAYS)
         for f in raw
     ):
-        return None
-    shapes = [(arity, dim), (dim, dim), (arity, dim, dim)]
-    stacks = [
-        _complex_array([f[key] for f in raw], (len(raw), *shape))
-        for key, shape in zip(_ARRAY_KEYS, shapes)
-    ]
-    if any(stack is None for stack in stacks):
-        return None
-    eigenvalues, transforms, unknowns = stacks
+        locate()  # raises: a family is not an object or lacks a list field
+    eigenvalues, transforms, unknowns = (
+        _complex_array([f[key] for f in raw], (len(raw), *(sizes[a] for a in axes)), locate)
+        for key, axes, _ in _FAMILY_ARRAYS
+    )
     return [
         SolutionFamily(
             transform=transforms[k],
             eigenvalues=list(eigenvalues[k]),
             unknowns=list(unknowns[k]),
-            residual=_number(f.get("residual"), f"$.families[{k}].residual", "expected a number"),
-            transform_condition=_number(
-                f.get("transform_condition"),
-                f"$.families[{k}].transform_condition",
-                "expected a number",
-            ),
+            **_scalars(f, f"$.families[{k}]"),
         )
         for k, f in enumerate(raw)
     ]
@@ -287,13 +264,7 @@ def solution_from_document(
     if not isinstance(doc, dict):
         raise DocumentError("$: expected a JSON object")
     families_raw = _require(doc, "families", list, "$")
-    families = _stacked_families(families_raw, dim, arity)
-    if families is None:
-        # the walk raises the first error in document order
-        families = [
-            family_from_document(f, dim, arity, f"$.families[{k}]")
-            for k, f in enumerate(families_raw)
-        ]
+    families = _families(families_raw, dim, arity)
     diagnostics_raw = _require(doc, "diagnostics", list, "$") if "diagnostics" in doc else []
     diagnostics = []
     for k, d in enumerate(diagnostics_raw):
@@ -315,6 +286,8 @@ def load_document(path: str) -> Any:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON, bytes that are not UTF-8, overlong integers
         raise DocumentError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError:
+        raise DocumentError(f"{path}: invalid JSON (nested too deeply)") from None
 
 
 def dump_document(doc: dict[str, Any], path: str | None) -> None:
@@ -322,28 +295,34 @@ def dump_document(doc: dict[str, Any], path: str | None) -> None:
 
     Each top-level key, and each item of a top-level list, goes on its own
     line through the C encoder, one item at a time; no string for the whole
-    document is ever built.  A path that cannot be opened is a
-    ``DocumentError``.
+    document is ever built.  A path that cannot be opened or written, or a
+    stdout that cannot take the output, is a ``DocumentError``; what was
+    written before the failure stays at the target.
     """
-    if path is None:
-        target = contextlib.nullcontext(sys.stdout)
-    else:
-        try:
-            target = open(path, "w", encoding="utf-8")
-        except OSError as exc:
-            raise DocumentError(f"cannot write {path}: {exc}") from exc
-    with target as fh:
-        fh.write("{")
-        sep = "\n  "
-        for key, value in doc.items():
-            fh.write(f"{sep}{_encode(key)}: ")
-            sep = ",\n  "
-            if isinstance(value, list) and value:
-                item_sep = "[\n    "
-                for item in value:
-                    fh.write(item_sep + _encode(item))
-                    item_sep = ",\n    "
-                fh.write("\n  ]")
-            else:
-                fh.write(_encode(value))
-        fh.write("\n}\n")
+    try:
+        target = (
+            contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
+        )
+        with target as fh:
+            fh.write("{")
+            sep = "\n  "
+            for key, value in doc.items():
+                fh.write(f"{sep}{_encode(key)}: ")
+                sep = ",\n  "
+                if isinstance(value, list) and value:
+                    item_sep = "[\n    "
+                    for item in value:
+                        fh.write(item_sep + _encode(item))
+                        item_sep = ",\n    "
+                    fh.write("\n  ]")
+                else:
+                    fh.write(_encode(value))
+            fh.write("\n}\n")
+            fh.flush()
+    except OSError as exc:
+        if path is None:
+            # the interpreter flushes stdout again at exit: send what is left to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise DocumentError(f"cannot write {'<stdout>' if path is None else path}: {exc}") from exc

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -691,3 +692,53 @@ def test_verify_non_finite_unknown_exit_1(tmp_path, capsys, arity, value):
     captured = capsys.readouterr()
     assert captured.err == "verify: NonFiniteInput: matrix entries must be finite\n"
     assert captured.out == ""
+
+
+def test_solve_deeply_nested_document_exit_1(tmp_path, capsys):
+    eq_path = tmp_path / "deep.json"
+    eq_path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    assert main(["solve", str(eq_path), "--seed", "0"]) == 1
+    assert capsys.readouterr().err == f"{eq_path}: invalid JSON (nested too deeply)\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_solve_output_to_full_device_exit_1(capsys):
+    argv = ["solve", str(DATA / "scalar_quadratic.json"), "--seed", "0", "--output", "/dev/full"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solve: DocumentError: cannot write /dev/full: ")
+    assert err.count("\n") == 1
+
+
+def closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+def full_device():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    return os.open("/dev/full", os.O_WRONLY)
+
+
+@pytest.mark.parametrize("open_stdout", [closed_pipe, full_device], ids=["closed-pipe", "full-device"])
+def test_solve_unwritable_stdout_exit_1(open_stdout):
+    # stdout stays buffered, as by default, so the interpreter flushes it
+    # once more at exit; that flush must not fail again
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    stdout = open_stdout()
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "matpolyeq", "solve", str(DATA / "scalar_quadratic.json"),
+             "--seed", "0"],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(stdout)
+    assert result.returncode == 1
+    assert result.stderr.startswith("solve: DocumentError: cannot write <stdout>: ")
+    assert result.stderr.count("\n") == 1

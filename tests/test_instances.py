@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from matpolyeq.errors import DegreeZero, DimensionMismatch, NonIntegerInput
-from matpolyeq.instances import plant_instance, scalar_oracle, symbolic_det_oracle
+from matpolyeq.instances import (
+    EIGEN_SEPARATION,
+    plant_instance,
+    scalar_oracle,
+    symbolic_det_oracle,
+)
 from matpolyeq.polymatrix import (
     MatrixPolynomial,
     det_poly_univariate,
@@ -201,6 +206,17 @@ def test_symbolic_det_oracle_dimension_cap():
     p = MatrixPolynomial(arity=1, dim=5, terms={(0,): np.eye(5)})
     with pytest.raises(DimensionMismatch):
         symbolic_det_oracle(p)
+
+
+@pytest.mark.parametrize("n", [2, 8, 16, 32])
+def test_planted_eigenvalues_are_separated(n):
+    # about 8%, 30% and 78% of raw draws at n = 8, 16, 32 have a pair closer than the
+    # separation, so these sizes exercise the rejection
+    for seed in range(4):
+        inst = plant_instance(n, 2, 1, Orientation.UNKNOWNS_LEFT, seed)
+        for vals in inst.truth_eigenvalues:
+            for a, b in itertools.combinations(vals, 2):
+                assert abs(a - b) >= EIGEN_SEPARATION
 
 
 def test_plant_sandwich_requires_template():

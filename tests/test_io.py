@@ -360,3 +360,61 @@ def test_integer_too_large_for_a_float_in_residual():
     doc["families"][0]["residual"] = HUGE
     with pytest.raises(DocumentError, match=r"^\$\.families\[0\]\.residual: number out of"):
         io.solution_from_document(doc, 2, 1)
+
+
+FAMILY_ARRAY_NOUNS = {
+    "eigenvalues": ("lists", "pairs"),
+    "transform": ("rows", "entries"),
+    "unknowns": ("matrices", "rows", "entries"),
+}
+
+
+@st.composite
+def one_fault_solutions(draw):
+    """A valid solution document with one fault put in, and the message it must raise."""
+    dim, arity = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    count = draw(st.integers(1, 3))
+    doc = io.solution_to_document([square_family(dim, arity)] * count, [])
+    k = draw(st.integers(0, count - 1))
+    family, path = doc["families"][k], f"$.families[{k}]"
+    fault = draw(st.sampled_from(["cell", "ragged", "missing array", "scalar"]))
+    if fault == "missing array":
+        key = draw(st.sampled_from(list(FAMILY_ARRAY_NOUNS)))
+        del family[key]
+        return doc, dim, arity, f"{path}.{key}: missing"
+    if fault == "scalar":
+        key = draw(st.sampled_from(["residual", "transform_condition"]))
+        bad = draw(st.sampled_from([True, "0.5", None, [0.0], {"value": 0.0}, "missing"]))
+        if bad == "missing":
+            del family[key]
+        else:
+            family[key] = bad
+        return doc, dim, arity, f"{path}.{key}: expected a number"
+    key = draw(st.sampled_from(list(FAMILY_ARRAY_NOUNS)))
+    nouns = FAMILY_ARRAY_NOUNS[key]
+    sizes = {"eigenvalues": (arity, dim), "transform": (dim, dim), "unknowns": (arity, dim, dim)}[key]
+    # the cell takes every index; a ragged level stops above the cells
+    depth = len(sizes) if fault == "cell" else draw(st.integers(0, len(sizes) - 1))
+    index = [draw(st.integers(0, size - 1)) for size in sizes[:depth]]
+    parent, slot = family, key
+    for i in index:
+        parent, slot = parent[slot], i
+    where = f"{path}.{key}" + "".join(f"[{i}]" for i in index)
+    if fault == "cell":
+        parent[slot] = copy.deepcopy(draw(st.sampled_from(list(BAD_CELLS.values()))))
+        return doc, dim, arity, f"{where}: expected a [re, im] number pair"
+    items = parent[slot]
+    if draw(st.booleans()):
+        items.pop()
+    else:
+        items.append(copy.deepcopy(items[0]))
+    return doc, dim, arity, f"{where}: expected {sizes[depth]} {nouns[depth]}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=one_fault_solutions())
+def test_one_fault_anywhere_names_its_path(case):
+    doc, dim, arity, message = case
+    with pytest.raises(DocumentError) as info:
+        io.solution_from_document(doc, dim, arity)
+    assert str(info.value) == message
