@@ -7,6 +7,7 @@ failure.  Data goes to stdout (or --output); errors go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -127,11 +128,9 @@ def cmd_verify(args) -> int:
                 probe = sandwich_probe(eq, family.unknowns[0], family.unknowns[1])
                 entry["probe"] = [
                     {
+                        **dataclasses.asdict(row),
                         "alpha": io.to_pairs(row.alpha),
                         "mu": io.to_pairs(row.mu),
-                        "scalar_identity": row.scalar_identity,
-                        "identity_scale": row.identity_scale,
-                        "det_probe": row.det_probe,
                     }
                     for row in probe.rows
                 ]
@@ -203,7 +202,6 @@ def cmd_plant(args) -> int:
     except ValueError as exc:
         return _fail(f"plant: {exc}")
     eq = planted.equation
-    io.dump_document(io.equation_to_document(eq), args.output)
     # the truth family mirrors solver output: W = T^-1 for left, T otherwise
     if orientation is Orientation.UNKNOWNS_LEFT:
         stored = np.linalg.inv(planted.truth_transform)
@@ -216,6 +214,10 @@ def cmd_plant(args) -> int:
         residual=verify_residual(eq, planted.truth_unknowns),
         transform_condition=float(np.linalg.cond(planted.truth_transform)),
     )
+    # --truth is opened before --output is written, so that either path
+    # failing to open leaves the other as it was
+    io.check_writable(args.truth)
+    io.dump_document(io.equation_to_document(eq), args.output)
     io.dump_document(io.solution_to_document([family], []), args.truth)
     return EXIT_OK
 

@@ -290,6 +290,22 @@ def load_document(path: str) -> Any:
         raise DocumentError(f"{path}: invalid JSON (nested too deeply)") from None
 
 
+def check_writable(path: str) -> None:
+    """Raise the ``DocumentError`` of a path that cannot be opened for writing.
+
+    The path is left as it was: an existing file keeps its bytes, and an
+    absent one is created only for the test and removed again.
+    """
+    try:
+        if os.path.exists(path):
+            open(path, "rb+").close()
+        else:
+            open(path, "xb").close()
+            os.remove(path)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}") from exc
+
+
 def dump_document(doc: dict[str, Any], path: str | None) -> None:
     """Write the object ``doc`` as JSON plus a newline to ``path``, or stdout.
 

@@ -16,13 +16,12 @@ enumerates eigenvalue classes of that pool as tuples of root indices and
 assembles them in one batch loop: a chunk of classes becomes one index
 array, which gathers a (K, n, n) stack of transforms whose rank test,
 inverse, reconstruction and residual are computed together.  Directions are
-chosen class by class only for classes with a repeated root or a null space
-wider than one vector, and the class count computed from the capped
-multiplicities says whether the enumeration was truncated.  The
-multivariate path assembles a transform from sampled variety points as a
-batch of one.  Both go through the same assembler, so they share one
-singular-value gate and one relative residual acceptance, the normalisation
-of :func:`verify_residual`.
+fitted only for the classes with a wide root, one whose null space holds
+more than one vector, and truncation is seen one class past
+``max_classes``.  The multivariate path assembles a transform from sampled
+variety points as a batch of one.  Both go through the same assembler, so
+they share one singular-value gate and one relative residual acceptance,
+the normalisation of :func:`verify_residual`.
 """
 
 from __future__ import annotations
@@ -279,14 +278,6 @@ def _class_indices(mults: list[int], n: int):
     return rec(0, n)
 
 
-def _class_count(mults: list[int], n: int) -> int:
-    # the coefficient of x^n in prod_i (1 + x + ... + x^mults[i])
-    coeffs = [1] + [0] * n
-    for mult in mults:
-        coeffs = [sum(coeffs[max(0, d - mult) : d + 1]) for d in range(n + 1)]
-    return coeffs[n]
-
-
 def iter_solution_classes(pool, n: int):
     """Yield all n-element sub-multisets of the root pool in lexicographic order."""
     items = sorted(pool, key=lambda rm: linalg.lex_key(rm[0]))
@@ -294,42 +285,18 @@ def iter_solution_classes(pool, n: int):
         yield tuple(items[i][0] for i in idx)
 
 
-def _select_directions(basis: list[np.ndarray], current: list[np.ndarray], r: int) -> list[np.ndarray]:
+def _select_directions(basis: list[np.ndarray], current: np.ndarray, r: int) -> np.ndarray:
     # pick r unit vectors inside span(basis) maximizing independence from the
-    # already stacked vectors; any combination of null vectors is still null
+    # rows of current; any combination of null vectors is still null
     B = np.column_stack(basis)
-    if current:
-        S = np.column_stack(current)
-        proj, *_ = np.linalg.lstsq(S, B, rcond=None)
-        G = B - S @ proj
-    else:
-        G = B
+    G = B
+    if len(current):
+        proj, *_ = np.linalg.lstsq(current.T, B, rcond=None)
+        G = B - current.T @ proj
     _, _, vh = np.linalg.svd(G)
-    chosen = []
-    for i in range(r):
-        v = B @ vh[i].conj()
-        nrm = np.linalg.norm(v)
-        if nrm > 0:
-            v = v / nrm
-        chosen.append(v)
-    return chosen
-
-
-def _fit_directions(idx: np.ndarray, nulls: list, vectors: np.ndarray) -> None:
-    """Fit a chunk's stacked null vectors to classes that need a choice.
-
-    ``idx[k]`` holds the ascending root indices of class k and ``nulls[i]``
-    the null space basis at root i, with at least as many vectors as root i
-    may appear in a class.  A class with a repeated root or a null space of
-    dimension > 1 gets its ``vectors[k]`` from :func:`_select_directions`.
-    """
-    for k, cls in enumerate(idx.tolist()):
-        counts = [(i, len(list(group))) for i, group in itertools.groupby(cls)]
-        if any(r > 1 or len(nulls[i]) > 1 for i, r in counts):
-            chosen: list[np.ndarray] = []
-            for i, r in counts:
-                chosen.extend(_select_directions(nulls[i], chosen, r))
-            vectors[k] = chosen
+    chosen = vh[:r].conj() @ B.T
+    norms = np.linalg.norm(chosen, axis=1, keepdims=True)
+    return chosen / np.where(norms > 0, norms, 1.0)
 
 
 def _assemble_families(
@@ -374,30 +341,34 @@ def _assemble_families(
 
 
 def _class_batches(
-    eq: StructuredEquation, roots: np.ndarray, nulls: list, indices, count: int, cfg: SolverConfig
+    eq: StructuredEquation, roots: np.ndarray, nulls: list, indices, cfg: SolverConfig
 ):
-    """Outcomes of the first ``count`` classes of a root pool, per chunk.
+    """Outcomes of a stream of classes of a root pool, per chunk.
 
     ``roots`` holds the pool in lexicographic order, ``nulls[i]`` the null
-    space basis at ``roots[i]`` and ``indices`` the classes from
+    space basis at ``roots[i]`` and ``indices`` an iterator of classes from
     :func:`_class_indices`.  A chunk's classes become one (K, n) index array
     that gathers their eigenvalues and unit null vectors.  A root repeats in
-    a class only when its null space is wider than one vector, so only a
-    pool with such a root goes through :func:`_fit_directions`.  Yields
-    ``(classes, outcomes)`` per chunk, ``classes`` as a (K, n) array.
+    a class only when its null space is wider than one vector, so only the
+    classes with such a wide root get their directions fitted: the other
+    roots keep their vectors, and then each wide root in turn takes the
+    vectors of its null space that lie farthest from all those in place.
+    Yields ``(classes, outcomes)`` per chunk, ``classes`` as a (K, n) array.
     """
-    n = eq.dim
-    indices = itertools.chain.from_iterable(indices)
-    # each root's first null vector, normalised as _select_directions would
+    # each root's first null vector, normalised
     units = np.array([b[0] / np.linalg.norm(b[0]) for b in nulls], dtype=np.complex128)
-    simple = all(len(b) == 1 for b in nulls)
-    size = linalg.chunk_size(n * n)
-    for lo in range(0, count, size):
-        k = min(size, count - lo)
-        idx = np.fromiter(indices, dtype=np.intp, count=k * n).reshape(k, n)
-        classes, vectors = roots[idx], units[idx]
-        if not simple:
-            _fit_directions(idx, nulls, vectors)
+    wide = np.array([len(b) > 1 for b in nulls])
+    size = linalg.chunk_size(eq.dim * eq.dim)
+    while chunk := list(itertools.islice(indices, size)):
+        idx = np.array(chunk, dtype=np.intp)
+        vectors = units[idx]
+        for k in np.flatnonzero(wide[idx].any(axis=1)):
+            placed = ~wide[idx[k]]
+            for i in np.unique(idx[k, ~placed]):
+                slots = idx[k] == i
+                vectors[k, slots] = _select_directions(nulls[i], vectors[k, placed], slots.sum())
+                placed |= slots
+        classes = roots[idx]
         yield classes, _assemble_families(eq, classes[None], vectors, cfg)
 
 
@@ -413,13 +384,14 @@ def solve_univariate(eq: StructuredEquation, cfg: SolverConfig | None = None) ->
     vectors at the class roots are stacked into the transform, r
     orthonormal ones for a root taken r times.  Classes are enumerated as
     tuples of root indices and assembled in one batch loop, a chunk of
-    stacked transforms at a time; directions are chosen class by class only
-    for classes with a repeated root or a wider null space.  The class
-    count, computed from the capped multiplicities, says whether
-    ``cfg.max_classes`` truncated the enumeration.  Classes with singular
-    stacks or failing residuals are reported in the diagnostics, in class
-    order, never returned.  Raises ``InsufficientRoots``, carrying the root
-    diagnostics, when the capped pool holds fewer than n roots.
+    stacked transforms at a time; only the classes with a wide root, one
+    whose null space holds more than one vector, have their directions
+    fitted, the wide roots last.  The enumeration stops at
+    ``cfg.max_classes`` and is reported truncated when one more class
+    follows.  Classes with singular stacks or failing residuals are
+    reported in the diagnostics, in class order, never returned.  Raises
+    ``InsufficientRoots``, carrying the root diagnostics, when the capped
+    pool holds fewer than n roots.
     """
     cfg = cfg or SolverConfig()
     if eq.arity != 1:
@@ -445,23 +417,21 @@ def solve_univariate(eq: StructuredEquation, cfg: SolverConfig | None = None) ->
     except InsufficientRoots as exc:
         exc.diagnostics = diagnostics
         raise
-    count = _class_count(mults, eq.dim)
-    if count > cfg.max_classes:
-        diagnostics.append(
-            Diagnostic("class enumeration", f"truncated at max_classes={cfg.max_classes}")
-        )
     families: list[SolutionFamily] = []
-    batches = _class_batches(
-        eq, roots[keep], [nulls[i] for i in keep], indices, min(count, cfg.max_classes), cfg
-    )
-    for classes, outcomes in batches:
+    rejected: list[Diagnostic] = []
+    head = itertools.islice(indices, cfg.max_classes)
+    for classes, outcomes in _class_batches(eq, roots[keep], [nulls[i] for i in keep], head, cfg):
         for cls, outcome in zip(classes, outcomes):
             if isinstance(outcome, SolutionFamily):
                 families.append(outcome)
             else:
                 label = "class (" + ", ".join(_fmt_c(r) for r in cls) + ")"
-                diagnostics.append(Diagnostic(label, outcome))
-    return SolveResult(families=families, diagnostics=diagnostics)
+                rejected.append(Diagnostic(label, outcome))
+    if next(indices, None) is not None:
+        diagnostics.append(
+            Diagnostic("class enumeration", f"truncated at max_classes={cfg.max_classes}")
+        )
+    return SolveResult(families=families, diagnostics=diagnostics + rejected)
 
 
 def _greedy_select(sample: VarietySample, n: int) -> list[int] | None:

@@ -652,29 +652,38 @@ def test_detpoly_unparsable_fix_exit_1(capsys):
     assert "--fix: cannot parse 'abc' as a complex number" in capsys.readouterr().err
 
 
-def plant_argv(tmp_path, arity, output="eq.json", truth="truth.json"):
+def plant_argv(tmp_path, arity, output="eq.json", truth="truth.json", seed=11):
     return [
-        "plant", "--dimension", "2", "--arity", str(arity), "--degree", "2", "--seed", "11",
+        "plant", "--dimension", "2", "--arity", str(arity), "--degree", "2", "--seed", str(seed),
         "--output", str(tmp_path / output), "--truth", str(tmp_path / truth),
     ]
 
 
-@pytest.mark.parametrize("command", ["solve", "verify", "plant-output", "plant-truth"])
+@pytest.mark.parametrize(
+    "command",
+    ["solve", "verify", "plant-output", "plant-truth", "plant-output-fresh", "plant-truth-fresh"],
+)
 def test_unwritable_output_exit_1(tmp_path, capsys, command):
     missing = "missing/out.json"
     assert main(plant_argv(tmp_path, 1)) == 0
     eq_path, truth_path = str(tmp_path / "eq.json"), str(tmp_path / "truth.json")
+    # a plant that cannot open one path leaves the other as it was: another
+    # seed would rewrite an existing document, and a fresh path stays absent
     argv = {
         "solve": ["solve", eq_path, "--seed", "0", "--output", str(tmp_path / missing)],
         "verify": ["verify", eq_path, truth_path, "--output", str(tmp_path / missing)],
-        "plant-output": plant_argv(tmp_path, 1, output=missing),
-        "plant-truth": plant_argv(tmp_path, 1, truth=missing),
+        "plant-output": plant_argv(tmp_path, 1, output=missing, seed=12),
+        "plant-truth": plant_argv(tmp_path, 1, truth=missing, seed=12),
+        "plant-output-fresh": plant_argv(tmp_path, 1, output=missing, truth="fresh.json"),
+        "plant-truth-fresh": plant_argv(tmp_path, 1, output="fresh.json", truth=missing),
     }[command]
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"{argv[0]}: DocumentError: cannot write {tmp_path / missing}: ")
     assert err.count("\n") == 1
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("arity", [1, 2])

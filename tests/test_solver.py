@@ -36,7 +36,6 @@ from matpolyeq.solver import (
     Orientation,
     SolverConfig,
     StructuredEquation,
-    _class_count,
     _commutations,
     _greedy_select,
     commutation_check,
@@ -148,13 +147,16 @@ def test_enumerate_classes_multiset():
 def test_enumerate_classes_binomial_count():
     pool = [(complex(k), 1) for k in range(4)]
     assert len(list(iter_solution_classes(pool, 2))) == 6
-    # with repeated roots the count is the coefficient of x^n in
-    # prod_i (1 + x + ... + x^m_i), which truncation is decided from
+    # with repeated roots the classes are the distinct sorted n-tuples drawn
+    # from the pool with each root repeated by its multiplicity
     for mults in [(1, 1, 1, 1), (2, 1, 1), (4,), (2, 2), (3, 1, 2, 1)]:
         pool = [(complex(k), m) for k, m in enumerate(mults)]
+        expanded = [root for root, m in pool for _ in range(m)]
         for n in (2, 3, 4):
             classes = list(iter_solution_classes(pool, n))
-            assert len(set(classes)) == len(classes) == _class_count(list(mults), n)
+            brute = set(itertools.combinations(expanded, n))
+            assert len(classes) == len(brute)
+            assert set(classes) == brute
             assert all(cls.count(root) <= m for cls in classes for root, m in pool)
 
 
@@ -405,6 +407,21 @@ def test_solve_univariate_jordan_block_insufficient_roots(orientation):
     assert [(d.label, d.failure) for d in info.value.diagnostics] == [
         (f"root {root.real:.6g}{root.imag:+.6g}j", "null space has dimension 1 < multiplicity 2")
     ]
+
+
+@pytest.mark.parametrize("orientation", [Orientation.UNKNOWNS_LEFT, Orientation.UNKNOWNS_RIGHT])
+def test_solve_univariate_fits_wide_root_against_whole_class(orientation):
+    # P = diag((z - 1)(z - 2), (z - 1)(z - 3)): the root 1 has a 2-d null
+    # space, so it must take e2 in the class (1, 2) and e1 in (1, 3)
+    terms = {(2,): I2, (1,): np.diag([-3.0, -4.0]), (0,): np.diag([2.0, 3.0])}
+    p = MatrixPolynomial(arity=1, dim=2, terms=terms)
+    result = solve_univariate(StructuredEquation(poly=p, orientation=orientation))
+    assert result.diagnostics == []
+    expected = [np.diag(d) for d in ([1.0, 1.0], [2.0, 1.0], [1.0, 3.0], [2.0, 3.0])]
+    assert len(result.families) == len(expected)
+    for family, x in zip(result.families, expected):
+        np.testing.assert_allclose(family.unknowns[0], x, atol=1e-12)
+        assert family.residual <= 1e-12
 
 
 @pytest.mark.parametrize(
