@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -93,9 +94,9 @@ def cmd_solve(args) -> int:
         families, diagnostics = result.families, result.diagnostics
     except (NoPointsFound, TransformSingular, InsufficientRoots) as exc:
         diagnostics = [Diagnostic("solver", f"{type(exc).__name__}: {exc}"), *exc.diagnostics]
-        io.dump_document(io.solution_to_document([], diagnostics), args.output)
+        io.dump_solution([], diagnostics, args.output)
         return EXIT_NO_RESULT
-    io.dump_document(io.solution_to_document(families, diagnostics), args.output)
+    io.dump_solution(families, diagnostics, args.output)
     return EXIT_OK if families else EXIT_NO_RESULT
 
 
@@ -214,11 +215,18 @@ def cmd_plant(args) -> int:
         residual=verify_residual(eq, planted.truth_unknowns),
         transform_condition=float(np.linalg.cond(planted.truth_transform)),
     )
+    # one file for both would end up holding the truth alone
+    if os.path.realpath(args.output) == os.path.realpath(args.truth) or (
+        os.path.exists(args.output)
+        and os.path.exists(args.truth)
+        and os.path.samefile(args.output, args.truth)
+    ):
+        raise DocumentError(f"--output and --truth name one file: {args.truth}")
     # --truth is opened before --output is written, so that either path
     # failing to open leaves the other as it was
     io.check_writable(args.truth)
     io.dump_document(io.equation_to_document(eq), args.output)
-    io.dump_document(io.solution_to_document([family], []), args.truth)
+    io.dump_solution([family], [], args.truth)
     return EXIT_OK
 
 

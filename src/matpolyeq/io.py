@@ -2,11 +2,15 @@
 
 Complex numbers serialize as two-element [re, im] arrays and matrices as
 row-major nested arrays; every value reads back bit for bit.  Arrays are
-converted whole in both directions: a solution document's fields are each
-converted across all of its families at once.  Every array read goes
-through one converter, ``_complex_array``; only when its whole-array check
-fails does one locator walk the document in order, to name the first
-offending field path in the error.
+converted whole in both directions.  ``dump_solution`` writes a solution
+document a chunk of families at a time: each chunk's fields are stacked as
+float64, each distinct bit pattern is formatted once, and each family line
+is written as soon as it is filled in; the bytes are those of
+``dump_document(solution_to_document(...))``.  On reading, a solution
+document's fields are each converted across all of its families at once.
+Every array read goes through one converter, ``_complex_array``; only when
+its whole-array check fails does one locator walk the document in order, to
+name the first offending field path in the error.
 """
 
 from __future__ import annotations
@@ -15,11 +19,12 @@ import contextlib
 import json
 import os
 import sys
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import DimensionMismatch, DocumentError
+from .linalg import chunk_size
 from .polymatrix import MatrixPolynomial
 from .solver import Diagnostic, Orientation, SANDWICH_SLOTS, SolutionFamily, StructuredEquation
 
@@ -189,14 +194,16 @@ def solution_to_document(
     """The solution document; each array field is converted across all families at once.
 
     The families must share one dimension and arity, else ``DimensionMismatch``.
+    The CLI writes solution documents with ``dump_solution`` instead; this
+    in-memory document is kept for callers and tests that inspect it, and
+    for the benchmark tracer, which wraps it by name.
     """
-    try:
-        fields = [
-            to_pairs(np.array([getattr(f, key) for f in families], dtype=np.complex128))
-            for key, _, _ in _FAMILY_ARRAYS
-        ]
-    except ValueError:
-        raise DimensionMismatch("families must share one dimension and arity") from None
+    if families:
+        _shared_shape(families)
+    fields = [
+        to_pairs(np.array([getattr(f, key) for f in families], dtype=np.complex128))
+        for key, _, _ in _FAMILY_ARRAYS
+    ]
     return {
         "families": [
             {
@@ -212,6 +219,68 @@ def solution_to_document(
             {"class_or_attempt": d.label, "failure": d.failure} for d in diagnostics
         ],
     }
+
+
+def _layout(shape: tuple[int, ...]) -> str:
+    """The JSON text of a nested pair array of ``shape``, with ``%s`` for each number."""
+    if not shape:
+        return "[%s, %s]"
+    return "[" + ", ".join([_layout(shape[1:])] * shape[0]) + "]"
+
+
+def _shared_shape(families: list[SolutionFamily]) -> tuple:
+    """The shapes of the array fields, which all families must share."""
+    keys = [key for key, _, _ in _FAMILY_ARRAYS]
+    try:  # a ragged field, or two shapes among the families
+        (shape,) = {tuple(np.shape(getattr(f, key)) for key in keys) for f in families}
+    except ValueError:
+        raise DimensionMismatch("families must share one dimension and arity") from None
+    return shape
+
+
+def _family_lines(families: list[SolutionFamily], shape: tuple) -> Iterator[str]:
+    """Each family's JSON text, filled into one ``%s`` layout a chunk at a time.
+
+    A chunk's numbers are stacked as float64 and de-duplicated on their bit
+    pattern, so ``0.0`` and ``-0.0`` stay apart; the distinct numbers are
+    encoded in one call, as the encoder writes them anywhere else.
+    """
+    layout = "{%s}" % ", ".join(
+        [f"{_encode(key)}: {_layout(s)}" for (key, _, _), s in zip(_FAMILY_ARRAYS, shape)]
+        + ['"residual": %s', '"transform_condition": %s']
+    )
+    step = chunk_size(sum(int(np.prod(s)) for s in shape))
+    for start in range(0, len(families), step):
+        chunk = families[start : start + step]
+        fields = [
+            np.array([getattr(f, key) for f in chunk], dtype=np.complex128)
+            .reshape(len(chunk), -1)
+            .view(np.float64)
+            for key, _, _ in _FAMILY_ARRAYS
+        ]
+        scalars = [(f.residual, f.transform_condition) for f in chunk]
+        fields.append(np.array(scalars, dtype=np.float64))
+        numbers = np.concatenate(fields, axis=1)
+        distinct, inverse = np.unique(numbers.view(np.uint64), return_inverse=True)
+        # no number's text holds ", ", so one list's text splits into the numbers'
+        texts = _encode(distinct.view(np.float64).tolist())[1:-1].split(", ")
+        for row in np.array(texts, dtype=object)[inverse.reshape(numbers.shape)].tolist():
+            yield layout % tuple(row)
+
+
+def dump_solution(
+    families: list[SolutionFamily], diagnostics: list[Diagnostic], path: str | None
+) -> None:
+    """Write the solution document of ``families`` and ``diagnostics`` to ``path``, or stdout.
+
+    The bytes are those of ``dump_document(solution_to_document(...))``, but
+    no nested lists are built: each family line is written as soon as its
+    chunk is formatted.  Mixed shapes raise ``DimensionMismatch`` before the
+    target is opened.
+    """
+    lines = _family_lines(families, _shared_shape(families)) if families else ()
+    notes = ({"class_or_attempt": d.label, "failure": d.failure} for d in diagnostics)
+    _write(path, [("families", lines), ("diagnostics", map(_encode, notes))])
 
 
 def _scalars(family: dict, path: str) -> dict[str, float]:
@@ -306,14 +375,15 @@ def check_writable(path: str) -> None:
         raise DocumentError(f"cannot write {path}: {exc}") from exc
 
 
-def dump_document(doc: dict[str, Any], path: str | None) -> None:
-    """Write the object ``doc`` as JSON plus a newline to ``path``, or stdout.
+def _write(path: str | None, members: Iterable[tuple[str, str | Iterable[str]]]) -> None:
+    """Write a JSON object plus a newline to ``path``, or stdout.
 
-    Each top-level key, and each item of a top-level list, goes on its own
-    line through the C encoder, one item at a time; no string for the whole
-    document is ever built.  A path that cannot be opened or written, or a
-    stdout that cannot take the output, is a ``DocumentError``; what was
-    written before the failure stays at the target.
+    Each member is a key with either its value's JSON text or, for a list,
+    an iterable of its items' texts; each key starts a line, and each list
+    item sits on its own line, written as soon as it is drawn.  A path that
+    cannot be opened or written, or a stdout that cannot take the output,
+    is a ``DocumentError``; what was written before the failure stays at
+    the target.
     """
     try:
         target = (
@@ -322,17 +392,17 @@ def dump_document(doc: dict[str, Any], path: str | None) -> None:
         with target as fh:
             fh.write("{")
             sep = "\n  "
-            for key, value in doc.items():
+            for key, value in members:
                 fh.write(f"{sep}{_encode(key)}: ")
                 sep = ",\n  "
-                if isinstance(value, list) and value:
-                    item_sep = "[\n    "
-                    for item in value:
-                        fh.write(item_sep + _encode(item))
-                        item_sep = ",\n    "
-                    fh.write("\n  ]")
-                else:
-                    fh.write(_encode(value))
+                if isinstance(value, str):
+                    fh.write(value)
+                    continue
+                item_sep = "[\n    "
+                for text in value:
+                    fh.write(item_sep + text)
+                    item_sep = ",\n    "
+                fh.write("[]" if item_sep == "[\n    " else "\n  ]")
             fh.write("\n}\n")
             fh.flush()
     except OSError as exc:
@@ -342,3 +412,14 @@ def dump_document(doc: dict[str, Any], path: str | None) -> None:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         raise DocumentError(f"cannot write {'<stdout>' if path is None else path}: {exc}") from exc
+
+
+def dump_document(doc: dict[str, Any], path: str | None) -> None:
+    """Write the object ``doc`` as JSON plus a newline to ``path``, or stdout.
+
+    Each top-level key, and each item of a top-level list, goes on its own
+    line through the C encoder, one item at a time; no string for the whole
+    document is ever built.  Failures are as in ``_write``.
+    """
+    items = [(k, map(_encode, v) if isinstance(v, list) else _encode(v)) for k, v in doc.items()]
+    _write(path, items)

@@ -686,6 +686,30 @@ def test_unwritable_output_exit_1(tmp_path, capsys, command):
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("alias", ["same", "fresh", "dotted", "symlink", "hardlink"])
+def test_plant_output_and_truth_one_file_exit_1(tmp_path, capsys, alias):
+    # one file for both would be left holding the truth alone
+    assert main(plant_argv(tmp_path, 1)) == 0
+    output, truth = {
+        "same": ("eq.json", "eq.json"),
+        "fresh": ("fresh.json", "fresh.json"),
+        "dotted": ("eq.json", "./eq.json"),
+        "symlink": ("eq.json", "link.json"),
+        "hardlink": ("eq.json", "hard.json"),
+    }[alias]
+    if alias == "symlink":
+        os.symlink(tmp_path / "eq.json", tmp_path / "link.json")
+    elif alias == "hardlink":
+        os.link(tmp_path / "eq.json", tmp_path / "hard.json")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(plant_argv(tmp_path, 1, output=output, truth=truth, seed=12)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("plant: DocumentError: ")
+    assert err.count("\n") == 1
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("arity", [1, 2])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_verify_non_finite_unknown_exit_1(tmp_path, capsys, arity, value):

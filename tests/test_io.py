@@ -1,5 +1,7 @@
 import copy
+import itertools
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from matpolyeq import io
 from matpolyeq.errors import DimensionMismatch, DocumentError
+from matpolyeq.linalg import chunk_size
 from matpolyeq.polymatrix import MatrixPolynomial
 from matpolyeq.solver import (
     SANDWICH_SLOTS,
@@ -156,6 +159,70 @@ def test_solution_document_bytes_match_per_family_layout(tmp_path_factory, case)
     assert path.read_bytes().decode("utf-8") == per_family_layout(families, diagnostics)
 
 
+def first_line_apart(a: str, b: str):
+    """The first line at which two texts differ, as (index, a's, b's), or None;
+    a short message where pytest would diff two large documents."""
+    for k, pair in enumerate(itertools.zip_longest(a.split("\n"), b.split("\n"))):
+        if pair[0] != pair[1]:
+            return (k, *pair)
+    return None
+
+
+@st.composite
+def shared_solutions(draw):
+    """Families as the solver writes them: a few transforms and eigenvalue
+    lists shared between families, entries drawn from a small pool that
+    always holds 0.0 and -0.0, NaN, both infinities and a subnormal, and a
+    family count at and around the writer's chunk size."""
+    dim = draw(st.integers(1, 3))
+    arity = draw(st.integers(1, 2))
+    step = chunk_size(arity * dim + dim * dim + arity * dim * dim)
+    count = draw(st.sampled_from([0, 1, 3, step + 1]))
+    pool = np.array(
+        [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324]
+        + draw(st.lists(anything, min_size=1, max_size=6))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def entries(shape):
+        return pool[rng.integers(len(pool), size=shape + (2,))].view(np.complex128)[..., 0]
+
+    transforms = [entries((dim, dim)) for _ in range(2)]
+    spectra = [list(entries((arity, dim))) for _ in range(2)]
+    families = [
+        SolutionFamily(
+            transform=transforms[rng.integers(2)],
+            eigenvalues=spectra[rng.integers(2)],
+            unknowns=list(entries((arity, dim, dim))),
+            residual=float(pool[rng.integers(len(pool))]),
+            transform_condition=float(pool[rng.integers(len(pool))]),
+        )
+        for _ in range(count)
+    ]
+    diagnostics = [
+        Diagnostic(draw(st.text()), draw(st.text())) for _ in range(draw(st.integers(0, 2)))
+    ]
+    return families, diagnostics
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=shared_solutions())
+def test_dump_solution_bytes_match_both_layouts(tmp_path_factory, case):
+    families, diagnostics = case
+    path = tmp_path_factory.mktemp("bytes")
+    io.dump_solution(families, diagnostics, str(path / "streamed.json"))
+    io.dump_document(io.solution_to_document(families, diagnostics), str(path / "whole.json"))
+    streamed = (path / "streamed.json").read_text(encoding="utf-8")
+    assert first_line_apart(streamed, per_family_layout(families, diagnostics)) is None
+    assert first_line_apart(streamed, (path / "whole.json").read_text(encoding="utf-8")) is None
+
+
+def test_dump_solution_of_no_family_keeps_its_diagnostics(tmp_path):
+    diagnostics = [Diagnostic("solver", "InsufficientRoots: none"), Diagnostic("root 0", "thin")]
+    io.dump_solution([], diagnostics, str(tmp_path / "sol.json"))
+    assert (tmp_path / "sol.json").read_text(encoding="utf-8") == per_family_layout([], diagnostics)
+
+
 def square_family(dim, arity):
     return SolutionFamily(
         transform=np.eye(dim),
@@ -167,10 +234,20 @@ def square_family(dim, arity):
 
 
 @pytest.mark.parametrize("shapes", [[(2, 1), (2, 2)], [(2, 1), (3, 1)]], ids=["arity", "dimension"])
-def test_solution_to_document_rejects_mixed_families(shapes):
+def test_solution_to_document_rejects_mixed_families(tmp_path, shapes):
     families = [square_family(dim, arity) for dim, arity in shapes]
     with pytest.raises(DimensionMismatch):
         io.solution_to_document(families, [])
+    # the streaming writer raises before it opens the target
+    with pytest.raises(DimensionMismatch):
+        io.dump_solution(families, [], str(tmp_path / "sol.json"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dump_solution_unwritable_path(tmp_path):
+    path = tmp_path / "missing" / "sol.json"
+    with pytest.raises(DocumentError, match=re.escape(f"cannot write {path}: ")):
+        io.dump_solution([square_family(2, 1)], [], str(path))
 
 
 def test_dump_document_writes_one_item_per_line(tmp_path):
