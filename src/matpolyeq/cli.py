@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -105,19 +106,17 @@ def cmd_verify(args) -> int:
         return _fail("verify: tol must be positive")
     try:
         eq = io.equation_from_document(io.load_document(args.equation))
-        families, _ = io.solution_from_document(
+        (_, _, unknowns, _), _ = io.solution_arrays(
             io.load_document(args.solutions), eq.dim, eq.arity
         )
     except DocumentError as exc:
         return _fail(str(exc))
-    if families:
-        stacks = [np.stack([f.unknowns[s] for f in families]) for s in range(eq.arity)]
-        residuals = _relative_residuals(eq, stacks).tolist()
-        commutations = _commutations(stacks).tolist()
-    else:
-        residuals = commutations = []
+    # contiguous copies, as np.stack made: a strided view may change the products' last bits
+    stacks = [np.ascontiguousarray(unknowns[:, s]) for s in range(eq.arity)]
+    residuals = _relative_residuals(eq, stacks).tolist()
+    commutations = _commutations(stacks).tolist()
     report = []
-    for k, (family, residual, commutation) in enumerate(zip(families, residuals, commutations)):
+    for k, (residual, commutation) in enumerate(zip(residuals, commutations)):
         entry = {
             "index": k,
             "residual": residual,
@@ -126,7 +125,7 @@ def cmd_verify(args) -> int:
         }
         if eq.orientation is Orientation.SANDWICH_BIVARIATE:
             try:
-                probe = sandwich_probe(eq, family.unknowns[0], family.unknowns[1])
+                probe = sandwich_probe(eq, unknowns[k, 0], unknowns[k, 1])
                 entry["probe"] = [
                     {
                         **dataclasses.asdict(row),
@@ -249,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-classes", type=int, default=SolverConfig.max_classes, dest="max_classes"
     )
     solve.add_argument("--seed", type=int, required=True)
-    solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser(
         "verify", help="recompute residuals for a solution document against an equation"
@@ -258,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("solutions", help="solution document (JSON)")
     verify.add_argument("--tol", type=float, default=SolverConfig.tol_residual)
     verify.add_argument("--output", default=None)
-    verify.set_defaults(func=cmd_verify)
 
     detpoly = sub.add_parser(
         "detpoly", help="determinant polynomial of a (sliced) equation, with roots"
@@ -271,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated complex values for the other variables, e.g. '1,0.5-2j'",
     )
     detpoly.add_argument("--output", default=None)
-    detpoly.set_defaults(func=cmd_detpoly)
 
     sample = sub.add_parser(
         "sample-variety", help="sample zeros of the determinant polynomial"
@@ -281,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--seed", type=int, required=True)
     sample.add_argument("--side", choices=("left", "right"), default="right")
     sample.add_argument("--output", default=None)
-    sample.set_defaults(func=cmd_sample_variety)
 
     plant = sub.add_parser(
         "plant", help="generate a planted equation plus its ground-truth solution"
@@ -295,19 +290,24 @@ def build_parser() -> argparse.ArgumentParser:
     plant.add_argument("--seed", type=int, required=True)
     plant.add_argument("--output", required=True, help="equation document path")
     plant.add_argument("--truth", required=True, help="truth solution document path")
-    plant.set_defaults(func=cmd_plant)
 
     return parser
 
 
+# one parser per process; parse_args gives each argv a fresh namespace
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one subcommand and return its exit code; may be called many times in one process."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # looked up at each call, so a cmd_* rebound on the module (a tracer, a test) is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except MatPolyEqError as exc:
         return _fail(f"{args.command}: {type(exc).__name__}: {exc}")
 

@@ -6,8 +6,9 @@ converted whole in both directions.  ``dump_solution`` writes a solution
 document a chunk of families at a time: each chunk's fields are stacked as
 float64, each distinct bit pattern is formatted once, and each family line
 is written as soon as it is filled in; the bytes are those of
-``dump_document(solution_to_document(...))``.  On reading, a solution
-document's fields are each converted across all of its families at once.
+``dump_document(solution_to_document(...))``.  ``solution_arrays`` reads
+each field of a solution document across all families into one stack;
+``verify`` uses the stacks, ``solution_from_document`` wraps them in families.
 Every array read goes through one converter, ``_complex_array``; only when
 its whole-array check fails does one locator walk the document in order, to
 name the first offending field path in the error.
@@ -228,11 +229,19 @@ def _layout(shape: tuple[int, ...]) -> str:
     return "[" + ", ".join([_layout(shape[1:])] * shape[0]) + "]"
 
 
+def _shape(value) -> tuple:
+    """``np.shape(value)`` without building an array: a list's is read from its items'."""
+    if not isinstance(value, list):
+        return value.shape if isinstance(value, np.ndarray) else np.shape(value)
+    (item,) = {_shape(v) for v in value} or {()}  # ValueError when ragged
+    return (len(value), *item)
+
+
 def _shared_shape(families: list[SolutionFamily]) -> tuple:
     """The shapes of the array fields, which all families must share."""
     keys = [key for key, _, _ in _FAMILY_ARRAYS]
     try:  # a ragged field, or two shapes among the families
-        (shape,) = {tuple(np.shape(getattr(f, key)) for key in keys) for f in families}
+        (shape,) = {tuple(_shape(getattr(f, key)) for key in keys) for f in families}
     except ValueError:
         raise DimensionMismatch("families must share one dimension and arity") from None
     return shape
@@ -283,28 +292,36 @@ def dump_solution(
     _write(path, [("families", lines), ("diagnostics", map(_encode, notes))])
 
 
-def _scalars(family: dict, path: str) -> dict[str, float]:
-    return {
-        key: _number(family.get(key), f"{path}.{key}", "expected a number")
+def _scalars(family: dict, path: str) -> list[float]:
+    return [
+        _number(family.get(key), f"{path}.{key}", "expected a number")
         for key in ("residual", "transform_condition")
-    }
+    ]
 
 
-def _families(raw: list, dim: int, arity: int) -> list[SolutionFamily]:
-    """The families, each array field read across all of them at once (each
-    family holds views of the stacked arrays); ``locate`` names a fault."""
-    if not raw:
-        return []
+def solution_arrays(
+    doc: Any, dim: int, arity: int
+) -> tuple[tuple[np.ndarray, ...], list[Diagnostic]]:
+    """A solution document's family fields as stacks, and its diagnostics.
+
+    The stacks are eigenvalues (F, m, n), transforms (F, n, n), unknowns
+    (F, m, n, n) and scalars (F, 2), each residual and transform condition.
+    Families are checked before diagnostics; an error names the first fault's path.
+    """
+    if not isinstance(doc, dict):
+        raise DocumentError("$: expected a JSON object")
+    raw = _require(doc, "families", list, "$")
     sizes = {"arity": arity, "dim": dim}
+    shapes = [(len(raw), *(sizes[a] for a in axes)) for _, axes, _ in _FAMILY_ARRAYS]
 
     def locate() -> None:
         for k, family in enumerate(raw):
             path = f"$.families[{k}]"
             if not isinstance(family, dict):
                 raise DocumentError(f"{path}: expected an object")
-            for key, axes, nouns in _FAMILY_ARRAYS:
+            for (key, _, nouns), shape in zip(_FAMILY_ARRAYS, shapes):
                 value = _require(family, key, list, path)
-                _locate(value, tuple(sizes[a] for a in axes), nouns, f"{path}.{key}")
+                _locate(value, shape[1:], nouns, f"{path}.{key}")
             _scalars(family, path)
 
     if not all(
@@ -312,28 +329,12 @@ def _families(raw: list, dim: int, arity: int) -> list[SolutionFamily]:
         for f in raw
     ):
         locate()  # raises: a family is not an object or lacks a list field
-    eigenvalues, transforms, unknowns = (
-        _complex_array([f[key] for f in raw], (len(raw), *(sizes[a] for a in axes)), locate)
-        for key, axes, _ in _FAMILY_ARRAYS
-    )
-    return [
-        SolutionFamily(
-            transform=transforms[k],
-            eigenvalues=list(eigenvalues[k]),
-            unknowns=list(unknowns[k]),
-            **_scalars(f, f"$.families[{k}]"),
-        )
-        for k, f in enumerate(raw)
+    arrays = [
+        _complex_array([f[key] for f in raw], shape, locate) if raw else np.empty(shape, complex)
+        for (key, _, _), shape in zip(_FAMILY_ARRAYS, shapes)
     ]
-
-
-def solution_from_document(
-    doc: Any, dim: int, arity: int
-) -> tuple[list[SolutionFamily], list[Diagnostic]]:
-    if not isinstance(doc, dict):
-        raise DocumentError("$: expected a JSON object")
-    families_raw = _require(doc, "families", list, "$")
-    families = _families(families_raw, dim, arity)
+    scalars = [_scalars(f, f"$.families[{k}]") for k, f in enumerate(raw)]
+    arrays.append(np.array(scalars, dtype=np.float64).reshape(len(raw), 2))
     diagnostics_raw = _require(doc, "diagnostics", list, "$") if "diagnostics" in doc else []
     diagnostics = []
     for k, d in enumerate(diagnostics_raw):
@@ -344,6 +345,16 @@ def solution_from_document(
         ):
             raise DocumentError(f"$.diagnostics[{k}]: expected class_or_attempt and failure strings")
         diagnostics.append(Diagnostic(d["class_or_attempt"], d["failure"]))
+    return tuple(arrays), diagnostics
+
+
+def solution_from_document(
+    doc: Any, dim: int, arity: int
+) -> tuple[list[SolutionFamily], list[Diagnostic]]:
+    """``solution_arrays``, each family holding views of the stacks."""
+    (eigenvalues, transforms, unknowns, scalars), diagnostics = solution_arrays(doc, dim, arity)
+    rows = zip(transforms, eigenvalues, unknowns, scalars.tolist())
+    families = [SolutionFamily(t, list(e), list(u), *scalar) for t, e, u, scalar in rows]
     return families, diagnostics
 
 

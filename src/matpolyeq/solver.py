@@ -27,6 +27,7 @@ the normalisation of :func:`verify_residual`.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -124,6 +125,8 @@ class SolverConfig:
             raise ValueError("tol_residual must be positive")
         if self.max_classes < 1:
             raise ValueError("max_classes must be >= 1")
+        if self.max_classes > sys.maxsize:  # the most itertools.islice can cut at
+            raise ValueError(f"max_classes must be <= {sys.maxsize}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

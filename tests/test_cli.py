@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,16 @@ import pytest
 from matpolyeq import io
 from matpolyeq.cli import main
 from matpolyeq.polymatrix import MatrixPolynomial
-from matpolyeq.solver import Orientation, SolutionFamily, StructuredEquation, verify_residual
+from matpolyeq.errors import NotSimultaneouslyDiagonalizable
+from matpolyeq.solver import (
+    Orientation,
+    SolutionFamily,
+    StructuredEquation,
+    _commutations,
+    _relative_residuals,
+    sandwich_probe,
+    verify_residual,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -775,3 +785,106 @@ def test_solve_unwritable_stdout_exit_1(open_stdout):
     assert result.returncode == 1
     assert result.stderr.startswith("solve: DocumentError: cannot write <stdout>: ")
     assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("max_classes", [str(sys.maxsize + 1), "100000000000000000000"])
+def test_solve_max_classes_beyond_sys_maxsize_exit_1(capsys, max_classes):
+    argv = ["solve", str(DATA / "scalar_quadratic.json"), "--seed", "0", "--max-classes", max_classes]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"solve: max_classes must be <= {sys.maxsize}\n"
+
+
+def test_repeated_main_calls_do_not_leak_state(tmp_path):
+    # one process parses every argv with one parser: no call sees another's flags
+    eq_path, sol_path, report_path = (str(tmp_path / name) for name in ("eq.json", "sol.json", "r.json"))
+    plant = ["plant", "--dimension", "4", "--arity", "1", "--degree", "2", "--seed", "1"]
+    assert main([*plant, "--output", eq_path, "--truth", str(tmp_path / "truth.json")]) == 0
+    assert main(["solve", eq_path, "--bogus"]) == 1
+    assert main(["solve", eq_path, "--seed", "0", "--max-classes", "1", "--output", sol_path]) == 0
+    assert len(load(sol_path)["families"]) == 1
+    assert main(["solve", eq_path, "--seed", "0", "--output", sol_path]) == 0
+    assert len(load(sol_path)["families"]) == 70
+    fresh = subprocess.run(
+        [sys.executable, "-m", "matpolyeq", "solve", eq_path, "--seed", "0"],
+        capture_output=True,
+        check=True,
+    )
+    assert Path(sol_path).read_bytes() == fresh.stdout
+    assert main(["verify", eq_path, sol_path, "--tol", "1e-300", "--output", report_path]) == 3
+    assert main(["verify", eq_path, sol_path, "--output", report_path]) == 0
+    assert load(report_path)["all_ok"] is True
+
+
+def per_family_report(eq, doc, tol):
+    """The verify report computed from per-family objects, each unknown stacked again."""
+    families, _ = io.solution_from_document(doc, eq.dim, eq.arity)
+    stacks = [np.stack([f.unknowns[s] for f in families]) for s in range(eq.arity)]
+    residuals = _relative_residuals(eq, stacks).tolist()
+    commutations = _commutations(stacks).tolist()
+    report = []
+    for k, (family, residual, commutation) in enumerate(zip(families, residuals, commutations)):
+        entry = {"index": k, "residual": residual, "commutation": commutation, "ok": residual <= tol}
+        if eq.orientation is Orientation.SANDWICH_BIVARIATE:
+            try:
+                rows = sandwich_probe(eq, family.unknowns[0], family.unknowns[1]).rows
+                entry["probe"] = [
+                    {**dataclasses.asdict(row), "alpha": io.to_pairs(row.alpha), "mu": io.to_pairs(row.mu)}
+                    for row in rows
+                ]
+            except NotSimultaneouslyDiagonalizable as exc:
+                entry["probe_error"] = str(exc)
+        report.append(entry)
+    return {"families": report, "all_ok": all(entry["ok"] for entry in report)}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--arity", "1", "--orientation", "right"],
+        ["--arity", "1", "--orientation", "left"],
+        ["--arity", "2", "--orientation", "right"],
+        ["--arity", "3", "--orientation", "left"],
+        ["--arity", "2", "--orientation", "sandwich"],
+    ],
+    ids=["arity1-right", "arity1-left", "arity2", "arity3", "sandwich"],
+)
+def test_verify_report_matches_per_family_stacks(tmp_path, flags):
+    eq_path, truth_path = tmp_path / "eq.json", tmp_path / "truth.json"
+    sol_path, report_path, reference_path = (tmp_path / n for n in ("sol.json", "r.json", "ref.json"))
+    plant = ["plant", "--dimension", "3", "--degree", "2", *flags, "--seed", "7"]
+    assert main([*plant, "--output", str(eq_path), "--truth", str(truth_path)]) == 0
+    eq = io.equation_from_document(load(eq_path))
+    (truth,), _ = io.solution_from_document(load(truth_path), eq.dim, eq.arity)
+    # the planted family, then perturbed copies: residuals, commutators and
+    # (for sandwich) probe errors differ from family to family
+    rng = np.random.default_rng(0)
+    families = [
+        dataclasses.replace(
+            truth,
+            unknowns=[x + 1e-3 * k * rng.standard_normal(x.shape) for x in truth.unknowns],
+        )
+        for k in range(5)
+    ]
+    io.dump_solution(families, [], str(sol_path))
+    rc = main(["verify", str(eq_path), str(sol_path), "--output", str(report_path)])
+    assert rc == 3
+    io.dump_document(per_family_report(eq, load(sol_path), 1e-8), str(reference_path))
+    assert report_path.read_bytes() == reference_path.read_bytes()
+
+
+@pytest.mark.parametrize("broken", ["family", "diagnostics", "both"])
+def test_verify_checks_families_before_diagnostics(tmp_path, capsys, broken):
+    eq_path, sol_path = str(DATA / "scalar_quadratic.json"), tmp_path / "sol.json"
+    assert main(["solve", eq_path, "--seed", "0", "--output", str(sol_path)]) == 0
+    doc = load(sol_path)
+    if broken != "diagnostics":
+        doc["families"][1]["residual"] = "small"
+    if broken != "family":
+        doc["diagnostics"] = [{"class_or_attempt": 1, "failure": "x"}]
+    sol_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", eq_path, str(sol_path)]) == 1
+    expected = {
+        "family": "$.families[1].residual: expected a number",
+        "diagnostics": "$.diagnostics[0]: expected class_or_attempt and failure strings",
+    }["diagnostics" if broken == "diagnostics" else "family"]
+    assert capsys.readouterr().err == expected + "\n"

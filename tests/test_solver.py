@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -186,6 +187,14 @@ def test_solver_config_rejects_nonpositive_tolerances(name, value):
 def test_solver_config_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed must be >= 0"):
         SolverConfig(seed=-1)
+
+
+def test_solver_config_caps_max_classes_at_sys_maxsize():
+    # itertools.islice cuts the class stream at most at sys.maxsize
+    with pytest.raises(ValueError, match=f"max_classes must be <= {sys.maxsize}"):
+        SolverConfig(max_classes=2**63)
+    inst = plant_instance(2, 1, 2, Orientation.UNKNOWNS_RIGHT, 1)
+    assert len(solve_univariate(inst.equation, SolverConfig(max_classes=sys.maxsize)).families) == 6
 
 
 def test_greedy_select_matches_per_candidate_loop():
