@@ -12,9 +12,13 @@ polynomial are its 1x1 case, and the sampler takes the eigenvalues of each
 univariate slice from the linearization of the slice itself (a reversed one
 when the leading coefficient is singular), not from its determinant
 polynomial.  The same eigensolve offers the sampler its null vectors, the
-top blocks of the eigenvectors (of the transposed slice on the left).  One
-routine, ``_null_spaces``, holds the rule for every null vector: it keeps an
-offered vector whose backward error passes, and otherwise takes an SVD of P.
+top blocks of the eigenvectors (of the transposed slice on the left).  The
+sampler folds, linearizes and eigensolves its slices a batch at a time, as
+stacks, with the stop rule and the budget of 4 count + 8 slices of a walk of
+one slice at a time; LAPACK treats each matrix of a stack as it treats it
+alone, so the sample is the same bit for bit.  One routine,
+``_null_spaces``, holds the rule for every null vector: it keeps an offered
+vector whose backward error passes, and otherwise takes an SVD of P.
 P is held as one sorted table of exponent tuples with the matching stack of
 coefficients, and every evaluation, slice and term scale reads that table:
 the monomials of all points and terms are one array expression, and P sums
@@ -57,6 +61,9 @@ _TINY = np.finfo(np.float64).tiny
 #: root scale, are its infinite ones.  A Jordan chain of length k at infinity
 #: is computed only to about eps^(1/k), 1e-8 for k = 2.
 INFINITE_ROOT_TOL = 1e-5
+#: Seeds of the sampler stay below this, the least integer that rounds to an
+#: infinite double, so that the phase of its walk is finite.
+SEED_LIMIT = 2**1024 - 2**970
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,6 +215,17 @@ def evaluate(p: MatrixPolynomial, point) -> np.ndarray:
     return _evaluate_stack(p, _point(p, point)[None])[0]
 
 
+def _fold(p: MatrixPolynomial, pivot: int, fixed: np.ndarray) -> np.ndarray:
+    # the dense coefficient stacks (B, d + 1, n, n) of the slices of P at the
+    # rows of a (B, arity - 1) stack of fixed values: each term, times its
+    # monomial in the fixed values, adds to the block of its pivot power
+    factors = _monomials(fixed, np.delete(p.exponents, pivot, axis=1))
+    powers = p.exponents[:, pivot]
+    folded = np.zeros((powers.max(initial=0) + 1, len(fixed), p.dim, p.dim), dtype=np.complex128)
+    np.add.at(folded, powers, factors.T[:, :, None, None] * p.stack[:, None])
+    return folded.transpose(1, 0, 2, 3)
+
+
 def fix_all_but(p: MatrixPolynomial, pivot: int, fixed) -> MatrixPolynomial:
     """Substitute values for all variables except ``pivot``.
 
@@ -223,12 +241,7 @@ def fix_all_but(p: MatrixPolynomial, pivot: int, fixed) -> MatrixPolynomial:
         raise DimensionMismatch(
             f"fixed values have length {vals.shape[0]}, expected {p.arity - 1}"
         )
-    # fold the table by its pivot column: the term of each row, times its
-    # monomial in the fixed values, adds to the coefficient of its pivot power
-    factors = _monomials(vals[None], np.delete(p.exponents, pivot, axis=1))[0]
-    powers = p.exponents[:, pivot]
-    folded = np.zeros((powers.max(initial=0) + 1, p.dim, p.dim), dtype=np.complex128)
-    np.add.at(folded, powers, factors[:, None, None] * p.stack)
+    folded = _fold(p, pivot, vals[None])[0]
     return MatrixPolynomial(arity=1, dim=p.dim, terms={(k,): a for k, a in enumerate(folded)})
 
 
@@ -359,30 +372,36 @@ def poly_roots(sp: ScalarPolynomial) -> list[tuple[complex, int]]:
         raise DegreeZero("nonzero constant polynomial has no roots")
     stack = c[:, None, None]
     scale = _root_scale(stack)
-    raw = scale * _eigensolve(np.linalg.eigvals, _companion(stack, scale))
+    companion = _companions(_scaled(stack, scale)[None])[0]
+    raw = scale * _eigensolve(np.linalg.eigvals, companion)
     roots = [(complex(np.mean(raw[g])), len(g)) for g in _cluster_roots(raw, scale)]
     roots.sort(key=lambda rm: linalg.lex_key(rm[0]))
     return roots
 
 
-def _companion(coeffs: np.ndarray, gamma: float) -> np.ndarray:
-    # block companion of sum_k z^k C_k, C_d nonsingular, as the monic
-    # polynomial in z / gamma: its eigenvalues are the roots over gamma
-    d, n = len(coeffs) - 1, coeffs.shape[1]
+def _scaled(coeffs: np.ndarray, gamma: float) -> np.ndarray:
+    # the blocks gamma^k C_k of sum_k z^k C_k as a polynomial in z / gamma
+    d = len(coeffs) - 1
     with np.errstate(over="ignore"):
         powers = gamma ** np.arange(d + 1)
     if _TINY <= powers.min() and powers.max() < math.inf:
-        scaled = coeffs * powers[:, None, None]
-    else:
-        # gamma^d leaves the double range: with gamma = f 2^q, scale by f^k
-        # and then exactly by 2^(qk), so that only the scaled blocks must fit
-        f, q = math.frexp(gamma)
-        k = np.arange(d + 1)
-        parts = (coeffs * (f**k)[:, None, None]).view(np.float64)
-        scaled = np.ldexp(parts, (q * k)[:, None, None]).view(np.complex128)
-    companion = np.zeros((d * n, d * n), dtype=np.complex128)
-    companion[: (d - 1) * n, n:] = np.eye((d - 1) * n)
-    companion[(d - 1) * n :] = -np.linalg.solve(scaled[d], np.concatenate(scaled[:d], axis=1))
+        return coeffs * powers[:, None, None]
+    # gamma^d leaves the double range: with gamma = f 2^q, scale by f^k and
+    # then exactly by 2^(qk), so that only the scaled blocks must fit
+    f, q = math.frexp(gamma)
+    k = np.arange(d + 1)
+    parts = (coeffs * (f**k)[:, None, None]).view(np.float64)
+    return np.ldexp(parts, (q * k)[:, None, None]).view(np.complex128)
+
+
+def _companions(scaled: np.ndarray) -> np.ndarray:
+    # block companions of a (B, d + 1, n, n) stack of _scaled stacks, C_d
+    # nonsingular: their eigenvalues are the roots over gamma
+    b, d, n = scaled.shape[0], scaled.shape[1] - 1, scaled.shape[2]
+    companion = np.zeros((b, d * n, d * n), dtype=np.complex128)
+    companion[:, : (d - 1) * n, n:] = np.eye((d - 1) * n)
+    lower = scaled[:, :d].transpose(0, 2, 1, 3).reshape(b, n, d * n)
+    companion[:, (d - 1) * n :] = -np.linalg.solve(scaled[:, d], lower)
     return companion
 
 
@@ -395,65 +414,89 @@ def _eigensolve(solve, companion: np.ndarray):
         raise ConvergenceFailure(f"companion eigensolve: {exc}") from exc
 
 
-def _slice_spectrum(p: MatrixPolynomial, side: str = "right"):
-    """Finite eigenvalues of a univariate slice, their null vectors and clusters.
-
-    The eigenpairs of P(z) = sum_k z^k A_k come from one eigensolve of the
-    block companion of P scaled by :func:`_root_scale`, the companion that
-    :func:`poly_roots` builds for a 1x1 stack; no eigenvalue is polished.  When
-    A_d fails the rank test of ``linalg.DEFAULT_TOL_RANK``, the reversal
-    w^d P(z0 + 1/w) is linearized instead.  Its leading coefficient is
-    P(z0), taken at the best conditioned of ``SHIFT_COUNT`` fixed points on
-    the circle of the root scale.  Its eigenvalues w ~ 0 are the infinite
-    ones and are dropped; every other w maps back to z0 + 1/w.  For
-    ``side='left'`` the transposed coefficient stack is linearized, which
-    has the same eigenvalues.
-
-    Returns ``(values, vectors, groups)``: the K finite eigenvalues, the
-    top blocks of their eigenvectors as unit rows of a (K, n) array, which
-    are null vectors of P there (v with P v = 0 on the right, y with
-    y^T P = 0 on the left, with small backward error at a simple
-    eigenvalue: Higham, Li & Tisseur, SIMAX 2007), and the clusters of
-    :func:`_cluster_roots` at the root scale of P.  Raises
-    IdenticallySingular when P(z0) is rank-deficient at every shift point.
-    A slice of degree 0 has no eigenvalues.
-    """
-    if not p.terms:
-        raise IdenticallySingular("zero polynomial matrix")
-    coeffs = _coefficients(p)
+def _reversal(coeffs: np.ndarray, scale: float) -> tuple[np.ndarray, complex]:
+    # the reversal w^d P(z0 + 1/w) of a dense coefficient stack whose leading
+    # block fails the rank test, and its shift z0: the best conditioned of
+    # SHIFT_COUNT fixed points on the circle of the root scale
+    terms = {(k,): a for k, a in enumerate(coeffs)}
+    p = MatrixPolynomial(arity=1, dim=coeffs.shape[1], terms=terms)
+    angles = 2 * np.pi * (np.arange(SHIFT_COUNT) + 0.6180339887498949) / SHIFT_COUNT
+    shifts = scale * np.exp(1j * angles)
+    s = np.linalg.svd(_evaluate_stack(p, shifts[:, None]), compute_uv=False)
+    ratios = s[:, -1] / np.where(s[:, 0] > 0, s[:, 0], 1.0)
+    if not np.any(ratios > linalg.DEFAULT_TOL_RANK):
+        raise IdenticallySingular(f"P is rank-deficient at all {SHIFT_COUNT} shift points")
+    z0 = shifts[int(np.argmax(ratios))]
+    # A_k (z0 w + 1)^k w^(d-k) puts C(k, i) z0^i A_k on w^(d-k+i); its
+    # constant coefficient A_d and its leading one P(z0) are both nonzero
     d = len(coeffs) - 1
-    scale = _root_scale(coeffs)
-    s = np.linalg.svd(coeffs[d], compute_uv=False)
-    if s[-1] > linalg.DEFAULT_TOL_RANK * s[0]:
-        if d == 0:
-            return np.zeros(0, dtype=np.complex128), np.zeros((0, p.dim), dtype=np.complex128), []
-        stack, gamma, z0 = coeffs, scale, None
-    else:
-        angles = 2 * np.pi * (np.arange(SHIFT_COUNT) + 0.6180339887498949) / SHIFT_COUNT
-        shifts = scale * np.exp(1j * angles)
-        s = np.linalg.svd(_evaluate_stack(p, shifts[:, None]), compute_uv=False)
-        ratios = s[:, -1] / np.where(s[:, 0] > 0, s[:, 0], 1.0)
-        if not np.any(ratios > linalg.DEFAULT_TOL_RANK):
-            raise IdenticallySingular(f"P is rank-deficient at all {SHIFT_COUNT} shift points")
-        z0 = shifts[int(np.argmax(ratios))]
-        # A_k (z0 w + 1)^k w^(d-k) puts C(k, i) z0^i A_k on w^(d-k+i); its
-        # constant coefficient A_d and its leading one P(z0) are both nonzero
-        stack = np.zeros_like(coeffs)
-        for k in range(d + 1):
-            for i in range(k + 1):
-                stack[d - k + i] += math.comb(k, i) * z0**i * coeffs[k]
-        gamma = _root_scale(stack)
+    stack = np.zeros_like(coeffs)
+    for k in range(d + 1):
+        for i in range(k + 1):
+            stack[d - k + i] += math.comb(k, i) * z0**i * coeffs[k]
+    return stack, z0
+
+
+def _slice_spectra(coeffs: np.ndarray, side: str = "right") -> list:
+    """Finite eigenvalues, null vectors and clusters of B slices of one degree.
+
+    ``coeffs`` stacks the coefficients A_0, ..., A_d of B univariate slices
+    P(z) = sum_k z^k A_k as a (B, d + 1, n, n) array.  Their eigenpairs come
+    from the block companions of the slices scaled by :func:`_root_scale`,
+    as :func:`poly_roots` builds them for a 1x1 stack, through one batched
+    rank SVD, solve and eigensolve; no eigenvalue is polished.  A slice whose
+    A_d fails the rank test of ``linalg.DEFAULT_TOL_RANK`` is linearized as
+    its reversal w^d P(z0 + 1/w) (:func:`_reversal`): its eigenvalues w ~ 0
+    are the infinite ones and are dropped, and every other w maps back to
+    z0 + 1/w.  For ``side='left'`` the transposed stacks are linearized,
+    which have the same eigenvalues.
+
+    Returns one ``(values, vectors, groups)`` triple per slice: its K finite
+    eigenvalues, the top blocks of their eigenvectors as unit rows of a
+    (K, n) array, which are null vectors of P there (v with P v = 0 on the
+    right, y with y^T P = 0 on the left, with small backward error at a
+    simple eigenvalue: Higham, Li & Tisseur, SIMAX 2007), and the clusters
+    of :func:`_cluster_roots` at the root scale of P.  Raises
+    IdenticallySingular for a zero A_d, or when P(z0) is rank-deficient at
+    every shift point.  A slice of degree 0 has no eigenvalues.
+    """
+    n, d = coeffs.shape[2], coeffs.shape[1] - 1
+    if not np.any(coeffs[:, d], axis=(1, 2)).all():
+        raise IdenticallySingular("zero polynomial matrix")
+    scales = [_root_scale(c) for c in coeffs]
+    s = np.linalg.svd(coeffs[:, d], compute_uv=False)
+    regular = (s[:, -1] > linalg.DEFAULT_TOL_RANK * s[:, 0]).tolist()
+    stacks, gammas, shifts = [], [], []
+    for c, scale, reg in zip(coeffs, scales, regular):
+        stack, z0 = (c, None) if reg else _reversal(c, scale)
+        stacks.append(stack)
+        gammas.append(scale if reg else _root_scale(stack))
+        shifts.append(z0)
+    if d == 0:
+        empty = (np.zeros(0, dtype=np.complex128), np.zeros((0, n), dtype=np.complex128), [])
+        return [empty] * len(coeffs)
+    scaled = np.array([_scaled(stack, gamma) for stack, gamma in zip(stacks, gammas)])
     if side == "left":
-        stack = stack.transpose(0, 2, 1)
-    mu, eigvecs = _eigensolve(np.linalg.eig, _companion(stack, gamma))
+        scaled = scaled.transpose(0, 1, 3, 2)
+    mu, eigvecs = _eigensolve(np.linalg.eig, _companions(scaled))
     # an eigenvector of the companion stacks v, mu v, ..., mu^(d-1) v for a
     # null vector v of the slice at gamma mu: keep its top block, unit norm
-    top = eigvecs[: p.dim].T
-    values, vectors = gamma * mu, top / np.linalg.norm(top, axis=1, keepdims=True)
-    if z0 is not None:
-        finite = np.abs(values) > INFINITE_ROOT_TOL * gamma
-        values, vectors = z0 + 1.0 / values[finite], vectors[finite]
-    return values, vectors, _cluster_roots(values, scale)
+    top = eigvecs[:, :n].transpose(0, 2, 1)
+    values = np.array(gammas)[:, None] * mu
+    vectors = top / np.linalg.norm(top, axis=2, keepdims=True)
+    spectra = []
+    for k, z0 in enumerate(shifts):
+        vals, vecs = values[k], vectors[k]
+        if z0 is not None:
+            finite = np.abs(vals) > INFINITE_ROOT_TOL * gammas[k]
+            vals, vecs = z0 + 1.0 / vals[finite], vecs[finite]
+        spectra.append((vals, vecs, _cluster_roots(vals, scales[k])))
+    return spectra
+
+
+def _slice_spectrum(p: MatrixPolynomial, side: str = "right"):
+    """:func:`_slice_spectra` of a univariate P alone."""
+    return _slice_spectra(_coefficients(p)[None], side)[0]
 
 
 def _term_scales(p: MatrixPolynomial, points: np.ndarray) -> np.ndarray:
@@ -478,8 +521,8 @@ def _null_spaces(p: MatrixPolynomial, points: np.ndarray, side: str, offered=Non
     vectors that pass, smallest first, from one SVD of their P, and no SVD
     runs when none is left.  Returns ``(pz, vectors)``: P at the points and
     the list of null vectors at each.  The stack is not chunked: callers
-    pass one point, the roots of one slice or of one determinant, at most
-    d * n points.
+    pass one point, the roots of one determinant, or the points of one batch
+    of slices, which the sampler sizes to a chunk of companions.
     """
     pz = _evaluate_stack(p, points)
     # the term scale bounds ||P||_F >= sigma_max; where it is 0 every
@@ -510,6 +553,52 @@ def null_vectors_at(p: MatrixPolynomial, point, side: str) -> list[np.ndarray]:
     return _null_spaces(p, _point(p, point)[None], side)[1][0]
 
 
+def _batch_rows(p: MatrixPolynomial, side: str, slices: range, budget: int, phase: float):
+    # the (values, vectors, residuals) rows of each slice of a batch: the
+    # slices of each pivot are folded as one stack, those of each degree
+    # eigensolved as one, and all their points take one _null_spaces and one
+    # det call
+    m, stacks = p.arity, {}
+    for pivot in sorted({sl % m for sl in slices}):
+        mine = [sl for sl in slices if sl % m == pivot]
+        # one scalar exp per value, as a vector one may round differently
+        fixed = [
+            [np.exp(2j * np.pi * ((sl + phase) / budget + j / m)) for j in range(m - 1)]
+            for sl in mine
+        ]
+        folded = _fold(p, pivot, np.array(fixed, dtype=np.complex128))
+        if not np.isfinite(folded).all():
+            raise NonFiniteInput("matrix entries must be finite")
+        # trailing zero blocks are trimmed; a zero slice keeps all, and
+        # _slice_spectra reports it
+        tops = folded.shape[1] - np.argmax(np.any(folded[:, ::-1] != 0, axis=(2, 3)), axis=1)
+        for sl, values, stack, top in zip(mine, fixed, folded, tops.tolist()):
+            stacks[sl] = (pivot, values, stack[:top])
+    spectra = {}
+    for size in {len(stack) for _, _, stack in stacks.values()}:
+        same = [sl for sl in slices if len(stacks[sl][2]) == size]
+        spectra.update(zip(same, _slice_spectra(np.array([stacks[sl][2] for sl in same]), side)))
+    points, offered, isolated, sizes = [], [], [], []
+    for sl in slices:
+        (pivot, values, _), (roots, eigvecs, groups) = stacks[sl], spectra[sl]
+        full = np.empty((len(groups), m), dtype=np.complex128)
+        full[:, [s for s in range(m) if s != pivot]] = values
+        full[:, pivot] = [roots[g[0]] if len(g) == 1 else roots[g].mean() for g in groups]
+        points.append(full)
+        offered.append(eigvecs[[g[0] for g in groups]])
+        isolated += [len(g) == 1 for g in groups]
+        sizes.append(len(groups))
+    points, offered = np.concatenate(points), np.concatenate(offered)
+    pz, nulls = _null_spaces(p, points, side, offered, np.array(isolated, dtype=bool))
+    dets, counts = np.linalg.det(pz), [len(vecs) for vecs in nulls]
+    values = np.repeat(points, counts, axis=0)
+    vectors = np.array([vec for vecs in nulls for vec in vecs]).reshape(-1, p.dim)
+    # one scalar abs per point, as a vector one may round differently
+    residuals = np.array([abs(dets[k]) for k, c in enumerate(counts) for _ in range(c)])
+    ends = np.cumsum([0] + counts)[np.cumsum([0] + sizes)].tolist()
+    return [(values[lo:hi], vectors[lo:hi], residuals[lo:hi]) for lo, hi in zip(ends, ends[1:])]
+
+
 def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> VarietySample:
     """Sample zeros of the multivariate determinant polynomial.
 
@@ -518,20 +607,26 @@ def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> Var
     p : MatrixPolynomial with arity >= 2.
     side : 'left' or 'right'; which null vectors to attach.
     count : stop once at least this many points were collected.
-    seed : phases the walk along the unit circle; >= 0.
+    seed : phases the walk along the unit circle; 0 <= seed < ``SEED_LIMIT``.
 
     At most ``4 * count + 8`` slices are taken.  Each slice fixes every
     variable except a round-robin pivot at equispaced points of the unit
     circle, and takes the eigenpairs of the univariate slice from one block
-    companion eigensolve (:func:`_slice_spectrum`), linearizing the
+    companion eigensolve (:func:`_slice_spectra`), linearizing the
     transposed slice for left null vectors.  Each cluster of roots becomes
-    a point at its centroid, and :func:`_null_spaces` takes the points of a
-    slice as one stack, offered the top blocks of their eigenvectors: a
-    cluster, or an isolated root whose vector fails, takes the vectors of
-    an SVD of P, so a repeated root yields one row per null vector.  Slices
-    with no finite eigenvalue contribute nothing; a slice that is
-    rank-deficient at every test point propagates IdenticallySingular.  The
-    rows are returned as one :class:`VarietySample`, in the order found.
+    a point at its centroid, and :func:`_null_spaces` takes the points as
+    one stack, offered the top blocks of their eigenvectors: a cluster, or
+    an isolated root whose vector fails, takes the vectors of an SVD of P,
+    so a repeated root yields one row per null vector.  Slices with no
+    finite eigenvalue contribute nothing; a slice that is rank-deficient at
+    every test point propagates IdenticallySingular.  The rows are returned
+    as one :class:`VarietySample`, in the order found.
+
+    Slices are folded and eigensolved a batch at a time: ceil(points still
+    wanted / (total degree * n)) slices, at most the budget left and
+    ``linalg.chunk_size((total degree * n) ** 2)``.  The walk stops after
+    the same slice as one of a slice at a time, and after a batch that
+    raises it goes on a slice at a time, so an error comes from its slice.
     """
     if p.arity < 2:
         raise DimensionMismatch(f"sample_variety needs arity >= 2, got {p.arity}")
@@ -541,31 +636,28 @@ def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> Var
         raise ValueError("count must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    m = p.arity
+    if seed >= SEED_LIMIT:
+        raise ValueError("seed must be < 2**1024 - 2**970")
     budget = 4 * count + 8
     phase = math.fmod(seed * 0.6180339887498949, 1.0)
-    values, vectors, residuals = [], [], []
-    for sl in range(budget):
-        if len(residuals) >= count:
-            break
-        pivot = sl % m
-        pos = (sl + phase) / budget
-        fixed = np.array(
-            [np.exp(2j * np.pi * (pos + j / m)) for j in range(m - 1)],
-            dtype=np.complex128,
-        )
-        roots, eigvecs, groups = _slice_spectrum(fix_all_but(p, pivot, fixed), side)
-        full = np.empty((len(groups), m), dtype=np.complex128)
-        full[:, [s for s in range(m) if s != pivot]] = fixed
-        full[:, pivot] = [roots[g[0]] if len(g) == 1 else roots[g].mean() for g in groups]
-        isolated = np.array([len(g) == 1 for g in groups], dtype=bool)
-        pz, nulls = _null_spaces(p, full, side, eigvecs[[g[0] for g in groups]], isolated)
-        dets = np.linalg.det(pz)
-        for k, vecs in enumerate(nulls):
-            for vec in vecs:
-                values.append(full[k])
-                vectors.append(vec)
-                residuals.append(abs(dets[k]))
-    if not residuals:
+    most = max(1, total_degree(p) * p.dim)  # eigenvalues of one slice at most
+    cap, start, rows, found = linalg.chunk_size(most**2), 0, [], 0
+    while found < count and start < budget:
+        size = min(-(-(count - found) // most), budget - start, cap)
+        try:
+            batch = _batch_rows(p, side, range(start, start + size), budget, phase)
+        except Exception:
+            if size == 1:
+                raise
+            cap = 1  # walk on a slice at a time, to the slice that raises
+            continue
+        start += size
+        for part in batch:
+            rows.append(part)
+            found += len(part[2])
+            if found >= count:
+                break
+    if not found:
         raise NoPointsFound(f"no variety points found in {budget} slices")
-    return VarietySample(np.array(values), np.array(vectors), np.array(residuals), side)
+    values, vectors, residuals = (np.concatenate(column) for column in zip(*rows))
+    return VarietySample(values, vectors, residuals, side)

@@ -47,6 +47,7 @@ from .errors import (
     TransformSingular,
 )
 from .polymatrix import (
+    SEED_LIMIT,
     MatrixPolynomial,
     VarietySample,
     _cluster_roots,
@@ -129,6 +130,8 @@ class SolverConfig:
             raise ValueError(f"max_classes must be <= {sys.maxsize}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.seed > SEED_LIMIT - 8:  # the last of 8 sampling attempts takes seed + 7
+            raise ValueError("seed must be <= 2**1024 - 2**970 - 8")
 
 
 @dataclass

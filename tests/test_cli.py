@@ -205,6 +205,30 @@ def test_negative_seed_or_zero_count_exit_1(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "eq2.json"],
+        ["sample-variety", "eq2.json", "--count", "8"],
+        ["solve", str(DATA / "scalar_quadratic.json")],
+    ],
+    ids=["solve", "sample-variety", "solve-one-unknown"],
+)
+def test_seed_beyond_double_range_exit_1(tmp_path, capsys, argv):
+    # a seed no double can hold is an input error, not a traceback
+    eq = tmp_path / "eq2.json"
+    plant = ["plant", "--dimension", "4", "--arity", "2", "--degree", "2", "--seed", "1"]
+    assert main(plant + ["--output", str(eq), "--truth", str(tmp_path / "truth.json")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    argv = [str(tmp_path / a) if a == "eq2.json" else a for a in argv]
+    assert main(argv + ["--seed", str(10**400), "--output", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"{argv[0]}: seed must be <")
+    assert not out.exists()
+    assert main(argv + ["--seed", str(2**64), "--output", str(out)]) == 0
+
+
 def test_sample_variety_identically_singular(tmp_path, capsys):
     rank_one = [[[1, 0], [1, 0]], [[2, 0], [2, 0]]]
     doc = {

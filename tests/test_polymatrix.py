@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from per_point import poly_roots_per_root, sample_variety_per_point
 
+from matpolyeq import polymatrix
 from matpolyeq.errors import (
     ConvergenceFailure,
     DegreeZero,
@@ -18,6 +19,7 @@ from matpolyeq.errors import (
 from matpolyeq.instances import plant_instance, symbolic_det_oracle
 from matpolyeq.polymatrix import (
     DEFAULT_TOL_ZERO,
+    SEED_LIMIT,
     MatrixPolynomial,
     ScalarPolynomial,
     _evaluate_stack,
@@ -413,6 +415,165 @@ def test_sample_variety_matches_per_point_reference(side):
             assert np.array_equal(values, want_values)
             assert np.array_equal(vector, want_vector)
             assert dres == want_dres
+
+
+def assert_sample_matches_per_point(p, side, count, seed):
+    got = sample_variety(p, side, count, seed)
+    values, vectors, residuals = zip(*sample_variety_per_point(p, side, count, seed))
+    assert np.array_equal(got.values, np.array(values))
+    assert np.array_equal(got.null_vectors, np.array(vectors))
+    assert np.array_equal(got.det_residuals, np.array(residuals))
+    return got
+
+
+def overshoot(monkeypatch):
+    # the first batch guess of a walk reads the total degree of P: at 0 each
+    # batch holds as many slices as points are still wanted
+    real = polymatrix.total_degree
+    monkeypatch.setattr(polymatrix, "total_degree", lambda p: real(p) if p.arity == 1 else 0)
+
+
+def spy(monkeypatch, module, name):
+    # record the positional arguments of each call of module.name
+    calls, real = [], getattr(module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+MIXED = MatrixPolynomial(
+    arity=2,
+    dim=2,
+    terms={
+        (2, 0): np.diag([1.0, 0.0]),
+        (1, 1): np.array([[0.0, 1.0], [2.0, -1.0]]),
+        (0, 2): I2,
+        (1, 0): np.array([[1.0, -2.0], [0.5, 3.0]]),
+        (0, 1): np.array([[2.0, 1.0], [-1.0, 0.0]]),
+        (0, 0): np.array([[-3.0, 1.0], [1.0, -2.0]]),
+    },
+)
+# degree 2 in x, 1 in y: a slice of y gives at most n points, half of what
+# the first batch of a walk counts on
+LOW_PIVOT = MatrixPolynomial(
+    arity=2,
+    dim=2,
+    terms={
+        (2, 0): np.array([[1.0, 2.0], [0.0, 1.0]]),
+        (0, 1): np.array([[1.0, 0.0], [1.0, -1.0]]),
+        (0, 0): np.array([[-2.0, 1.0], [0.0, -3.0]]),
+    },
+)
+DOUBLE = MatrixPolynomial(
+    arity=2, dim=2, terms={(2, 0): I2, (1, 0): -1.4 * I2, (0, 1): I2, (0, 0): -0.51 * I2}
+)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_sample_variety_batches_match_per_point_slices(monkeypatch, side):
+    # the x slices of MIXED have the singular leading block diag(1, 0) and
+    # take the reversal; its y slices, with leading block I, do not
+    reversals = spy(monkeypatch, polymatrix, "_reversal")
+    assert_sample_matches_per_point(MIXED, side, 12, 3)
+    assert reversals
+    assert all(np.array_equal(coeffs[2], np.diag([1.0, 0.0])) for coeffs, _ in reversals)
+    # the first batch of 3 slices gives at most 4 + 2 + 4 < 12 points
+    batches = spy(monkeypatch, polymatrix, "_batch_rows")
+    assert_sample_matches_per_point(LOW_PIVOT, side, 12, 1)
+    assert len(batches) >= 2 and len(batches[0][2]) == 3
+    # every zero is a double eigenvalue: each cluster takes its two vectors
+    # from the SVD of P at its centroid
+    sample = assert_sample_matches_per_point(DOUBLE, side, 16, 2)
+    assert len(np.unique(sample.values, axis=0)) * 2 == len(sample)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_sample_variety_batch_size_is_invisible(monkeypatch, side):
+    stacks = spy(monkeypatch, np.linalg, "eig")
+    # 600 points at n = 2 take several batches of at most chunk_size slices
+    assert_sample_matches_per_point(LOW_PIVOT, side, 600, 0)
+    cap = polymatrix.linalg.CHUNK_ENTRIES
+    assert all(a.shape[0] * a.shape[1] ** 2 <= cap for (a,) in stacks)
+    # a small chunk makes many batches, and a total degree of 0 makes each
+    # batch as long as the points still wanted, far past the last slice
+    monkeypatch.setattr(polymatrix.linalg, "CHUNK_ENTRIES", 32)
+    stacks.clear()
+    assert_sample_matches_per_point(MIXED, side, 40, 1)
+    assert len(stacks) > 10
+    assert all(a.shape[0] * a.shape[1] ** 2 <= 32 for (a,) in stacks)
+    monkeypatch.undo()
+    overshoot(monkeypatch)
+    for p in (MIXED, LOW_PIVOT, DOUBLE):
+        assert_sample_matches_per_point(p, side, 24, 0)
+
+
+def companion_of_slice(monkeypatch, p, side, count, seed, sl):
+    # the companion that the eigensolve of slice sl of a walk receives
+    m, budget = p.arity, 4 * count + 8
+    pos = (sl + math.fmod(seed * 0.6180339887498949, 1.0)) / budget
+    fixed = [np.exp(2j * np.pi * (pos + j / m)) for j in range(m - 1)]
+    with monkeypatch.context() as patch:
+        calls = spy(patch, np.linalg, "eig")
+        _slice_spectrum(fix_all_but(p, sl % m, fixed), side)
+    (((companion,),),) = calls
+    return companion
+
+
+@pytest.mark.parametrize("past", [True, False])
+def test_sample_variety_eigensolver_fault_stays_in_its_slice(monkeypatch, past):
+    # the circle x^2 + y^2 = 2 gives 2 points a slice: 8 points take slices
+    # 0-3.  With a total degree of 0 the first batch holds 8 slices, so a
+    # fault in slice 4 is in the batch but past the end of the walk
+    p = MatrixPolynomial(arity=2, dim=1, terms={(2, 0): I1, (0, 2): I1, (0, 0): -2 * I1})
+    want = sample_variety(p, "right", 8, 0)
+    marked = companion_of_slice(monkeypatch, p, "right", 8, 0, 4 if past else 3)
+    real, faults = np.linalg.eig, []
+
+    def eig(a):
+        if any(np.array_equal(x, marked) for x in a):
+            faults.append(len(a))
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    overshoot(monkeypatch)
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    if past:
+        got = sample_variety(p, "right", 8, 0)
+        assert faults == [8]
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.null_vectors, want.null_vectors)
+        assert np.array_equal(got.det_residuals, want.det_residuals)
+    else:
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            sample_variety(p, "right", 8, 0)
+        assert faults == [8, 1]
+
+
+def test_sample_variety_rejects_seed_beyond_double_range():
+    p = MatrixPolynomial(arity=2, dim=1, terms={(2, 0): I1, (0, 2): I1, (0, 0): -2 * I1})
+    with pytest.raises(OverflowError):
+        SEED_LIMIT * 0.5
+    for seed in (SEED_LIMIT, 10**400):
+        with pytest.raises(ValueError, match=r"seed must be < 2\*\*1024 - 2\*\*970"):
+            sample_variety(p, "right", count=4, seed=seed)
+    for seed in (2**64, SEED_LIMIT - 1):
+        assert len(sample_variety(p, "right", count=4, seed=seed)) >= 4
+
+
+def test_left_slice_spectrum_with_scale_beyond_double_range():
+    # gamma = 1e200 and gamma^2 overflows: the blocks are scaled apart from
+    # their transposes, and both sides give the same eigenvalues
+    a0 = np.array([[1.0, 2.0], [0.0, 1.0]]) * 1e200
+    a2 = np.array([[1.0, 0.0], [1.0, 1.0]]) * 1e-200
+    p = MatrixPolynomial(arity=1, dim=2, terms={(0,): a0, (2,): a2})
+    right, left = _slice_spectrum(p, "right")[0], _slice_spectrum(p, "left")[0]
+    assert len(right) == len(left) == 4
+    for z in left:
+        assert np.min(np.abs(right - z)) <= 1e-12 * abs(z)
 
 
 @pytest.mark.parametrize("m", [2, 3])

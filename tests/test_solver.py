@@ -26,6 +26,7 @@ from matpolyeq.errors import (
 )
 from matpolyeq.instances import plant_instance
 from matpolyeq.polymatrix import (
+    SEED_LIMIT,
     MatrixPolynomial,
     VarietySample,
     evaluate,
@@ -195,6 +196,18 @@ def test_solver_config_caps_max_classes_at_sys_maxsize():
         SolverConfig(max_classes=2**63)
     inst = plant_instance(2, 1, 2, Orientation.UNKNOWNS_RIGHT, 1)
     assert len(solve_univariate(inst.equation, SolverConfig(max_classes=sys.maxsize)).families) == 6
+
+
+def test_solver_config_caps_seed_within_double_range():
+    # the 8 sampling attempts take seeds seed, ..., seed + 7, and the sampler
+    # scales each as a double
+    for seed in (SEED_LIMIT - 7, 10**400):
+        with pytest.raises(ValueError, match=r"seed must be <= 2\*\*1024 - 2\*\*970 - 8"):
+            SolverConfig(seed=seed)
+    inst = plant_instance(2, 2, 2, Orientation.UNKNOWNS_RIGHT, 1)
+    for seed in (2**64, SEED_LIMIT - 8):
+        cfg = SolverConfig(seed=seed)
+        assert len(solve_multivariate(inst.equation, cfg).families) == 1
 
 
 def test_greedy_select_matches_per_candidate_loop():
