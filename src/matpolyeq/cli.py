@@ -70,21 +70,13 @@ def _parse_fix(text: str) -> list[complex]:
     return values
 
 
-def _config_from(args) -> SolverConfig:
-    return SolverConfig(
-        tol_residual=args.tol_residual,
-        max_classes=args.max_classes,
-        seed=args.seed,
-    )
-
-
 def cmd_solve(args) -> int:
     try:
         eq = io.equation_from_document(io.load_document(args.input))
     except DocumentError as exc:
         return _fail(str(exc))
     try:
-        cfg = _config_from(args)
+        cfg = SolverConfig(args.tol_residual, args.max_classes, args.seed)
     except ValueError as exc:
         return _fail(f"solve: {exc}")
     try:

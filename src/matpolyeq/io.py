@@ -5,10 +5,12 @@ row-major nested arrays; every value reads back bit for bit.  Arrays are
 converted whole in both directions.  ``dump_solution`` writes a solution
 document a chunk of families at a time: each chunk's fields are stacked as
 float64, each distinct bit pattern is formatted once, and each family line
-is written as soon as it is filled in; the bytes are those of
-``dump_document(solution_to_document(...))``.  ``solution_arrays`` reads
-each field of a solution document across all families into one stack;
-``verify`` uses the stacks, ``solution_from_document`` wraps them in families.
+is written as soon as it is filled in.  These lines are the one formatter
+of solution numbers: ``solution_to_document`` reads them back with
+``json.loads``, so ``dump_document`` of it writes the same bytes.
+``solution_arrays`` reads each field of a solution document across all
+families into one stack; ``verify`` uses the stacks,
+``solution_from_document`` wraps them in families.
 Every array read goes through one converter, ``_complex_array``; only when
 its whole-array check fails does one locator walk the document in order, to
 name the first offending field path in the error.
@@ -192,34 +194,21 @@ def equation_from_document(doc: Any) -> StructuredEquation:
 def solution_to_document(
     families: list[SolutionFamily], diagnostics: list[Diagnostic]
 ) -> dict:
-    """The solution document; each array field is converted across all families at once.
+    """The solution document, as the lines ``dump_solution`` writes read back.
 
     The families must share one dimension and arity, else ``DimensionMismatch``.
     The CLI writes solution documents with ``dump_solution`` instead; this
     in-memory document is kept for callers and tests that inspect it, and
     for the benchmark tracer, which wraps it by name.
     """
-    if families:
-        _shared_shape(families)
-    fields = [
-        to_pairs(np.array([getattr(f, key) for f in families], dtype=np.complex128))
-        for key, _, _ in _FAMILY_ARRAYS
-    ]
-    return {
-        "families": [
-            {
-                "eigenvalues": e,
-                "transform": t,
-                "unknowns": u,
-                "residual": float(f.residual),
-                "transform_condition": float(f.transform_condition),
-            }
-            for f, e, t, u in zip(families, *fields)
-        ],
-        "diagnostics": [
-            {"class_or_attempt": d.label, "failure": d.failure} for d in diagnostics
-        ],
-    }
+    lines, notes = _members(families, diagnostics)
+    return {"families": list(map(json.loads, lines)), "diagnostics": notes}
+
+
+def _members(families: list[SolutionFamily], diagnostics: list[Diagnostic]) -> tuple:
+    # mixed shapes raise here, before any family line is drawn
+    lines = _family_lines(families, _shared_shape(families)) if families else ()
+    return lines, [{"class_or_attempt": d.label, "failure": d.failure} for d in diagnostics]
 
 
 def _layout(shape: tuple[int, ...]) -> str:
@@ -287,8 +276,7 @@ def dump_solution(
     chunk is formatted.  Mixed shapes raise ``DimensionMismatch`` before the
     target is opened.
     """
-    lines = _family_lines(families, _shared_shape(families)) if families else ()
-    notes = ({"class_or_attempt": d.label, "failure": d.failure} for d in diagnostics)
+    lines, notes = _members(families, diagnostics)
     _write(path, [("families", lines), ("diagnostics", map(_encode, notes))])
 
 

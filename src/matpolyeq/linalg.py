@@ -125,10 +125,17 @@ def eigen(m) -> tuple[np.ndarray, np.ndarray]:
     for ``values[k]``; ordering is by (real, imag) after rounding to 12
     significant digits so repeated calls enumerate identically.
     """
-    a = _square(m)
-    try:
-        vals, vecs = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:  # geev hit its iteration cap
-        raise ConvergenceFailure(str(exc)) from exc
+    vals, vecs = eigensolve(np.linalg.eig, _square(m))
     order = lex_argsort(vals)
     return vals[order], vecs[:, order]
+
+
+def eigensolve(solve, a: np.ndarray):
+    """``solve(a)`` for ``np.linalg.eig`` or ``eigvals``, passed at each call.
+
+    LAPACK's geev hitting its iteration cap is raised as ConvergenceFailure.
+    """
+    try:
+        return solve(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolve: {exc}") from exc

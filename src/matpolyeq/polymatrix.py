@@ -18,7 +18,12 @@ stacks, with the stop rule and the budget of 4 count + 8 slices of a walk of
 one slice at a time; LAPACK treats each matrix of a stack as it treats it
 alone, so the sample is the same bit for bit.  One routine,
 ``_null_spaces``, holds the rule for every null vector: it keeps an offered
-vector whose backward error passes, and otherwise takes an SVD of P.
+vector whose backward error passes, and otherwise takes an SVD of P.  The
+points of one polynomial are evaluated as one stack, never chunked: the
+n d + 1 interpolation nodes of its determinant and the at most n d roots
+where its null spaces are taken.  Every eigensolve goes through
+``linalg.eigensolve``, which raises LAPACK's non-convergence as
+ConvergenceFailure.
 P is held as one sorted table of exponent tuples with the matching stack of
 coefficients, and every evaluation, slice and term scale reads that table:
 the monomials of all points and terms are one array expression, and P sums
@@ -36,7 +41,6 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    ConvergenceFailure,
     DegreeZero,
     DimensionMismatch,
     IdenticallySingular,
@@ -218,11 +222,13 @@ def evaluate(p: MatrixPolynomial, point) -> np.ndarray:
 def _fold(p: MatrixPolynomial, pivot: int, fixed: np.ndarray) -> np.ndarray:
     # the dense coefficient stacks (B, d + 1, n, n) of the slices of P at the
     # rows of a (B, arity - 1) stack of fixed values: each term, times its
-    # monomial in the fixed values, adds to the block of its pivot power
-    factors = _monomials(fixed, np.delete(p.exponents, pivot, axis=1))
+    # monomial in the fixed values, adds to the block of its pivot power.  A
+    # sum that overflows is left inf or nan: both callers check finiteness
     powers = p.exponents[:, pivot]
     folded = np.zeros((powers.max(initial=0) + 1, len(fixed), p.dim, p.dim), dtype=np.complex128)
-    np.add.at(folded, powers, factors.T[:, :, None, None] * p.stack[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = _monomials(fixed, np.delete(p.exponents, pivot, axis=1))
+        np.add.at(folded, powers, factors.T[:, :, None, None] * p.stack[:, None])
     return folded.transpose(1, 0, 2, 3)
 
 
@@ -230,7 +236,8 @@ def fix_all_but(p: MatrixPolynomial, pivot: int, fixed) -> MatrixPolynomial:
     """Substitute values for all variables except ``pivot``.
 
     Returns a univariate polynomial in the pivot variable whose evaluation
-    agrees with evaluating ``p`` at the merged point.
+    agrees with evaluating ``p`` at the merged point; the zero polynomial
+    gives the zero polynomial, with nothing folded.
     """
     if p.arity < 2:
         raise DimensionMismatch("fix_all_but needs arity >= 2")
@@ -241,6 +248,8 @@ def fix_all_but(p: MatrixPolynomial, pivot: int, fixed) -> MatrixPolynomial:
         raise DimensionMismatch(
             f"fixed values have length {vals.shape[0]}, expected {p.arity - 1}"
         )
+    if not p.terms:
+        return MatrixPolynomial(arity=1, dim=p.dim, terms={})
     folded = _fold(p, pivot, vals[None])[0]
     return MatrixPolynomial(arity=1, dim=p.dim, terms={(k,): a for k, a in enumerate(folded)})
 
@@ -308,13 +317,8 @@ def det_poly_univariate(p: MatrixPolynomial) -> ScalarPolynomial:
     count = n * (len(coeffs) - 1) + 1
     radius = max(1.0, _root_scale(coeffs))
     nodes = radius * np.exp(2j * np.pi * np.arange(count) / count)
-    dets = np.empty(count, dtype=np.complex128)
-    norms = np.empty(count)
-    size = linalg.chunk_size(n * n)
-    for lo in range(0, count, size):
-        pz = _evaluate_stack(p, nodes[lo : lo + size, None])
-        dets[lo : lo + size] = np.linalg.det(pz)
-        norms[lo : lo + size] = np.linalg.norm(pz, axis=(1, 2))
+    pz = _evaluate_stack(p, nodes[:, None])
+    dets, norms = np.linalg.det(pz), np.linalg.norm(pz, axis=(1, 2))
     with np.errstate(over="ignore"):
         if not np.any(np.abs(dets) > DET_ZERO_REL * norms**n):
             raise IdenticallySingular("determinant vanishes at every sample node")
@@ -373,7 +377,7 @@ def poly_roots(sp: ScalarPolynomial) -> list[tuple[complex, int]]:
     stack = c[:, None, None]
     scale = _root_scale(stack)
     companion = _companions(_scaled(stack, scale)[None])[0]
-    raw = scale * _eigensolve(np.linalg.eigvals, companion)
+    raw = scale * linalg.eigensolve(np.linalg.eigvals, companion)
     roots = [(complex(np.mean(raw[g])), len(g)) for g in _cluster_roots(raw, scale)]
     roots.sort(key=lambda rm: linalg.lex_key(rm[0]))
     return roots
@@ -403,15 +407,6 @@ def _companions(scaled: np.ndarray) -> np.ndarray:
     lower = scaled[:, :d].transpose(0, 2, 1, 3).reshape(b, n, d * n)
     companion[:, (d - 1) * n :] = -np.linalg.solve(scaled[:, d], lower)
     return companion
-
-
-def _eigensolve(solve, companion: np.ndarray):
-    # np.linalg.eig or eigvals of a companion, with geev's iteration cap
-    # reported as a package error
-    try:
-        return solve(companion)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"companion eigensolve: {exc}") from exc
 
 
 def _reversal(coeffs: np.ndarray, scale: float) -> tuple[np.ndarray, complex]:
@@ -478,7 +473,7 @@ def _slice_spectra(coeffs: np.ndarray, side: str = "right") -> list:
     scaled = np.array([_scaled(stack, gamma) for stack, gamma in zip(stacks, gammas)])
     if side == "left":
         scaled = scaled.transpose(0, 1, 3, 2)
-    mu, eigvecs = _eigensolve(np.linalg.eig, _companions(scaled))
+    mu, eigvecs = linalg.eigensolve(np.linalg.eig, _companions(scaled))
     # an eigenvector of the companion stacks v, mu v, ..., mu^(d-1) v for a
     # null vector v of the slice at gamma mu: keep its top block, unit norm
     top = eigvecs[:, :n].transpose(0, 2, 1)
@@ -520,9 +515,10 @@ def _null_spaces(p: MatrixPolynomial, points: np.ndarray, side: str, offered=Non
     ``isolated[k]`` and that row passes; the other points take the singular
     vectors that pass, smallest first, from one SVD of their P, and no SVD
     runs when none is left.  Returns ``(pz, vectors)``: P at the points and
-    the list of null vectors at each.  The stack is not chunked: callers
-    pass one point, the roots of one determinant, or the points of one batch
-    of slices, which the sampler sizes to a chunk of companions.
+    the list of null vectors at each.  The stack is not chunked, as the
+    nodes of :func:`det_poly_univariate` are not: callers pass one point,
+    the roots of one determinant, or the points of one batch of slices,
+    which the sampler sizes to a chunk of companions.
     """
     pz = _evaluate_stack(p, points)
     # the term scale bounds ||P||_F >= sigma_max; where it is 0 every
@@ -619,7 +615,8 @@ def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> Var
     an isolated root whose vector fails, takes the vectors of an SVD of P,
     so a repeated root yields one row per null vector.  Slices with no
     finite eigenvalue contribute nothing; a slice that is rank-deficient at
-    every test point propagates IdenticallySingular.  The rows are returned
+    every test point propagates IdenticallySingular, and the zero
+    polynomial raises it before any slice is folded.  The rows are returned
     as one :class:`VarietySample`, in the order found.
 
     Slices are folded and eigensolved a batch at a time: ceil(points still
@@ -638,6 +635,8 @@ def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> Var
         raise ValueError("seed must be >= 0")
     if seed >= SEED_LIMIT:
         raise ValueError("seed must be < 2**1024 - 2**970")
+    if not p.terms:
+        raise IdenticallySingular("zero polynomial matrix")
     budget = 4 * count + 8
     phase = math.fmod(seed * 0.6180339887498949, 1.0)
     most = max(1, total_degree(p) * p.dim)  # eigenvalues of one slice at most

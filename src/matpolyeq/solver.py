@@ -79,6 +79,8 @@ SANDWICH_SLOTS = {
 
 #: Fewest variety points a multivariate solve samples; it takes 3n when larger.
 MIN_SAMPLE_COUNT = 32
+#: Sampling attempts of a multivariate solve, attempt k with seed + k.
+ATTEMPTS = 8
 #: Relative off-diagonal mass allowed when the sandwich probe diagonalizes
 #: both candidates in one eigenbasis.
 JOINT_DIAGONAL_TOL = 1e-6
@@ -130,8 +132,8 @@ class SolverConfig:
             raise ValueError(f"max_classes must be <= {sys.maxsize}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.seed > SEED_LIMIT - 8:  # the last of 8 sampling attempts takes seed + 7
-            raise ValueError("seed must be <= 2**1024 - 2**970 - 8")
+        if self.seed > SEED_LIMIT - ATTEMPTS:  # the last attempt takes seed + ATTEMPTS - 1
+            raise ValueError(f"seed must be <= 2**1024 - 2**970 - {ATTEMPTS}")
 
 
 @dataclass
@@ -402,13 +404,11 @@ def solve_univariate(eq: StructuredEquation, cfg: SolverConfig | None = None) ->
     cfg = cfg or SolverConfig()
     if eq.arity != 1:
         raise DimensionMismatch("solve_univariate needs a univariate equation")
-    if eq.orientation is Orientation.SANDWICH_BIVARIATE:
-        raise DimensionMismatch("sandwich orientation is not univariate")
     try:
         pool = eigen_candidates(eq)
     except DegreeZero as exc:
         raise InsufficientRoots(str(exc)) from exc
-    side = "left" if eq.orientation is Orientation.UNKNOWNS_LEFT else "right"
+    side = eq.orientation.value
     roots = np.array([root for root, _ in pool], dtype=np.complex128)
     _, nulls = _null_spaces(eq.poly, roots[:, None], side)
     diagnostics = [
@@ -506,18 +506,18 @@ def solve_multivariate(eq: StructuredEquation, cfg: SolverConfig | None = None) 
     the point whose null vector lies farthest from the span of those
     chosen.  The chosen rows go to :func:`family_from_points` as arrays.
     Ill-conditioned selections are retried with a fresh seed stream up to
-    8 attempts.
+    ``ATTEMPTS`` attempts.
     """
     cfg = cfg or SolverConfig()
     if eq.arity < 2:
         raise DimensionMismatch("solve_multivariate needs arity >= 2")
     if eq.orientation is Orientation.SANDWICH_BIVARIATE:
         raise DimensionMismatch("no constructive solver exists for the sandwich case")
-    side = "left" if eq.orientation is Orientation.UNKNOWNS_LEFT else "right"
+    side = eq.orientation.value
     n = eq.dim
     diagnostics: list[Diagnostic] = []
     sampled_any = False
-    for attempt in range(8):
+    for attempt in range(ATTEMPTS):
         try:
             sample = sample_variety(
                 eq.poly, side, count=max(MIN_SAMPLE_COUNT, 3 * n), seed=cfg.seed + attempt
@@ -543,7 +543,7 @@ def solve_multivariate(eq: StructuredEquation, cfg: SolverConfig | None = None) 
             "every sampling attempt came back empty", diagnostics=diagnostics
         )
     raise TransformSingular(
-        "no well-conditioned transform within 8 attempts", diagnostics=diagnostics
+        f"no well-conditioned transform within {ATTEMPTS} attempts", diagnostics=diagnostics
     )
 
 

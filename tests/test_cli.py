@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,37 @@ def test_sample_variety_circle(tmp_path):
 def test_sample_variety_empty_variety():
     rc = main(["sample-variety", str(DATA / "constant_arity2.json"), "--count", "2", "--seed", "0"])
     assert rc == 2
+
+
+def test_sample_variety_malformed_document(capsys):
+    rc = main(["sample-variety", str(DATA / "malformed.json"), "--seed", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err == "$.arity: missing\n"
+
+
+SLICING_COMMANDS = [
+    ["solve", "--seed", "0"],
+    ["sample-variety", "--seed", "0"],
+    ["detpoly", "--fix", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", SLICING_COMMANDS, ids=lambda argv: argv[0])
+def test_zero_equation_of_several_unknowns_exit_1(tmp_path, capsys, argv):
+    # raised before any slice is folded: a dense one would take 300 x 300 blocks
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"dimension": 300, "arity": 2, "orientation": "right", "terms": []}))
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"{argv[0]}: IdenticallySingular: zero polynomial matrix\n"
+
+
+@pytest.mark.parametrize("argv", SLICING_COMMANDS, ids=lambda argv: argv[0])
+def test_fold_overflow_exit_1_without_a_warning(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([argv[0], str(DATA / "overflow_fold.json"), *argv[1:]]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(argv[0] + ": ") and line.endswith("matrix entries must be finite")
 
 
 def test_sample_variety_rejects_univariate():

@@ -339,6 +339,22 @@ def set_key(key, value):
     return edit
 
 
+def sandwich_doc():
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    slots = {name: copy.deepcopy(eye) for name in SANDWICH_SLOTS}
+    return {"dimension": 2, "arity": 2, "orientation": "sandwich", "sandwich_slots": slots}
+
+
+def parse_edited(edit, base=equation_doc):
+    doc = base()
+    edit(doc)
+    return lambda: io.equation_from_document(doc)
+
+
+def set_exponents(t, exponents):
+    return lambda doc: doc["terms"][t].update(exponents=exponents)
+
+
 MATRIX_CELL = "$.terms[0].coefficient[1][0]: expected a [re, im] number pair"
 EIGEN_CELL = "$.families[0].eigenvalues[0][1]: expected a [re, im] number pair"
 BAD_CELLS = {
@@ -397,6 +413,80 @@ ERROR_TABLE = [
         in_family(1, set_key("residual", True)),
         "$.families[1].residual: expected a number",
         id="family-1-bool-residual",
+    ),
+    pytest.param(
+        lambda: io.equation_from_document([]), "$: expected a JSON object", id="equation-list"
+    ),
+    pytest.param(
+        parse_edited(lambda doc: doc.update(dimension=2.0)),
+        "$.dimension: expected an integer",
+        id="dimension-float",
+    ),
+    pytest.param(
+        parse_edited(lambda doc: doc.update(dimension=0)),
+        "$.dimension: must be >= 1",
+        id="dimension-0",
+    ),
+    pytest.param(
+        parse_edited(lambda doc: doc.update(arity=0)), "$.arity: must be >= 1", id="arity-0"
+    ),
+    pytest.param(
+        parse_edited(lambda doc: doc.update(orientation="up")),
+        "$.orientation: expected 'left', 'right', or 'sandwich'",
+        id="orientation-unknown",
+    ),
+    pytest.param(
+        parse_edited(lambda doc: doc.update(arity=1), sandwich_doc),
+        "$.arity: sandwich orientation requires arity 2",
+        id="sandwich-arity-1",
+    ),
+    pytest.param(
+        parse_edited(lambda doc: doc.update(terms=[]), sandwich_doc),
+        "$.terms: sandwich documents carry sandwich_slots instead",
+        id="sandwich-terms",
+    ),
+    pytest.param(
+        parse_edited(lambda doc: doc["sandwich_slots"].pop("F"), sandwich_doc),
+        "$.sandwich_slots.F: missing",
+        id="sandwich-slot-missing",
+    ),
+    pytest.param(
+        parse_edited(lambda doc: doc["terms"].append([0])),
+        "$.terms[2]: expected an object",
+        id="term-list",
+    ),
+    pytest.param(
+        parse_edited(set_exponents(0, [-1])),
+        "$.terms[0].exponents: expected 1 non-negative integers",
+        id="exponents-negative",
+    ),
+    pytest.param(
+        parse_edited(set_exponents(1, [1, 1])),
+        "$.terms[1].exponents: expected 1 non-negative integers",
+        id="exponents-too-many",
+    ),
+    pytest.param(
+        parse_edited(set_exponents(0, [True])),
+        "$.terms[0].exponents: expected 1 non-negative integers",
+        id="exponents-bool",
+    ),
+    pytest.param(
+        parse_edited(set_exponents(1, [0])),
+        "$.terms[1].exponents: duplicate tuple [0]",
+        id="exponents-duplicate",
+    ),
+    pytest.param(
+        in_matrix(set_cell([float("inf"), 0.0])),
+        "$: matrix entries must be finite",
+        id="model-error-infinity",
+    ),
+    pytest.param(
+        lambda: io.solution_arrays([], 2, 1), "$: expected a JSON object", id="solution-list"
+    ),
+    pytest.param(
+        lambda: io.solution_arrays({"families": [1]}, 2, 1),
+        "$.families[0]: expected an object",
+        id="family-number",
     ),
 ]
 

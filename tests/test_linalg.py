@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from matpolyeq import linalg
-from matpolyeq.errors import NonFiniteInput, SingularMatrix
+from matpolyeq.errors import ConvergenceFailure, NonFiniteInput, SingularMatrix
 
 
 def test_as_matrix_rejects_nonfinite():
@@ -85,6 +85,17 @@ def test_eigen_reconstruction_random():
         vals, vecs = linalg.eigen(m)
         gap = np.linalg.norm(m @ vecs - vecs @ np.diag(vals))
         assert gap <= 1e-8 * np.linalg.norm(m)
+
+
+def test_eigen_non_convergence_is_a_package_error(monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", no_convergence)
+    with pytest.raises(ConvergenceFailure) as info:
+        linalg.eigen(np.eye(2))
+    assert str(info.value) == "eigensolve: Eigenvalues did not converge"
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_determinism_bit_for_bit():

@@ -1,5 +1,7 @@
 import cmath
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from matpolyeq.errors import (
     DegreeZero,
     DimensionMismatch,
     IdenticallySingular,
+    NonFiniteInput,
     NoPointsFound,
 )
 from matpolyeq.instances import plant_instance, symbolic_det_oracle
@@ -87,6 +90,35 @@ def test_fix_all_but_constant():
     p = MatrixPolynomial(arity=3, dim=1, terms={(0, 0, 0): 5 * I1})
     sliced = fix_all_but(p, 2, [1.0, 2.0])
     assert np.allclose(sliced.terms[(0,)], 5 * I1)
+
+
+def test_zero_polynomial_of_several_variables_raises_before_folding():
+    # no dense slice of a 300 x 300 zero polynomial is ever built
+    p = MatrixPolynomial(arity=2, dim=300, terms={})
+    tracemalloc.start()
+    try:
+        with pytest.raises(IdenticallySingular, match="^zero polynomial matrix$"):
+            sample_variety(p, "right", count=8, seed=0)
+        sliced = fix_all_but(p, 1, [1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (sliced.arity, sliced.dim, sliced.terms) == (1, 300, {})
+    with pytest.raises(IdenticallySingular, match="^zero polynomial matrix$"):
+        det_poly_univariate(sliced)
+
+
+def test_fold_overflow_is_non_finite_input_without_a_warning():
+    # y + y^2 with 1e308 coefficients overflows in the fold of every slice
+    big = 1e308 * I2
+    p = MatrixPolynomial(arity=2, dim=2, terms={(1, 0): I2, (0, 1): big, (0, 2): big})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput, match="^matrix entries must be finite$"):
+            sample_variety(p, "right", count=8, seed=0)
+        with pytest.raises(NonFiniteInput, match="^matrix entries must be finite$"):
+            fix_all_but(p, 0, [1.0])
 
 
 def test_slice_consistency_random():

@@ -390,6 +390,18 @@ def test_solve_univariate_insufficient_roots():
         solve_univariate(eq)
 
 
+def test_each_solver_rejects_the_other_arity():
+    uni = scalar_quadratic()
+    bi = StructuredEquation(
+        poly=MatrixPolynomial(arity=2, dim=1, terms={(1, 0): I1, (0, 1): -I1}),
+        orientation=Orientation.UNKNOWNS_RIGHT,
+    )
+    with pytest.raises(DimensionMismatch, match="^solve_univariate needs a univariate equation$"):
+        solve_univariate(bi)
+    with pytest.raises(DimensionMismatch, match="^solve_multivariate needs arity >= 2$"):
+        solve_multivariate(uni)
+
+
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
 
 
