@@ -174,7 +174,9 @@ def cmd_sample_variety(args) -> int:
     except NoPointsFound as exc:
         print(f"sample-variety: {exc}", file=sys.stderr)
         return EXIT_NO_RESULT
-    except ValueError as exc:
+    except MatPolyEqError:
+        raise  # main names its class
+    except ValueError as exc:  # side, count or seed
         return _fail(f"sample-variety: {exc}")
     rows = zip(
         io.to_pairs(sample.values), io.to_pairs(sample.null_vectors), sample.det_residuals.tolist()
@@ -191,7 +193,9 @@ def cmd_plant(args) -> int:
     orientation = Orientation(args.orientation)
     try:
         planted = plant_instance(args.dimension, args.arity, args.degree, orientation, args.seed)
-    except ValueError as exc:
+    except MatPolyEqError:
+        raise  # main names its class
+    except ValueError as exc:  # seed
         return _fail(f"plant: {exc}")
     eq = planted.equation
     # the truth family mirrors solver output: W = T^-1 for left, T otherwise

@@ -1,10 +1,16 @@
 """Dense complex linear algebra substrate.
 
-Thin, contract-enforcing wrappers around numpy's LAPACK bindings.  Every
-function promotes its input to complex128, rejects non-finite entries, and
-is deterministic for identical inputs.  Invertibility is decided on
-singular values; eigenvalues come back in a fixed lexicographic order so
-that downstream class enumeration is reproducible.
+Thin, contract-enforcing wrappers around numpy's LAPACK bindings.  One
+gate, :func:`_checked`, reads each matrix, vector or point that a caller
+passes to a public function of this module, ``polymatrix`` or ``solver``:
+it promotes the argument to complex128, raises DimensionMismatch for a
+wrong shape and NonFiniteInput for a non-finite entry.  Stacks are checked
+for finiteness whole, apart from it: a polynomial's coefficients, the
+matrices of :func:`inverse_stack` and the solver's stacked candidates;
+:func:`eigensolve` and :func:`lex_argsort` take arrays the package computed.
+Every function is deterministic for identical inputs.  Invertibility is
+decided on singular values; eigenvalues come back in a fixed lexicographic
+order so that downstream class enumeration is reproducible.
 """
 
 from __future__ import annotations
@@ -33,31 +39,35 @@ def chunk_size(entries_per_item: int) -> int:
     return max(1, CHUNK_ENTRIES // entries_per_item)
 
 
+def _checked(data, shape: tuple[int | None, ...], what: str) -> np.ndarray:
+    """``data`` as a new complex128 array of ``shape``, every entry finite.
+
+    A ``None`` in ``shape`` (``*`` in messages) takes any positive length.
+    A wrong shape raises ``DimensionMismatch("{what} has shape {got},
+    expected {want}")``; a non-finite entry raises NonFiniteInput.
+    """
+    a = np.array(data, dtype=np.complex128)
+    if a.ndim != len(shape) or any(g < 1 or w not in (None, g) for g, w in zip(a.shape, shape)):
+        want = str(tuple(shape)).replace("None", "*")
+        raise DimensionMismatch(f"{what} has shape {a.shape}, expected {want}")
+    if not np.isfinite(a).all():
+        raise NonFiniteInput(f"{'vector' if a.ndim == 1 else 'matrix'} entries must be finite")
+    return a
+
+
 def as_matrix(data) -> np.ndarray:
     """Coerce to a 2-d complex128 array, rejecting non-finite entries."""
-    a = np.array(data, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise DimensionMismatch(f"expected a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise NonFiniteInput("matrix entries must be finite")
-    return a
+    return _checked(data, (None, None), "matrix")
 
 
 def as_vector(data) -> np.ndarray:
     """Coerce to a 1-d complex128 array, rejecting non-finite entries."""
-    a = np.array(data, dtype=np.complex128)
-    if a.ndim != 1 or a.shape[0] < 1:
-        raise DimensionMismatch(f"expected a 1-d vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise NonFiniteInput("vector entries must be finite")
-    return a
+    return _checked(data, (None,), "vector")
 
 
 def _square(data) -> np.ndarray:
     a = as_matrix(data)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    return a
+    return _checked(a, (len(a), len(a)), "matrix")
 
 
 def inverse(m, tol_rank: float = DEFAULT_TOL_RANK) -> tuple[np.ndarray, float]:

@@ -126,17 +126,17 @@ class MatrixPolynomial:
 
 @dataclass(frozen=True)
 class ScalarPolynomial:
-    """Scalar polynomial as ascending complex coefficients."""
+    """Scalar polynomial as ascending complex coefficients.
+
+    ``coefficients`` is a scalar or a non-empty 1-d sequence, read through
+    ``linalg._checked``: a wrong shape raises DimensionMismatch and a
+    non-finite entry NonFiniteInput.  It is held as a read-only copy.
+    """
 
     coefficients: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coefficients, dtype=np.complex128))
-        if c.ndim != 1 or c.size < 1:
-            raise DimensionMismatch("coefficients must form a non-empty 1-d sequence")
-        if not np.all(np.isfinite(c.real)) or not np.all(np.isfinite(c.imag)):
-            raise DimensionMismatch("coefficients must be finite")
-        c = c.copy()
+        c = linalg._checked(np.atleast_1d(self.coefficients), (None,), "coefficients")
         c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
 
@@ -185,10 +185,8 @@ def total_degree(p: MatrixPolynomial) -> int:
 
 
 def _point(p: MatrixPolynomial, point) -> np.ndarray:
-    z = linalg.as_vector(point)
-    if z.shape[0] != p.arity:
-        raise DimensionMismatch(f"point has length {z.shape[0]}, expected arity {p.arity}")
-    return z
+    # a point as the one-row stack the array arithmetic takes
+    return linalg._checked(point, (p.arity,), "point")[None]
 
 
 def _monomials(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -216,7 +214,7 @@ def _evaluate_stack(p: MatrixPolynomial, points: np.ndarray) -> np.ndarray:
 
 def evaluate(p: MatrixPolynomial, point) -> np.ndarray:
     """Evaluate P at a scalar point, one value per variable."""
-    return _evaluate_stack(p, _point(p, point)[None])[0]
+    return _evaluate_stack(p, _point(p, point))[0]
 
 
 def _fold(p: MatrixPolynomial, pivot: int, fixed: np.ndarray) -> np.ndarray:
@@ -243,11 +241,7 @@ def fix_all_but(p: MatrixPolynomial, pivot: int, fixed) -> MatrixPolynomial:
         raise DimensionMismatch("fix_all_but needs arity >= 2")
     if not 0 <= pivot < p.arity:
         raise DimensionMismatch(f"pivot {pivot} out of range for arity {p.arity}")
-    vals = linalg.as_vector(fixed) if len(fixed) else np.zeros(0, dtype=np.complex128)
-    if vals.shape[0] != p.arity - 1:
-        raise DimensionMismatch(
-            f"fixed values have length {vals.shape[0]}, expected {p.arity - 1}"
-        )
+    vals = linalg._checked(fixed, (p.arity - 1,), "fixed")
     if not p.terms:
         return MatrixPolynomial(arity=1, dim=p.dim, terms={})
     folded = _fold(p, pivot, vals[None])[0]
@@ -501,8 +495,12 @@ def _term_scales(p: MatrixPolynomial, points: np.ndarray) -> np.ndarray:
 
 
 def term_scale(p: MatrixPolynomial, point) -> float:
-    """Triangle-inequality magnitude bound for ``evaluate(p, point)``."""
-    return float(_term_scales(p, np.asarray(point, dtype=np.complex128)[None])[0])
+    """Triangle-inequality magnitude bound for ``evaluate(p, point)``.
+
+    The point is read as :func:`evaluate` reads it: a wrong length raises
+    DimensionMismatch and a non-finite value NonFiniteInput.
+    """
+    return float(_term_scales(p, _point(p, point))[0])
 
 
 def _null_spaces(p: MatrixPolynomial, points: np.ndarray, side: str, offered=None, isolated=None):
@@ -544,9 +542,10 @@ def null_vectors_at(p: MatrixPolynomial, point, side: str) -> list[np.ndarray]:
 
     The SVD case of :func:`_null_spaces`: sigma <= ``DEFAULT_TOL_ZERO`` *
     term_scale, a reference that bounds sigma_max and keeps 1x1 and fully
-    vanishing evaluations decidable.
+    vanishing evaluations decidable.  The point is read as :func:`evaluate`
+    reads it.
     """
-    return _null_spaces(p, _point(p, point)[None], side)[1][0]
+    return _null_spaces(p, _point(p, point), side)[1][0]
 
 
 def _batch_rows(p: MatrixPolynomial, side: str, slices: range, budget: int, phase: float):

@@ -185,16 +185,10 @@ def _matrix_powers(x: np.ndarray, kmax: int) -> list[np.ndarray]:
 
 
 def _checked_unknowns(eq: StructuredEquation, unknowns) -> list[np.ndarray]:
-    n = eq.dim
-    xs = [linalg.as_matrix(x) for x in unknowns]
+    xs = list(unknowns)
     if len(xs) != eq.arity:
-        raise DimensionMismatch(
-            f"expected {eq.arity} unknowns, got {len(xs)}"
-        )
-    for x in xs:
-        if x.shape != (n, n):
-            raise DimensionMismatch(f"unknown has shape {x.shape}, expected {(n, n)}")
-    return xs
+        raise DimensionMismatch(f"expected {eq.arity} unknowns, got {len(xs)}")
+    return [linalg._checked(x, (eq.dim, eq.dim), "unknown") for x in xs]
 
 
 def equation_lhs(eq: StructuredEquation, unknowns) -> np.ndarray:
@@ -482,12 +476,8 @@ def family_from_points(
     """
     cfg = cfg or SolverConfig()
     n = eq.dim
-    values, vectors = linalg.as_matrix(values), linalg.as_matrix(null_vectors)
-    if values.shape != (n, eq.arity) or vectors.shape != (n, n):
-        raise DimensionMismatch(
-            f"need {n} points with {eq.arity} values and {n}-vectors,"
-            f" got values {values.shape} and null vectors {vectors.shape}"
-        )
+    values = linalg._checked(values, (n, eq.arity), "values")
+    vectors = linalg._checked(null_vectors, (n, n), "null_vectors")
     order = sorted(range(n), key=lambda k: tuple(linalg.lex_key(v) for v in values[k]))
     eigenvalues = values[order].T[:, None]
     (outcome,) = _assemble_families(eq, eigenvalues, vectors[order][None], cfg)
@@ -560,10 +550,8 @@ def quotient_factor(
         raise DimensionMismatch("quotient_factor needs a univariate equation")
     if eq.orientation is not Orientation.UNKNOWNS_LEFT:
         raise DimensionMismatch("quotient_factor applies to unknowns-left equations")
-    xm = linalg.as_matrix(x)
     n = eq.dim
-    if xm.shape != (n, n):
-        raise DimensionMismatch(f"candidate has shape {xm.shape}, expected {(n, n)}")
+    xm = linalg._checked(x, (n, n), "candidate")
     resid = verify_residual(eq, [xm])
     if not resid <= tol_residual:  # a nan residual fails too
         raise NotASolution(f"residual {resid:.3e} exceeds {tol_residual:.0e}")
@@ -592,12 +580,11 @@ def quotient_factor(
 
 def commutation_check(unknowns) -> float:
     """Largest normalized pairwise commutator norm; 0 for a single unknown."""
-    xs = [linalg.as_matrix(x) for x in unknowns]
-    n = xs[0].shape[0]
-    for x in xs:
-        if x.shape != (n, n):
-            raise DimensionMismatch("unknowns must share one square shape")
-    return float(_commutations([x[None] for x in xs])[0])
+    xs = list(unknowns)
+    if not xs:
+        raise DimensionMismatch("expected at least 1 unknown, got 0")
+    n = len(linalg.as_matrix(xs[0]))  # the first unknown sets the shape of all
+    return float(_commutations([linalg._checked(x, (n, n), "unknown")[None] for x in xs])[0])
 
 
 def _commutations(xs: list[np.ndarray]) -> np.ndarray:
@@ -669,7 +656,7 @@ def _joint_eigenbasis(x: np.ndarray, y: np.ndarray):
             raise NotSimultaneouslyDiagonalizable(
                 "first matrix has no well-conditioned eigenvector basis"
             )
-        sub_vals, sub_vecs = np.linalg.eig(restricted)
+        sub_vals, sub_vecs = linalg.eigensolve(np.linalg.eig, restricted)
         refined = block @ sub_vecs[:, linalg.lex_argsort(sub_vals)]
         norms = np.linalg.norm(refined, axis=0)
         norms[norms == 0] = 1.0
@@ -701,11 +688,8 @@ def sandwich_probe(eq: StructuredEquation, x, y) -> SandwichProbeReport:
     """
     if eq.orientation is not Orientation.SANDWICH_BIVARIATE:
         raise DimensionMismatch("sandwich_probe needs a sandwich equation")
-    xm = linalg.as_matrix(x)
-    ym = linalg.as_matrix(y)
     n = eq.dim
-    if xm.shape != (n, n) or ym.shape != (n, n):
-        raise DimensionMismatch("candidates must be n x n for the equation dimension")
+    xm, ym = linalg._checked(x, (n, n), "x"), linalg._checked(y, (n, n), "y")
     T, T_inv, alphas, mus = _joint_eigenbasis(xm, ym)
     stack = _evaluate_stack(eq.poly, np.stack([alphas, mus], axis=1))
     rows = []

@@ -205,6 +205,28 @@ def test_fold_overflow_exit_1_without_a_warning(capsys, argv):
     assert line.startswith(argv[0] + ": ") and line.endswith("matrix entries must be finite")
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["sample-variety", str(DATA / "overflow_fold.json"), "--seed", "0"],
+            "sample-variety: NonFiniteInput: matrix entries must be finite",
+        ),
+        (
+            ["plant", "--dimension", "0", "--arity", "1", "--degree", "2", "--seed", "1"],
+            "plant: DimensionMismatch: n, m, degree must all be >= 1",
+        ),
+    ],
+    ids=["sample-variety", "plant"],
+)
+def test_library_errors_name_their_class(tmp_path, capsys, argv, line):
+    # only the plain ValueErrors of the command's own arguments go unnamed
+    if argv[0] == "plant":
+        argv = argv + ["--output", str(tmp_path / "eq.json"), "--truth", str(tmp_path / "t.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_sample_variety_rejects_univariate():
     rc = main(["sample-variety", str(DATA / "scalar_quadratic.json"), "--count", "2", "--seed", "0"])
     assert rc == 1

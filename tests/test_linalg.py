@@ -2,7 +2,72 @@ import numpy as np
 import pytest
 
 from matpolyeq import linalg
-from matpolyeq.errors import ConvergenceFailure, NonFiniteInput, SingularMatrix
+from matpolyeq.errors import ConvergenceFailure, DimensionMismatch, NonFiniteInput, SingularMatrix
+from matpolyeq.polymatrix import (
+    MatrixPolynomial,
+    ScalarPolynomial,
+    evaluate,
+    fix_all_but,
+    null_vectors_at,
+    term_scale,
+)
+from matpolyeq.solver import (
+    Orientation,
+    StructuredEquation,
+    commutation_check,
+    equation_lhs,
+    family_from_points,
+    quotient_factor,
+    sandwich_probe,
+    verify_residual,
+)
+
+I2 = np.eye(2)
+P2 = MatrixPolynomial(arity=2, dim=2, terms={(1, 0): I2, (0, 1): -I2})
+
+
+def _equation(arity, orientation, terms):
+    return StructuredEquation(MatrixPolynomial(arity=arity, dim=2, terms=terms), orientation)
+
+
+LEFT = _equation(1, Orientation.UNKNOWNS_LEFT, {(2,): I2, (0,): -I2})
+RIGHT2 = StructuredEquation(P2, Orientation.UNKNOWNS_RIGHT)
+SANDWICH = _equation(2, Orientation.SANDWICH_BIVARIATE, {(0, 0): I2})
+
+#: Each public function with an array argument, called with that argument
+#: alone, then an argument of the right shape and one of a wrong shape.
+GATED = {
+    "evaluate": (lambda a: evaluate(P2, a), [1.0, 2.0], [1.0, 2.0, 3.0]),
+    "null_vectors_at": (lambda a: null_vectors_at(P2, a, "right"), [1.0, 2.0], 1.0),
+    "term_scale-length": (lambda a: term_scale(P2, a), [1.0, 2.0], [1.0, 2.0, 3.0]),
+    "term_scale-scalar": (lambda a: term_scale(P2, a), [1.0, 2.0], 1.0),
+    "fix_all_but": (lambda a: fix_all_but(P2, 0, a), [1.0], [1.0, 2.0]),
+    "ScalarPolynomial": (ScalarPolynomial, [1.0, 2.0], [[1.0, 2.0]]),
+    "verify_residual": (lambda a: verify_residual(LEFT, [a]), I2, np.eye(3)),
+    "equation_lhs": (lambda a: equation_lhs(LEFT, [a]), I2, np.eye(2, 3)),
+    "family_from_points": (lambda a: family_from_points(RIGHT2, a, I2), I2, np.ones((2, 3))),
+    "quotient_factor": (lambda a: quotient_factor(LEFT, a), I2, [1.0, 1.0]),
+    "commutation_check": (lambda a: commutation_check([I2, a]), I2, np.eye(3)),
+    "sandwich_probe": (lambda a: sandwich_probe(SANDWICH, I2, a), I2, np.eye(3)),
+    "linalg.inverse": (linalg.inverse, I2, np.eye(2, 3)),
+    "linalg.eigen": (linalg.eigen, I2, np.ones((1, 2, 2))),
+}
+
+
+@pytest.mark.parametrize("fault", ["shape", "inf", "nan"])
+@pytest.mark.parametrize("name", list(GATED))
+def test_argument_gate(name, fault):
+    # every array argument is read through linalg._checked
+    call, good, wrong = GATED[name]
+    if fault == "shape":
+        with pytest.raises(DimensionMismatch, match=r" has shape \(.*\), expected \("):
+            call(wrong)
+        return
+    bad = np.array(good, dtype=complex)
+    bad.flat[-1] = complex(np.inf if fault == "inf" else np.nan, 0.0)
+    kind = "vector" if bad.ndim == 1 else "matrix"
+    with pytest.raises(NonFiniteInput, match=f"^{kind} entries must be finite$"):
+        call(bad)
 
 
 def test_as_matrix_rejects_nonfinite():

@@ -14,6 +14,7 @@ from per_point import (
 
 from matpolyeq import linalg
 from matpolyeq.errors import (
+    ConvergenceFailure,
     DegreeZero,
     DimensionMismatch,
     FactorCheckFailed,
@@ -242,6 +243,20 @@ def test_solve_multivariate_rank_deficient_pool_is_transform_singular():
     diagnostics = info.value.diagnostics
     assert [d.label for d in diagnostics] == [f"attempt {a}" for a in range(8)]
     assert all(d.failure.startswith("TransformSingular: smallest singular") for d in diagnostics)
+
+
+def test_solve_multivariate_too_few_points_in_every_attempt():
+    # det P = z1 - 2 involves only z1: of the 136 slices of an attempt, the
+    # round robin over 70 variables pivots on z1 twice, so 2 points < n = 3
+    e11 = np.diag([1.0, 0.0, 0.0])
+    terms = {(1,) + (0,) * 69: e11, (0,) * 70: np.diag([-2.0, 1.0, 1.0])}
+    p = MatrixPolynomial(arity=70, dim=3, terms=terms)
+    eq = StructuredEquation(poly=p, orientation=Orientation.UNKNOWNS_RIGHT)
+    with pytest.raises(TransformSingular, match="within 8 attempts") as info:
+        solve_multivariate(eq)
+    assert [(d.label, d.failure) for d in info.value.diagnostics] == [
+        (f"attempt {a}", "only 2 points, need 3") for a in range(8)
+    ]
 
 
 @pytest.mark.parametrize("orientation", [Orientation.UNKNOWNS_LEFT, Orientation.UNKNOWNS_RIGHT])
@@ -601,9 +616,9 @@ def test_family_from_points_rejects_overflowing_residual():
 def test_family_from_points_rejects_malformed_rows():
     eq, _, _ = manual_plant_bivariate()
     values = np.array([(1.0, 3.0), (2.0, 4.0)])
-    with pytest.raises(DimensionMismatch, match="need 2 points"):
+    with pytest.raises(DimensionMismatch, match=r"^values has shape \(1, 2\), expected"):
         family_from_points(eq, values[:1], I2[:1])
-    with pytest.raises(DimensionMismatch, match="need 2 points"):
+    with pytest.raises(DimensionMismatch, match=r"^null_vectors has shape \(2, 3\), expected"):
         family_from_points(eq, values, np.eye(2, 3))
     with pytest.raises(NonFiniteInput):
         family_from_points(eq, values, [[1.0, 0.0], [np.nan, 1.0]])
@@ -763,6 +778,8 @@ def test_commutation_check_values():
     b = np.array([[0.0, 0.0], [1.0, 0.0]])
     # commutator is diag(1, -1), norms are 1
     assert commutation_check([a, b]) == pytest.approx(np.sqrt(2.0) / 2.0)
+    with pytest.raises(DimensionMismatch, match="^expected at least 1 unknown, got 0$"):
+        commutation_check([])
 
 
 def pairwise_commutation(xs) -> float:
@@ -966,6 +983,24 @@ def test_sandwich_probe_rejects_defective_first_matrix():
 def test_sandwich_template_enforced():
     with pytest.raises(DimensionMismatch):
         sandwich_equation({(3, 0): I2}, 2)
+
+
+def test_sandwich_probe_cluster_eigensolve_non_convergence(monkeypatch):
+    # X = 1.5 I is one cluster: the second eig call refines it inside the
+    # cluster, and its failure is raised as the package's error
+    eig, calls = np.linalg.eig, []
+
+    def fail_second(a):
+        calls.append(a)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", fail_second)
+    eq = sandwich_equation({(0, 0): I2}, 2)
+    with pytest.raises(ConvergenceFailure, match="^eigensolve: Eigenvalues did not converge$"):
+        sandwich_probe(eq, 1.5 * I2, np.diag([1.0, 2.0]))
+    assert len(calls) == 2
 
 
 def test_family_transform_reconstruction_invariant():
