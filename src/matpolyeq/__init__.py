@@ -19,6 +19,7 @@ from .errors import (
     FactorCheckFailed,
     IdenticallySingular,
     InsufficientRoots,
+    InvalidSetting,
     MatPolyEqError,
     NoPointsFound,
     NonFiniteInput,
@@ -74,6 +75,7 @@ __all__ = [
     "FactorCheckFailed",
     "IdenticallySingular",
     "InsufficientRoots",
+    "InvalidSetting",
     "MatPolyEqError",
     "MatrixPolynomial",
     "NoPointsFound",

@@ -1,7 +1,12 @@
 """Command-line front end: solve, verify, detpoly, sample-variety, plant.
 
 Exit codes: 0 success, 1 input/usage error, 2 no result, 3 verification
-failure.  Data goes to stdout (or --output); errors go to stderr.
+failure.  Data goes to stdout (or --output); errors go to stderr.  The
+commands let every library error propagate, and ``main`` alone reports it,
+as one stderr line ``<command>: <Class>: <message>``: exit 2 for
+``NoPointsFound``, exit 1 for any other.  A command catches only the
+errors that belong in its output: ``solve``'s no-result document,
+``verify``'s probe error and ``detpoly``'s empty root list.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .errors import (
     DegreeZero,
     DocumentError,
     InsufficientRoots,
+    InvalidSetting,
     MatPolyEqError,
     NoPointsFound,
     NotSimultaneouslyDiagonalizable,
@@ -52,11 +58,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fail(message: str) -> int:
-    print(message, file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _parse_fix(text: str) -> list[complex]:
     values = []
     for part in text.split(","):
@@ -66,19 +67,13 @@ def _parse_fix(text: str) -> list[complex]:
         try:
             values.append(complex(part))
         except ValueError:
-            raise DocumentError(f"--fix: cannot parse {part!r} as a complex number")
+            raise InvalidSetting(f"--fix: cannot parse {part!r} as a complex number")
     return values
 
 
 def cmd_solve(args) -> int:
-    try:
-        eq = io.equation_from_document(io.load_document(args.input))
-    except DocumentError as exc:
-        return _fail(str(exc))
-    try:
-        cfg = SolverConfig(args.tol_residual, args.max_classes, args.seed)
-    except ValueError as exc:
-        return _fail(f"solve: {exc}")
+    eq = io.equation_from_document(io.load_document(args.input))
+    cfg = SolverConfig(args.tol_residual, args.max_classes, args.seed)
     try:
         if eq.arity == 1:
             result = solve_univariate(eq, cfg)
@@ -95,14 +90,9 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     if not args.tol > 0:
-        return _fail("verify: tol must be positive")
-    try:
-        eq = io.equation_from_document(io.load_document(args.equation))
-        (_, _, unknowns, _), _ = io.solution_arrays(
-            io.load_document(args.solutions), eq.dim, eq.arity
-        )
-    except DocumentError as exc:
-        return _fail(str(exc))
+        raise InvalidSetting("tol must be positive")
+    eq = io.equation_from_document(io.load_document(args.equation))
+    (_, _, unknowns, _), _ = io.solution_arrays(io.load_document(args.solutions), eq.dim, eq.arity)
     # contiguous copies, as np.stack made: a strided view may change the products' last bits
     stacks = [np.ascontiguousarray(unknowns[:, s]) for s in range(eq.arity)]
     residuals = _relative_residuals(eq, stacks).tolist()
@@ -135,14 +125,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_detpoly(args) -> int:
-    try:
-        eq = io.equation_from_document(io.load_document(args.input))
-        fixed = _parse_fix(args.fix) if args.fix else []
-    except DocumentError as exc:
-        return _fail(str(exc))
+    eq = io.equation_from_document(io.load_document(args.input))
+    fixed = _parse_fix(args.fix) if args.fix else []
     if eq.arity == 1:
         if fixed or args.pivot != 0:
-            return _fail("detpoly: a univariate equation takes no --fix values and only pivot 0")
+            raise InvalidSetting("a univariate equation takes no --fix values and only pivot 0")
         slice_poly = eq.poly
     else:
         slice_poly = fix_all_but(eq.poly, args.pivot, np.array(fixed))
@@ -165,19 +152,8 @@ def cmd_detpoly(args) -> int:
 
 
 def cmd_sample_variety(args) -> int:
-    try:
-        eq = io.equation_from_document(io.load_document(args.input))
-    except DocumentError as exc:
-        return _fail(str(exc))
-    try:
-        sample = sample_variety(eq.poly, args.side, args.count, args.seed)
-    except NoPointsFound as exc:
-        print(f"sample-variety: {exc}", file=sys.stderr)
-        return EXIT_NO_RESULT
-    except MatPolyEqError:
-        raise  # main names its class
-    except ValueError as exc:  # side, count or seed
-        return _fail(f"sample-variety: {exc}")
+    eq = io.equation_from_document(io.load_document(args.input))
+    sample = sample_variety(eq.poly, args.side, args.count, args.seed)
     rows = zip(
         io.to_pairs(sample.values), io.to_pairs(sample.null_vectors), sample.det_residuals.tolist()
     )
@@ -191,12 +167,7 @@ def cmd_sample_variety(args) -> int:
 
 def cmd_plant(args) -> int:
     orientation = Orientation(args.orientation)
-    try:
-        planted = plant_instance(args.dimension, args.arity, args.degree, orientation, args.seed)
-    except MatPolyEqError:
-        raise  # main names its class
-    except ValueError as exc:  # seed
-        return _fail(f"plant: {exc}")
+    planted = plant_instance(args.dimension, args.arity, args.degree, orientation, args.seed)
     eq = planted.equation
     # the truth family mirrors solver output: W = T^-1 for left, T otherwise
     if orientation is Orientation.UNKNOWNS_LEFT:
@@ -305,7 +276,8 @@ def main(argv=None) -> int:
     try:
         return command(args)
     except MatPolyEqError as exc:
-        return _fail(f"{args.command}: {type(exc).__name__}: {exc}")
+        print(f"{args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NO_RESULT if isinstance(exc, NoPointsFound) else EXIT_USAGE
 
 
 if __name__ == "__main__":

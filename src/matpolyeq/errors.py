@@ -48,7 +48,7 @@ class TransformSingular(MatPolyEqError):
 
 
 class NotASolution(MatPolyEqError):
-    """A factorization was requested at a matrix failing the residual test."""
+    """A candidate failed the residual test, as a family's unknowns or as a matrix to factor."""
 
 
 class FactorCheckFailed(MatPolyEqError):
@@ -61,6 +61,10 @@ class NotSimultaneouslyDiagonalizable(MatPolyEqError):
 
 class NonIntegerInput(MatPolyEqError, ValueError):
     """The exact oracle needs Gaussian-integer coefficient entries."""
+
+
+class InvalidSetting(MatPolyEqError, ValueError):
+    """A setting (tolerance, class cap, side, count, seed, --fix, --pivot) is out of range."""
 
 
 class DocumentError(MatPolyEqError, ValueError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonIntegerInput
+from .errors import DimensionMismatch, InvalidSetting, NonIntegerInput
 from .polymatrix import MatrixPolynomial, ScalarPolynomial, _coefficients, poly_roots
 from .solver import (
     SANDWICH_SLOTS,
@@ -91,7 +91,7 @@ def plant_instance(
     if n < 1 or m < 1 or degree < 1:
         raise DimensionMismatch("n, m, degree must all be >= 1")
     if seed < 0:
-        raise ValueError("seed must be >= 0")
+        raise InvalidSetting("seed must be >= 0")
     sandwich = orientation is Orientation.SANDWICH_BIVARIATE
     if sandwich and (m != 2 or degree != 2):
         raise DimensionMismatch("sandwich instances require m = 2 and degree = 2")

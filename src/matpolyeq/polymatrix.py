@@ -44,6 +44,7 @@ from .errors import (
     DegreeZero,
     DimensionMismatch,
     IdenticallySingular,
+    InvalidSetting,
     NonFiniteInput,
     NoPointsFound,
 )
@@ -627,13 +628,13 @@ def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> Var
     if p.arity < 2:
         raise DimensionMismatch(f"sample_variety needs arity >= 2, got {p.arity}")
     if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        raise InvalidSetting(f"side must be 'left' or 'right', got {side!r}")
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise InvalidSetting("count must be >= 1")
     if seed < 0:
-        raise ValueError("seed must be >= 0")
+        raise InvalidSetting("seed must be >= 0")
     if seed >= SEED_LIMIT:
-        raise ValueError("seed must be < 2**1024 - 2**970")
+        raise InvalidSetting("seed must be < 2**1024 - 2**970")
     if not p.terms:
         raise IdenticallySingular("zero polynomial matrix")
     budget = 4 * count + 8

@@ -39,6 +39,7 @@ from .errors import (
     DimensionMismatch,
     FactorCheckFailed,
     InsufficientRoots,
+    InvalidSetting,
     NoPointsFound,
     NonFiniteInput,
     NotASolution,
@@ -125,15 +126,15 @@ class SolverConfig:
 
     def __post_init__(self):
         if not self.tol_residual > 0:
-            raise ValueError("tol_residual must be positive")
+            raise InvalidSetting("tol_residual must be positive")
         if self.max_classes < 1:
-            raise ValueError("max_classes must be >= 1")
+            raise InvalidSetting("max_classes must be >= 1")
         if self.max_classes > sys.maxsize:  # the most itertools.islice can cut at
-            raise ValueError(f"max_classes must be <= {sys.maxsize}")
+            raise InvalidSetting(f"max_classes must be <= {sys.maxsize}")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise InvalidSetting("seed must be >= 0")
         if self.seed > SEED_LIMIT - ATTEMPTS:  # the last attempt takes seed + ATTEMPTS - 1
-            raise ValueError(f"seed must be <= 2**1024 - 2**970 - {ATTEMPTS}")
+            raise InvalidSetting(f"seed must be <= 2**1024 - 2**970 - {ATTEMPTS}")
 
 
 @dataclass
@@ -184,8 +185,14 @@ def _matrix_powers(x: np.ndarray, kmax: int) -> list[np.ndarray]:
     return out
 
 
+def _unknown_list(unknowns) -> list:
+    if not np.iterable(unknowns):
+        raise DimensionMismatch(f"expected a sequence of unknowns, got {type(unknowns).__name__}")
+    return list(unknowns)
+
+
 def _checked_unknowns(eq: StructuredEquation, unknowns) -> list[np.ndarray]:
-    xs = list(unknowns)
+    xs = _unknown_list(unknowns)
     if len(xs) != eq.arity:
         raise DimensionMismatch(f"expected {eq.arity} unknowns, got {len(xs)}")
     return [linalg._checked(x, (eq.dim, eq.dim), "unknown") for x in xs]
@@ -472,7 +479,8 @@ def family_from_points(
     (row) k of the stacked bracket equals P(point_k) applied to the k-th
     null vector, which vanishes by construction, so any n points with an
     invertible stack yield an exact solution.  The points are taken in
-    lexicographic order of their values.
+    lexicographic order of their values.  Raises ``TransformSingular`` for
+    a singular stack and ``NotASolution`` for a family over the residual gate.
     """
     cfg = cfg or SolverConfig()
     n = eq.dim
@@ -482,7 +490,9 @@ def family_from_points(
     eigenvalues = values[order].T[:, None]
     (outcome,) = _assemble_families(eq, eigenvalues, vectors[order][None], cfg)
     if isinstance(outcome, str):
-        raise TransformSingular(outcome)
+        # a singular stack's reason names its class; any other reason is the residual gate's
+        error = TransformSingular if outcome.startswith("TransformSingular: ") else NotASolution
+        raise error(outcome)
     return outcome
 
 
@@ -524,7 +534,7 @@ def solve_multivariate(eq: StructuredEquation, cfg: SolverConfig | None = None) 
             continue
         try:
             family = family_from_points(eq, sample.values[chosen], sample.null_vectors[chosen], cfg)
-        except TransformSingular as exc:
+        except (TransformSingular, NotASolution) as exc:
             diagnostics.append(Diagnostic(f"attempt {attempt}", str(exc)))
             continue
         return SolveResult(families=[family], diagnostics=diagnostics)
@@ -580,7 +590,7 @@ def quotient_factor(
 
 def commutation_check(unknowns) -> float:
     """Largest normalized pairwise commutator norm; 0 for a single unknown."""
-    xs = list(unknowns)
+    xs = _unknown_list(unknowns)
     if not xs:
         raise DimensionMismatch("expected at least 1 unknown, got 0")
     n = len(linalg.as_matrix(xs[0]))  # the first unknown sets the shape of all

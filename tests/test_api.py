@@ -2,8 +2,21 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import matpolyeq
+from matpolyeq import io, linalg
+from matpolyeq.errors import DimensionMismatch, DocumentError, InvalidSetting, NonFiniteInput
+from matpolyeq.polymatrix import MatrixPolynomial, det_poly_univariate, fix_all_but, sample_variety
+from matpolyeq.solver import (
+    Orientation,
+    SolverConfig,
+    StructuredEquation,
+    dual_equation,
+    eigen_candidates,
+    quotient_factor,
+    sandwich_probe,
+)
 
 
 def test_star_import_exports_every_public_name():
@@ -41,3 +54,105 @@ def test_readme_quick_start_prints_verified_families(capsys):
     assert all(float(residual) <= 1e-8 for residual in printed)
     for family in families:
         assert matpolyeq.verify_residual(namespace["eq"], family.unknowns) <= 1e-8
+
+
+I2 = np.eye(2)
+UNIVARIATE = MatrixPolynomial(1, 2, {(1,): I2, (0,): -2 * I2})
+BIVARIATE = MatrixPolynomial(2, 2, {(1, 0): I2, (0, 1): I2})
+RIGHT_1 = StructuredEquation(UNIVARIATE, Orientation.UNKNOWNS_RIGHT)
+LEFT_2 = StructuredEquation(BIVARIATE, Orientation.UNKNOWNS_LEFT)
+MISSING = Path(__file__).parent / "data" / "missing.json"
+
+# each guard, its exception class and its exact message
+GUARDS = {
+    "load_document-missing": (
+        lambda: io.load_document(str(MISSING)),
+        DocumentError,
+        f"cannot read {MISSING}: [Errno 2] No such file or directory: '{MISSING}'",
+    ),
+    "polynomial-arity": (
+        lambda: MatrixPolynomial(0, 2, {}), DimensionMismatch, "arity must be >= 1"
+    ),
+    "polynomial-dim": (lambda: MatrixPolynomial(1, 0, {}), DimensionMismatch, "dim must be >= 1"),
+    "polynomial-exponent-length": (
+        lambda: MatrixPolynomial(2, 2, {(1,): I2}),
+        DimensionMismatch,
+        "exponent tuple (1,) has length 1, expected arity 2",
+    ),
+    "polynomial-negative-exponent": (
+        lambda: MatrixPolynomial(1, 2, {(-1,): I2}),
+        DimensionMismatch,
+        "exponent tuple (-1,) has a negative entry",
+    ),
+    "polynomial-coefficient-shape": (
+        lambda: MatrixPolynomial(1, 2, {(1,): np.eye(3)}),
+        DimensionMismatch,
+        "coefficient for (1,) has shape (3, 3), expected (2, 2)",
+    ),
+    "equation-orientation": (
+        lambda: StructuredEquation(UNIVARIATE, "left"),
+        DimensionMismatch,
+        "invalid orientation 'left'",
+    ),
+    "equation-sandwich-arity": (
+        lambda: StructuredEquation(UNIVARIATE, Orientation.SANDWICH_BIVARIATE),
+        DimensionMismatch,
+        "sandwich orientation requires arity 2",
+    ),
+    "config-max-classes": (
+        lambda: SolverConfig(max_classes=0), InvalidSetting, "max_classes must be >= 1"
+    ),
+    "eigen_candidates-arity": (
+        lambda: eigen_candidates(LEFT_2),
+        DimensionMismatch,
+        "eigen_candidates needs a univariate equation",
+    ),
+    "det_poly_univariate-arity": (
+        lambda: det_poly_univariate(BIVARIATE),
+        DimensionMismatch,
+        "det_poly_univariate needs arity 1, got 2",
+    ),
+    "fix_all_but-arity": (
+        lambda: fix_all_but(UNIVARIATE, 0, []), DimensionMismatch, "fix_all_but needs arity >= 2"
+    ),
+    "quotient_factor-arity": (
+        lambda: quotient_factor(LEFT_2, I2),
+        DimensionMismatch,
+        "quotient_factor needs a univariate equation",
+    ),
+    "quotient_factor-orientation": (
+        lambda: quotient_factor(RIGHT_1, I2),
+        DimensionMismatch,
+        "quotient_factor applies to unknowns-left equations",
+    ),
+    "dual_equation-sandwich": (
+        lambda: dual_equation(
+            matpolyeq.plant_instance(2, 2, 2, Orientation.SANDWICH_BIVARIATE, 0).equation
+        ),
+        DimensionMismatch,
+        "the sandwich template has no transpose dual",
+    ),
+    "sandwich_probe-orientation": (
+        lambda: sandwich_probe(LEFT_2, I2, I2),
+        DimensionMismatch,
+        "sandwich_probe needs a sandwich equation",
+    ),
+    "sample_variety-side": (
+        lambda: sample_variety(BIVARIATE, "up", 1, 0),
+        InvalidSetting,
+        "side must be 'left' or 'right', got 'up'",
+    ),
+    "inverse_stack-inf": (
+        lambda: linalg.inverse_stack(np.full((1, 2, 2), np.inf)),
+        NonFiniteInput,
+        "matrix entries must be finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS.values(), ids=GUARDS.keys())
+def test_guard_raises_its_class_and_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

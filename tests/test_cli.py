@@ -132,7 +132,9 @@ def test_detpoly_univariate_takes_only_pivot_0(tmp_path, capsys):
     eq_path = str(DATA / "scalar_quadratic.json")
     assert main(["detpoly", eq_path, "--pivot", "0", "--output", str(tmp_path / "d.json")]) == 0
     assert main(["detpoly", eq_path, "--pivot", "1"]) == 1
-    assert "only pivot 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "detpoly: InvalidSetting: a univariate equation takes no --fix values and only pivot 0\n"
+    )
 
 
 def test_detpoly_matches_symbolic_oracle(tmp_path):
@@ -169,15 +171,17 @@ def test_sample_variety_circle(tmp_path):
         assert abs(a**2 + b**2 - 2.0) <= 1e-10
 
 
-def test_sample_variety_empty_variety():
+def test_sample_variety_empty_variety(capsys):
     rc = main(["sample-variety", str(DATA / "constant_arity2.json"), "--count", "2", "--seed", "0"])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "sample-variety: NoPointsFound: no variety points found in 16 slices\n"
 
 
 def test_sample_variety_malformed_document(capsys):
     rc = main(["sample-variety", str(DATA / "malformed.json"), "--seed", "0"])
     assert rc == 1
-    assert capsys.readouterr().err == "$.arity: missing\n"
+    assert capsys.readouterr().err == "sample-variety: DocumentError: $.arity: missing\n"
 
 
 SLICING_COMMANDS = [
@@ -220,7 +224,6 @@ def test_fold_overflow_exit_1_without_a_warning(capsys, argv):
     ids=["sample-variety", "plant"],
 )
 def test_library_errors_name_their_class(tmp_path, capsys, argv, line):
-    # only the plain ValueErrors of the command's own arguments go unnamed
     if argv[0] == "plant":
         argv = argv + ["--output", str(tmp_path / "eq.json"), "--truth", str(tmp_path / "t.json")]
     assert main(argv) == 1
@@ -235,15 +238,18 @@ def test_sample_variety_rejects_univariate():
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["solve", "circle.json", "--seed", "-1"], "solve: seed must be >= 0"),
-        (["sample-variety", "circle.json", "--seed", "-1"], "sample-variety: seed must be >= 0"),
+        (["solve", "circle.json", "--seed", "-1"], "solve: InvalidSetting: seed must be >= 0"),
+        (
+            ["sample-variety", "circle.json", "--seed", "-1"],
+            "sample-variety: InvalidSetting: seed must be >= 0",
+        ),
         (
             ["sample-variety", "circle.json", "--seed", "0", "--count", "0"],
-            "sample-variety: count must be >= 1",
+            "sample-variety: InvalidSetting: count must be >= 1",
         ),
         (
             ["plant", "--dimension", "2", "--arity", "2", "--degree", "2", "--seed", "-1"],
-            "plant: seed must be >= 0",
+            "plant: InvalidSetting: seed must be >= 0",
         ),
     ],
     ids=["solve-seed", "sample-variety-seed", "sample-variety-count", "plant-seed"],
@@ -277,8 +283,10 @@ def test_seed_beyond_double_range_exit_1(tmp_path, capsys, argv):
     out = tmp_path / "out.json"
     argv = [str(tmp_path / a) if a == "eq2.json" else a for a in argv]
     assert main(argv + ["--seed", str(10**400), "--output", str(out)]) == 1
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith(f"{argv[0]}: seed must be <")
+    assert capsys.readouterr().err == {
+        "solve": "solve: InvalidSetting: seed must be <= 2**1024 - 2**970 - 8\n",
+        "sample-variety": "sample-variety: InvalidSetting: seed must be < 2**1024 - 2**970\n",
+    }[argv[0]]
     assert not out.exists()
     assert main(argv + ["--seed", str(2**64), "--output", str(out)]) == 0
 
@@ -445,7 +453,7 @@ def test_verify_nonpositive_tolerance_exit_1(tmp_path, capsys, tol):
     out = tmp_path / "report.json"
     rc = main(["verify", eq_path, str(sol), "--tol", tol, "--output", str(out)])
     assert rc == 1
-    assert "verify: tol must be positive" in capsys.readouterr().err
+    assert capsys.readouterr().err == "verify: InvalidSetting: tol must be positive\n"
     assert not out.exists()
 
 
@@ -487,7 +495,18 @@ def test_solve_unreadable_document_exit_1(tmp_path, capsys, content):
     eq_path.write_bytes(content)
     assert main(["solve", str(eq_path), "--seed", "0"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"{eq_path}: invalid JSON") and "Traceback" not in err
+    assert err.startswith(f"solve: DocumentError: {eq_path}: invalid JSON")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_solve_missing_document_exit_1(tmp_path, capsys):
+    eq_path = tmp_path / "missing.json"
+    assert main(["solve", str(eq_path), "--seed", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"solve: DocumentError: cannot read {eq_path}: "
+        f"[Errno 2] No such file or directory: '{eq_path}'\n"
+    )
 
 
 def test_verify_non_utf8_solution_exit_1(tmp_path, capsys):
@@ -496,7 +515,9 @@ def test_verify_non_utf8_solution_exit_1(tmp_path, capsys):
     assert main(["solve", eq_path, "--seed", "0", "--output", str(sol_path)]) == 0
     sol_path.write_bytes(b"\xff" + sol_path.read_bytes())
     assert main(["verify", eq_path, str(sol_path)]) == 1
-    assert capsys.readouterr().err.startswith(f"{sol_path}: invalid JSON")
+    err = capsys.readouterr().err
+    assert err.startswith(f"verify: DocumentError: {sol_path}: invalid JSON")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", [5, None, {}, "xy"], ids=["int", "null", "object", "string"])
@@ -737,7 +758,8 @@ def test_detpoly_fix_skips_empty_parts(tmp_path):
 def test_detpoly_unparsable_fix_exit_1(capsys):
     rc = main(["detpoly", str(DATA / "circle.json"), "--pivot", "1", "--fix", "abc"])
     assert rc == 1
-    assert "--fix: cannot parse 'abc' as a complex number" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "detpoly: InvalidSetting: --fix: cannot parse 'abc' as a complex number\n"
 
 
 def plant_argv(tmp_path, arity, output="eq.json", truth="truth.json", seed=11):
@@ -819,7 +841,8 @@ def test_solve_deeply_nested_document_exit_1(tmp_path, capsys):
     eq_path = tmp_path / "deep.json"
     eq_path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
     assert main(["solve", str(eq_path), "--seed", "0"]) == 1
-    assert capsys.readouterr().err == f"{eq_path}: invalid JSON (nested too deeply)\n"
+    err = capsys.readouterr().err
+    assert err == f"solve: DocumentError: {eq_path}: invalid JSON (nested too deeply)\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -869,7 +892,7 @@ def test_solve_unwritable_stdout_exit_1(open_stdout):
 def test_solve_max_classes_beyond_sys_maxsize_exit_1(capsys, max_classes):
     argv = ["solve", str(DATA / "scalar_quadratic.json"), "--seed", "0", "--max-classes", max_classes]
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"solve: max_classes must be <= {sys.maxsize}\n"
+    assert capsys.readouterr().err == f"solve: InvalidSetting: max_classes must be <= {sys.maxsize}\n"
 
 
 def test_repeated_main_calls_do_not_leak_state(tmp_path):
@@ -965,4 +988,4 @@ def test_verify_checks_families_before_diagnostics(tmp_path, capsys, broken):
         "family": "$.families[1].residual: expected a number",
         "diagnostics": "$.diagnostics[0]: expected class_or_attempt and failure strings",
     }["diagnostics" if broken == "diagnostics" else "family"]
-    assert capsys.readouterr().err == expected + "\n"
+    assert capsys.readouterr().err == "verify: DocumentError: " + expected + "\n"

@@ -609,7 +609,7 @@ def test_family_from_points_rejects_overflowing_residual():
     p = MatrixPolynomial(arity=2, dim=2, terms={(2, 0): I2, (0, 1): I2, (0, 0): -I2})
     eq = StructuredEquation(poly=p, orientation=Orientation.UNKNOWNS_RIGHT)
     values = [(1e200, 1.0), (2.0, -3.0)]
-    with pytest.raises(TransformSingular, match="residual nan exceeds"):
+    with pytest.raises(NotASolution, match="residual nan exceeds"):
         family_from_points(eq, values, I2)
 
 
@@ -780,6 +780,23 @@ def test_commutation_check_values():
     assert commutation_check([a, b]) == pytest.approx(np.sqrt(2.0) / 2.0)
     with pytest.raises(DimensionMismatch, match="^expected at least 1 unknown, got 0$"):
         commutation_check([])
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda eq, x: verify_residual(eq, x),
+        lambda eq, x: equation_lhs(eq, x),
+        lambda eq, x: commutation_check(x),
+    ],
+    ids=["verify_residual", "equation_lhs", "commutation_check"],
+)
+@pytest.mark.parametrize("unknowns", [5, np.float64(1.0)], ids=["int", "numpy-scalar"])
+def test_non_sequence_unknowns_are_a_dimension_mismatch(check, unknowns):
+    eq, _, _ = manual_plant_bivariate()
+    name = type(unknowns).__name__
+    with pytest.raises(DimensionMismatch, match=f"^expected a sequence of unknowns, got {name}$"):
+        check(eq, unknowns)
 
 
 def pairwise_commutation(xs) -> float:
