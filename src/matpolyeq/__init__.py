@@ -23,14 +23,13 @@ from .errors import (
     MatPolyEqError,
     NoPointsFound,
     NonFiniteInput,
-    NonIntegerInput,
     NotASolution,
     NotSimultaneouslyDiagonalizable,
     SingularMatrix,
     TransformSingular,
 )
-from .instances import PlantedInstance, plant_instance, scalar_oracle, symbolic_det_oracle
-from .linalg import as_matrix, as_vector, eigen, inverse
+from .instances import PlantedInstance, plant_instance
+from .linalg import as_matrix, eigen, inverse
 from .polymatrix import (
     MatrixPolynomial,
     ScalarPolynomial,
@@ -80,7 +79,6 @@ __all__ = [
     "MatrixPolynomial",
     "NoPointsFound",
     "NonFiniteInput",
-    "NonIntegerInput",
     "NotASolution",
     "NotSimultaneouslyDiagonalizable",
     "Orientation",
@@ -96,7 +94,6 @@ __all__ = [
     "TransformSingular",
     "VarietySample",
     "as_matrix",
-    "as_vector",
     "commutation_check",
     "det_poly_univariate",
     "dual_equation",
@@ -113,10 +110,8 @@ __all__ = [
     "quotient_factor",
     "sample_variety",
     "sandwich_probe",
-    "scalar_oracle",
     "solve_multivariate",
     "solve_univariate",
-    "symbolic_det_oracle",
     "total_degree",
     "verify_residual",
 ]

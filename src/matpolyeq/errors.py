@@ -16,7 +16,7 @@ class DimensionMismatch(MatPolyEqError, ValueError):
 
 
 class NonFiniteInput(MatPolyEqError, ValueError):
-    """Construction received NaN or infinite entries."""
+    """NaN or infinite entries, in an input or in a computed fold or determinant."""
 
 
 class SingularMatrix(MatPolyEqError, ArithmeticError):
@@ -57,10 +57,6 @@ class FactorCheckFailed(MatPolyEqError):
 
 class NotSimultaneouslyDiagonalizable(MatPolyEqError):
     """No shared eigenvector basis exists within tolerance."""
-
-
-class NonIntegerInput(MatPolyEqError, ValueError):
-    """The exact oracle needs Gaussian-integer coefficient entries."""
 
 
 class InvalidSetting(MatPolyEqError, ValueError):

@@ -1,10 +1,8 @@
-"""Ground-truth instance generation and exact small-case oracles.
+"""Planted instances: equations built around a known exact solution.
 
-Planted instances start from known co-diagonalizable unknowns and choose
-the constant coefficient so the equation holds exactly; they back the
-round-trip tests of every solve path.  The symbolic determinant oracle
-works over exact Gaussian-integer polynomial arithmetic and validates the
-numeric evaluation-interpolation route.
+Planting draws co-diagonalizable unknowns and chooses the constant
+coefficient so that the equation holds exactly.  Planted instances back the
+round-trip tests of every solve path and the ``plant`` command.
 """
 
 from __future__ import annotations
@@ -14,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSetting, NonIntegerInput
-from .polymatrix import MatrixPolynomial, ScalarPolynomial, _coefficients, poly_roots
+from .errors import DimensionMismatch, InvalidSetting
+from .polymatrix import MatrixPolynomial
 from .solver import (
     SANDWICH_SLOTS,
     Orientation,
@@ -118,93 +116,3 @@ def plant_instance(
         truth_eigenvalues=eigenvalues,
         seed=seed,
     )
-
-
-def scalar_oracle(eq: StructuredEquation) -> list[complex]:
-    """Roots of the degenerate 1x1 equation, multiplicities expanded."""
-    if eq.dim != 1 or eq.arity != 1:
-        raise DimensionMismatch("scalar_oracle needs dim 1 and arity 1")
-    roots = poly_roots(ScalarPolynomial(_coefficients(eq.poly)[:, 0, 0]))
-    out: list[complex] = []
-    for root, mult in roots:
-        out.extend([root] * mult)
-    return out
-
-
-# Exact Gaussian-integer polynomial arithmetic: a polynomial is a list of
-# (re, im) int pairs, ascending degree.  Python ints keep it overflow-free.
-
-def _gtrim(p):
-    while p and p[-1] == (0, 0):
-        p = p[:-1]
-    return p
-
-
-def _gadd(p, q):
-    out = []
-    for k in range(max(len(p), len(q))):
-        a = p[k] if k < len(p) else (0, 0)
-        b = q[k] if k < len(q) else (0, 0)
-        out.append((a[0] + b[0], a[1] + b[1]))
-    return _gtrim(out)
-
-
-def _gmul(p, q):
-    if not p or not q:
-        return []
-    out = [(0, 0)] * (len(p) + len(q) - 1)
-    for i, (a, b) in enumerate(p):
-        if (a, b) == (0, 0):
-            continue
-        for j, (c, d) in enumerate(q):
-            re, im = out[i + j]
-            out[i + j] = (re + a * c - b * d, im + a * d + b * c)
-    return _gtrim(out)
-
-
-def _gneg(p):
-    return [(-a, -b) for a, b in p]
-
-
-def _gdet(rows):
-    if len(rows) == 1:
-        return rows[0][0]
-    acc: list[tuple[int, int]] = []
-    for j in range(len(rows)):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = _gmul(rows[0][j], _gdet(minor))
-        acc = _gadd(acc, term if j % 2 == 0 else _gneg(term))
-    return acc
-
-
-def symbolic_det_oracle(p: MatrixPolynomial) -> ScalarPolynomial:
-    """Exact determinant polynomial by cofactor expansion, for n <= 4.
-
-    Requires Gaussian-integer coefficient entries; serves as the
-    independent reference for the numeric interpolation route.
-    """
-    if p.arity != 1:
-        raise DimensionMismatch("symbolic_det_oracle needs arity 1")
-    n = p.dim
-    if n > 4:
-        raise DimensionMismatch("symbolic_det_oracle is limited to n <= 4")
-    entry_polys = [[[] for _ in range(n)] for _ in range(n)]
-    for (k,), a in p.terms.items():
-        for i in range(n):
-            for j in range(n):
-                re, im = a[i, j].real, a[i, j].imag
-                if re != int(re) or im != int(im):
-                    raise NonIntegerInput(
-                        f"entry ({i},{j}) of the degree-{k} coefficient is not a Gaussian integer"
-                    )
-                if (re, im) == (0.0, 0.0):
-                    continue
-                cell = entry_polys[i][j]
-                while len(cell) <= k:
-                    cell.append((0, 0))
-                cell[k] = (int(re), int(im))
-    rows = [[_gtrim(entry_polys[i][j]) for j in range(n)] for i in range(n)]
-    det = _gdet(rows)
-    if not det:
-        det = [(0, 0)]
-    return ScalarPolynomial(np.array([complex(a, b) for a, b in det]))

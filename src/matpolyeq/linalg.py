@@ -60,11 +60,6 @@ def as_matrix(data) -> np.ndarray:
     return _checked(data, (None, None), "matrix")
 
 
-def as_vector(data) -> np.ndarray:
-    """Coerce to a 1-d complex128 array, rejecting non-finite entries."""
-    return _checked(data, (None,), "vector")
-
-
 def _square(data) -> np.ndarray:
     a = as_matrix(data)
     return _checked(a, (len(a), len(a)), "matrix")

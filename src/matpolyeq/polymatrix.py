@@ -145,21 +145,15 @@ class ScalarPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def trimmed(self, rel_tol: float = COEFF_SNAP) -> "ScalarPolynomial":
-        """Drop trailing coefficients below ``rel_tol`` times the largest modulus."""
+    def trimmed(self) -> "ScalarPolynomial":
+        """Drop trailing coefficients below ``COEFF_SNAP`` times the largest modulus."""
         c = np.asarray(self.coefficients)
         mags = np.abs(c)
         cmax = mags.max()
         if cmax == 0.0:
             return ScalarPolynomial(np.zeros(1, dtype=np.complex128))
-        keep = np.nonzero(mags > rel_tol * cmax)[0]
+        keep = np.nonzero(mags > COEFF_SNAP * cmax)[0]
         return ScalarPolynomial(c[: keep[-1] + 1])
-
-    def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for c in self.coefficients[::-1].tolist():
-            acc = acc * z + c
-        return complex(acc)
 
 
 @dataclass(frozen=True)
@@ -295,13 +289,15 @@ def det_poly_univariate(p: MatrixPolynomial) -> ScalarPolynomial:
     Coefficients below ``COEFF_SNAP`` times the largest modulus are snapped
     to zero and trailing zeros are trimmed.
 
-    Raises IdenticallySingular when every sampled determinant is at or
-    below ``DET_ZERO_REL`` times ``||P||_F ** n`` at that node, i.e. when
-    det P is the zero polynomial.  The bound scales with P as the
-    determinant does, so the test is scale-free; all nodes are evaluated
-    and tested at once.  It exceeds Hadamard's bound (the product of the
-    column norms) by up to ``n ** (n / 2)``, so planted instances of
-    dimension 16 and more are still read as singular.
+    Raises NonFiniteInput when a sampled determinant leaves the double
+    range, before the zero test.  Raises IdenticallySingular when every
+    sampled determinant is at or below ``DET_ZERO_REL`` times
+    ``||P||_F ** n`` at that node, i.e. when det P is the zero polynomial.
+    The bound scales with P as the determinant does, so the test is
+    scale-free; all nodes are evaluated and tested at once.  It exceeds
+    Hadamard's bound (the product of the column norms) by up to
+    ``n ** (n / 2)``, so planted instances of dimension 16 and more are
+    still read as singular.
     """
     if p.arity != 1:
         raise DimensionMismatch(f"det_poly_univariate needs arity 1, got {p.arity}")
@@ -313,7 +309,11 @@ def det_poly_univariate(p: MatrixPolynomial) -> ScalarPolynomial:
     radius = max(1.0, _root_scale(coeffs))
     nodes = radius * np.exp(2j * np.pi * np.arange(count) / count)
     pz = _evaluate_stack(p, nodes[:, None])
-    dets, norms = np.linalg.det(pz), np.linalg.norm(pz, axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = np.linalg.det(pz)
+    if not np.isfinite(dets).all():
+        raise NonFiniteInput("det P leaves the double range at the sample nodes")
+    norms = np.linalg.norm(pz, axis=(1, 2))
     with np.errstate(over="ignore"):
         if not np.any(np.abs(dets) > DET_ZERO_REL * norms**n):
             raise IdenticallySingular("determinant vanishes at every sample node")
@@ -495,15 +495,6 @@ def _term_scales(p: MatrixPolynomial, points: np.ndarray) -> np.ndarray:
     return (_monomials(np.abs(points), p.exponents) * norms).sum(axis=1)
 
 
-def term_scale(p: MatrixPolynomial, point) -> float:
-    """Triangle-inequality magnitude bound for ``evaluate(p, point)``.
-
-    The point is read as :func:`evaluate` reads it: a wrong length raises
-    DimensionMismatch and a non-finite value NonFiniteInput.
-    """
-    return float(_term_scales(p, _point(p, point))[0])
-
-
 def _null_spaces(p: MatrixPolynomial, points: np.ndarray, side: str, offered=None, isolated=None):
     """Null vectors of P at each row of a (K, arity) stack of points.
 
@@ -541,10 +532,10 @@ def _null_spaces(p: MatrixPolynomial, points: np.ndarray, side: str, offered=Non
 def null_vectors_at(p: MatrixPolynomial, point, side: str) -> list[np.ndarray]:
     """Unit null vectors of P(point), smallest singular direction first.
 
-    The SVD case of :func:`_null_spaces`: sigma <= ``DEFAULT_TOL_ZERO`` *
-    term_scale, a reference that bounds sigma_max and keeps 1x1 and fully
-    vanishing evaluations decidable.  The point is read as :func:`evaluate`
-    reads it.
+    The SVD case of :func:`_null_spaces`: sigma <= ``DEFAULT_TOL_ZERO``
+    times the term scale of P at the point, a reference that bounds
+    sigma_max and keeps 1x1 and fully vanishing evaluations decidable.
+    The point is read as :func:`evaluate` reads it.
     """
     return _null_spaces(p, _point(p, point), side)[1][0]
 
@@ -586,7 +577,9 @@ def _batch_rows(p: MatrixPolynomial, side: str, slices: range, budget: int, phas
         sizes.append(len(groups))
     points, offered = np.concatenate(points), np.concatenate(offered)
     pz, nulls = _null_spaces(p, points, side, offered, np.array(isolated, dtype=bool))
-    dets, counts = np.linalg.det(pz), [len(vecs) for vecs in nulls]
+    with np.errstate(over="ignore"):  # an overflowing determinant stays inf
+        dets = np.linalg.det(pz)
+    counts = [len(vecs) for vecs in nulls]
     values = np.repeat(points, counts, axis=0)
     vectors = np.array([vec for vecs in nulls for vec in vecs]).reshape(-1, p.dim)
     # one scalar abs per point, as a vector one may round differently

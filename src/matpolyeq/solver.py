@@ -287,13 +287,6 @@ def _class_indices(mults: list[int], n: int):
     return rec(0, n)
 
 
-def iter_solution_classes(pool, n: int):
-    """Yield all n-element sub-multisets of the root pool in lexicographic order."""
-    items = sorted(pool, key=lambda rm: linalg.lex_key(rm[0]))
-    for idx in _class_indices([mult for _, mult in items], n):
-        yield tuple(items[i][0] for i in idx)
-
-
 def _select_directions(basis: list[np.ndarray], current: np.ndarray, r: int) -> np.ndarray:
     # pick r unit vectors inside span(basis) maximizing independence from the
     # rows of current; any combination of null vectors is still null

@@ -3,7 +3,10 @@
 Each function repeats, one root, point, candidate or class at a time, what the
 library computes on stacks, built from the public single-point functions.
 Tests compare the two with ``np.array_equal``: the batched code keeps the
-scalar arithmetic, so the results must agree bit for bit.
+scalar arithmetic, so the results must agree bit for bit.  Two references
+read single items through the library's private stacked helpers:
+:func:`term_scale`, the term scale of P at one point, and
+:func:`iter_solution_classes`, the classes of a root pool as root tuples.
 """
 
 import itertools
@@ -16,22 +19,39 @@ from matpolyeq.errors import SingularMatrix, TransformSingular
 from matpolyeq.polymatrix import (
     DEFAULT_TOL_ZERO,
     ROOT_CLUSTER_TOL,
+    _point,
     _slice_spectrum,
+    _term_scales,
     evaluate,
     fix_all_but,
     null_vectors_at,
-    term_scale,
 )
 from matpolyeq.solver import (
     MIN_SAMPLE_COUNT,
     Diagnostic,
     Orientation,
     SolutionFamily,
+    _class_indices,
     eigen_candidates,
     family_from_points,
-    iter_solution_classes,
     verify_residual,
 )
+
+
+def term_scale(p, point):
+    """Triangle-inequality magnitude bound for ``evaluate(p, point)``.
+
+    The sum over terms of |monomial| times the coefficient's Frobenius norm,
+    at one point read as ``evaluate`` reads it.
+    """
+    return float(_term_scales(p, _point(p, point))[0])
+
+
+def iter_solution_classes(pool, n):
+    """Yield all n-element sub-multisets of the root pool in lexicographic order."""
+    items = sorted(pool, key=lambda rm: linalg.lex_key(rm[0]))
+    for idx in _class_indices([mult for _, mult in items], n):
+        yield tuple(items[i][0] for i in idx)
 
 
 def poly_roots_per_root(sp, cluster_tol=ROOT_CLUSTER_TOL):

@@ -9,21 +9,21 @@ import time
 
 import numpy as np
 import pytest
+from oracles import symbolic_det_oracle
+from per_point import iter_solution_classes, term_scale
 
 from matpolyeq.errors import NoPointsFound, TransformSingular
-from matpolyeq.instances import plant_instance, symbolic_det_oracle
+from matpolyeq.instances import plant_instance
 from matpolyeq.polymatrix import (
     MatrixPolynomial,
     det_poly_univariate,
     evaluate,
-    term_scale,
 )
 from matpolyeq.solver import (
     Orientation,
     StructuredEquation,
     commutation_check,
     eigen_candidates,
-    iter_solution_classes,
     quotient_factor,
     sandwich_probe,
     solve_multivariate,

@@ -138,7 +138,7 @@ def test_detpoly_univariate_takes_only_pivot_0(tmp_path, capsys):
 
 
 def test_detpoly_matches_symbolic_oracle(tmp_path):
-    from matpolyeq.instances import symbolic_det_oracle
+    from oracles import symbolic_det_oracle
     from matpolyeq.polymatrix import MatrixPolynomial
     from matpolyeq.solver import Orientation, StructuredEquation
 
@@ -207,6 +207,28 @@ def test_fold_overflow_exit_1_without_a_warning(capsys, argv):
         assert main([argv[0], str(DATA / "overflow_fold.json"), *argv[1:]]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(argv[0] + ": ") and line.endswith("matrix entries must be finite")
+
+
+@pytest.mark.parametrize(
+    "doc, status, err",
+    [
+        ("scaled_1e45_arity2", 0, ""),
+        (
+            "scaled_1e45_univariate",
+            1,
+            "solve: NonFiniteInput: det P leaves the double range at the sample nodes\n",
+        ),
+    ],
+    ids=["arity2", "univariate"],
+)
+def test_determinant_overflow_without_a_warning(tmp_path, capsys, doc, status, err):
+    # planted n = 8 equations with every coefficient times 1e45: det P at the
+    # sampled points leaves the double range
+    argv = ["solve", str(DATA / f"{doc}.json"), "--seed", "0", "--output", str(tmp_path / "s.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == status
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize(

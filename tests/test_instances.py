@@ -1,20 +1,23 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-
-from matpolyeq.errors import DegreeZero, DimensionMismatch, NonIntegerInput
-from matpolyeq.instances import (
-    EIGEN_SEPARATION,
-    plant_instance,
+from oracles import (
+    NonIntegerInput,
+    cyclic_reduction,
+    plant_minimal_solvent,
     scalar_oracle,
     symbolic_det_oracle,
 )
+from per_point import term_scale
+
+from matpolyeq.errors import DegreeZero, DimensionMismatch
+from matpolyeq.instances import EIGEN_SEPARATION, plant_instance
 from matpolyeq.polymatrix import (
     MatrixPolynomial,
     det_poly_univariate,
     evaluate,
-    term_scale,
 )
 from matpolyeq.solver import (
     Orientation,
@@ -206,6 +209,17 @@ def test_symbolic_det_oracle_dimension_cap():
     p = MatrixPolynomial(arity=1, dim=5, terms={(0,): np.eye(5)})
     with pytest.raises(DimensionMismatch):
         symbolic_det_oracle(p)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", range(2, 7))
+def test_cyclic_reduction_finds_the_planted_minimal_solvent(n, seed):
+    eq, x = plant_minimal_solvent(n, seed)
+    assert verify_residual(eq, [x]) <= 1e-15
+    terms = eq.poly.terms
+    g, steps = cyclic_reduction(terms[(0,)], terms[(1,)], terms[(2,)], math.sqrt(8))
+    assert steps <= 10  # quadratic convergence
+    assert np.linalg.norm(g - x) <= 1e-10 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("n", [2, 8, 16, 32])

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from per_point import poly_roots_per_root, sample_variety_per_point
+from oracles import symbolic_det_oracle
+from per_point import poly_roots_per_root, sample_variety_per_point, term_scale
 
 from matpolyeq import polymatrix
 from matpolyeq.errors import (
@@ -19,7 +20,7 @@ from matpolyeq.errors import (
     NonFiniteInput,
     NoPointsFound,
 )
-from matpolyeq.instances import plant_instance, symbolic_det_oracle
+from matpolyeq.instances import plant_instance
 from matpolyeq.polymatrix import (
     DEFAULT_TOL_ZERO,
     SEED_LIMIT,
@@ -32,7 +33,6 @@ from matpolyeq.polymatrix import (
     fix_all_but,
     poly_roots,
     sample_variety,
-    term_scale,
     total_degree,
 )
 from matpolyeq.solver import Orientation
@@ -182,6 +182,17 @@ def test_det_poly_zero_test_is_scale_free(scale):
     assert det_poly_univariate(regular).degree == 8
 
 
+def test_det_poly_overflow_is_non_finite_input_without_a_warning():
+    # det P at the nodes is about 1e370: out of range, not identically zero
+    inst = plant_instance(8, 1, 2, Orientation.UNKNOWNS_LEFT, 3)
+    terms = {exps: 1e45 * a for exps, a in inst.equation.poly.terms.items()}
+    p = MatrixPolynomial(arity=1, dim=8, terms=terms)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput, match="^det P leaves the double range at the sample"):
+            det_poly_univariate(p)
+
+
 def test_det_poly_degree_bound():
     rng = np.random.default_rng(12)
     for _ in range(10):
@@ -207,7 +218,7 @@ def test_eval_interp_consistency():
             continue
         zs = rng.standard_normal(20) + 1j * rng.standard_normal(20)
         direct = np.array([np.linalg.det(evaluate(p, [z])) for z in zs])
-        interp = np.array([sp(z) for z in zs])
+        interp = np.polyval(sp.coefficients[::-1], zs)
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(direct - interp)) <= 1e-7 * scale
 
@@ -337,7 +348,7 @@ def test_slice_spectrum_matches_symbolic_oracle():
             left = rng.integers(-3, 4, (n, rank))
             terms[(degree,)] = (left @ rng.integers(-3, 4, (rank, n))).astype(complex)
         p = MatrixPolynomial(arity=1, dim=n, terms=terms)
-        exact = symbolic_det_oracle(p).trimmed(0.0).coefficients
+        exact = symbolic_det_oracle(p).coefficients
         if not np.any(exact) or (degree,) not in p.terms:
             continue
         top = p.terms[(degree,)]
