@@ -45,7 +45,6 @@ from .polymatrix import (
 from .solver import (
     Diagnostic,
     Orientation,
-    SandwichProbeReport,
     SandwichProbeRow,
     SolutionFamily,
     SolveResult,
@@ -83,7 +82,6 @@ __all__ = [
     "NotSimultaneouslyDiagonalizable",
     "Orientation",
     "PlantedInstance",
-    "SandwichProbeReport",
     "SandwichProbeRow",
     "ScalarPolynomial",
     "SingularMatrix",

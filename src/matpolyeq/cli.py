@@ -31,7 +31,7 @@ from .errors import (
     TransformSingular,
 )
 from .instances import plant_instance
-from .polymatrix import det_poly_univariate, fix_all_but, poly_roots, sample_variety
+from .polymatrix import _SIDES, det_poly_univariate, fix_all_but, poly_roots, sample_variety
 from .solver import (
     Diagnostic,
     Orientation,
@@ -107,14 +107,13 @@ def cmd_verify(args) -> int:
         }
         if eq.orientation is Orientation.SANDWICH_BIVARIATE:
             try:
-                probe = sandwich_probe(eq, unknowns[k, 0], unknowns[k, 1])
                 entry["probe"] = [
                     {
                         **dataclasses.asdict(row),
                         "alpha": io.to_pairs(row.alpha),
                         "mu": io.to_pairs(row.mu),
                     }
-                    for row in probe.rows
+                    for row in sandwich_probe(eq, unknowns[k, 0], unknowns[k, 1])
                 ]
             except NotSimultaneouslyDiagonalizable as exc:
                 entry["probe_error"] = str(exc)
@@ -242,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("input", help="equation document (JSON)")
     sample.add_argument("--count", type=int, default=8)
     sample.add_argument("--seed", type=int, required=True)
-    sample.add_argument("--side", choices=("left", "right"), default="right")
+    sample.add_argument("--side", choices=_SIDES, default="right")
     sample.add_argument("--output", default=None)
 
     plant = sub.add_parser(

@@ -60,7 +60,7 @@ class NotSimultaneouslyDiagonalizable(MatPolyEqError):
 
 
 class InvalidSetting(MatPolyEqError, ValueError):
-    """A setting (tolerance, class cap, side, count, seed, --fix, --pivot) is out of range."""
+    """A setting out of range: tolerance, class cap, side, count, seed, --fix, --pivot, plant n."""
 
 
 class DocumentError(MatPolyEqError, ValueError):

@@ -8,6 +8,7 @@ round-trip tests of every solve path and the ``plant`` command.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,6 @@ class PlantedInstance:
     truth_unknowns: list[np.ndarray]
     truth_transform: np.ndarray
     truth_eigenvalues: list[np.ndarray]
-    seed: int
 
 
 def _draw_transform(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -44,7 +44,7 @@ def _draw_transform(rng: np.random.Generator, n: int) -> np.ndarray:
         t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         if np.linalg.cond(t) <= TRANSFORM_COND_CAP:
             return t
-    raise RuntimeError("could not draw a well-conditioned transform")
+    raise InvalidSetting(f"could not draw a well-conditioned transform at n = {n}")
 
 
 def _draw_eigenvalues(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -56,7 +56,7 @@ def _draw_eigenvalues(rng: np.random.Generator, n: int) -> np.ndarray:
         np.fill_diagonal(close, False)
         if not close.any():
             return vals
-    raise RuntimeError("could not draw separated eigenvalues")
+    raise InvalidSetting(f"could not draw separated eigenvalues at n = {n}")
 
 
 def _draw_integer_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -65,7 +65,7 @@ def _draw_integer_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
         a = rng.integers(-5, 6, size=(n, n)).astype(np.complex128)
         if np.any(a != 0):
             return a
-    raise RuntimeError("could not draw a nonzero integer matrix")
+    raise InvalidSetting(f"could not draw a nonzero integer matrix at n = {n}")
 
 
 def _support(m: int, degree: int, sandwich: bool) -> list[tuple[int, ...]]:
@@ -86,7 +86,7 @@ def plant_instance(
     every non-constant term; the constant term is then the negation of the
     evaluated non-constant part, so the planted unknowns solve exactly.
     """
-    if n < 1 or m < 1 or degree < 1:
+    if min(operator.index(n), operator.index(m), operator.index(degree)) < 1:
         raise DimensionMismatch("n, m, degree must all be >= 1")
     if seed < 0:
         raise InvalidSetting("seed must be >= 0")
@@ -114,5 +114,4 @@ def plant_instance(
         truth_unknowns=unknowns,
         truth_transform=transform,
         truth_eigenvalues=eigenvalues,
-        seed=seed,
     )

@@ -35,6 +35,7 @@ equals the single-point one bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,9 +67,8 @@ _TINY = np.finfo(np.float64).tiny
 #: root scale, are its infinite ones.  A Jordan chain of length k at infinity
 #: is computed only to about eps^(1/k), 1e-8 for k = 2.
 INFINITE_ROOT_TOL = 1e-5
-#: Seeds of the sampler stay below this, the least integer that rounds to an
-#: infinite double, so that the phase of its walk is finite.
-SEED_LIMIT = 2**1024 - 2**970
+#: The sides a null vector can be taken on: P v = 0 or v^T P = 0.
+_SIDES = ("left", "right")
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,13 +91,13 @@ class MatrixPolynomial:
     stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.arity < 1:
+        if operator.index(self.arity) < 1:
             raise DimensionMismatch("arity must be >= 1")
-        if self.dim < 1:
+        if operator.index(self.dim) < 1:
             raise DimensionMismatch("dim must be >= 1")
         blocks: dict[tuple[int, ...], np.ndarray] = {}
         for exps, coeff in self.terms.items():
-            key = tuple(int(e) for e in exps)
+            key = tuple(map(operator.index, exps))
             if len(key) != self.arity:
                 raise DimensionMismatch(
                     f"exponent tuple {key} has length {len(key)}, expected arity {self.arity}"
@@ -234,7 +234,7 @@ def fix_all_but(p: MatrixPolynomial, pivot: int, fixed) -> MatrixPolynomial:
     """
     if p.arity < 2:
         raise DimensionMismatch("fix_all_but needs arity >= 2")
-    if not 0 <= pivot < p.arity:
+    if not 0 <= operator.index(pivot) < p.arity:
         raise DimensionMismatch(f"pivot {pivot} out of range for arity {p.arity}")
     vals = linalg._checked(fixed, (p.arity - 1,), "fixed")
     if not p.terms:
@@ -529,6 +529,11 @@ def _null_spaces(p: MatrixPolynomial, points: np.ndarray, side: str, offered=Non
     return pz, vectors
 
 
+def _check_side(side: str) -> None:
+    if side not in _SIDES:
+        raise InvalidSetting(f"side must be 'left' or 'right', got {side!r}")
+
+
 def null_vectors_at(p: MatrixPolynomial, point, side: str) -> list[np.ndarray]:
     """Unit null vectors of P(point), smallest singular direction first.
 
@@ -537,6 +542,7 @@ def null_vectors_at(p: MatrixPolynomial, point, side: str) -> list[np.ndarray]:
     sigma_max and keeps 1x1 and fully vanishing evaluations decidable.
     The point is read as :func:`evaluate` reads it.
     """
+    _check_side(side)
     return _null_spaces(p, _point(p, point), side)[1][0]
 
 
@@ -596,7 +602,7 @@ def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> Var
     p : MatrixPolynomial with arity >= 2.
     side : 'left' or 'right'; which null vectors to attach.
     count : stop once at least this many points were collected.
-    seed : phases the walk along the unit circle; 0 <= seed < ``SEED_LIMIT``.
+    seed : phases the walk along the unit circle; >= 0, read modulo 2**53.
 
     At most ``4 * count + 8`` slices are taken.  Each slice fixes every
     variable except a round-robin pivot at equispaced points of the unit
@@ -620,18 +626,15 @@ def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> Var
     """
     if p.arity < 2:
         raise DimensionMismatch(f"sample_variety needs arity >= 2, got {p.arity}")
-    if side not in ("left", "right"):
-        raise InvalidSetting(f"side must be 'left' or 'right', got {side!r}")
-    if count < 1:
+    _check_side(side)
+    if operator.index(count) < 1:
         raise InvalidSetting("count must be >= 1")
-    if seed < 0:
+    if operator.index(seed) < 0:
         raise InvalidSetting("seed must be >= 0")
-    if seed >= SEED_LIMIT:
-        raise InvalidSetting("seed must be < 2**1024 - 2**970")
     if not p.terms:
         raise IdenticallySingular("zero polynomial matrix")
     budget = 4 * count + 8
-    phase = math.fmod(seed * 0.6180339887498949, 1.0)
+    phase = math.fmod(seed % 2**53 * 0.6180339887498949, 1.0)
     most = max(1, total_degree(p) * p.dim)  # eigenvalues of one slice at most
     cap, start, rows, found = linalg.chunk_size(most**2), 0, [], 0
     while found < count and start < budget:

@@ -27,6 +27,7 @@ the normalisation of :func:`verify_residual`.
 from __future__ import annotations
 
 import itertools
+import operator
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -48,7 +49,6 @@ from .errors import (
     TransformSingular,
 )
 from .polymatrix import (
-    SEED_LIMIT,
     MatrixPolynomial,
     VarietySample,
     _cluster_roots,
@@ -127,14 +127,10 @@ class SolverConfig:
     def __post_init__(self):
         if not self.tol_residual > 0:
             raise InvalidSetting("tol_residual must be positive")
-        if self.max_classes < 1:
+        if operator.index(self.max_classes) < 1:
             raise InvalidSetting("max_classes must be >= 1")
-        if self.max_classes > sys.maxsize:  # the most itertools.islice can cut at
-            raise InvalidSetting(f"max_classes must be <= {sys.maxsize}")
-        if self.seed < 0:
+        if operator.index(self.seed) < 0:
             raise InvalidSetting("seed must be >= 0")
-        if self.seed > SEED_LIMIT - ATTEMPTS:  # the last attempt takes seed + ATTEMPTS - 1
-            raise InvalidSetting(f"seed must be <= 2**1024 - 2**970 - {ATTEMPTS}")
 
 
 @dataclass
@@ -303,14 +299,14 @@ def _select_directions(basis: list[np.ndarray], current: np.ndarray, r: int) -> 
 
 def _assemble_families(
     eq: StructuredEquation, eigenvalues: np.ndarray, vectors: np.ndarray, cfg: SolverConfig
-) -> list[SolutionFamily | str]:
+) -> list[SolutionFamily | TransformSingular | NotASolution]:
     """Reconstruct and gate K candidate families at once.
 
     ``vectors[k, j]`` is the j-th null vector of candidate k and
     ``eigenvalues[s, k, j]`` its eigenvalue for unknown s.  The vectors are
     the rows of W for UNKNOWNS_LEFT (X_s = W^-1 F_s W) and the columns of T
     for UNKNOWNS_RIGHT (X_s = T F_s T^-1).  Returns, per candidate, its
-    family or the reason it was rejected.
+    family or the error it was rejected with, unraised.
     """
     left = eq.orientation is Orientation.UNKNOWNS_LEFT
     stack = vectors if left else vectors.transpose(0, 2, 1)
@@ -323,12 +319,13 @@ def _assemble_families(
     # families hold row views of the stacks, not copies
     transforms = list(stack)
     spectra, unknowns = list(zip(*eigenvalues)), list(zip(*xs))
-    out: list[SolutionFamily | str] = []
+    out: list[SolutionFamily | TransformSingular | NotASolution] = []
     for k, (res, cnd) in enumerate(zip(resid.tolist(), cond.tolist())):
         if singular[k] is not None:
-            out.append(f"TransformSingular: {singular[k]}")
+            out.append(TransformSingular(f"TransformSingular: {singular[k]}"))
         elif not res <= cfg.tol_residual:  # a nan residual fails too
-            out.append(f"residual {res:.3e} exceeds tol_residual {cfg.tol_residual:.0e}")
+            reason = f"residual {res:.3e} exceeds tol_residual {cfg.tol_residual:.0e}"
+            out.append(NotASolution(reason))
         else:
             out.append(
                 SolutionFamily(
@@ -419,14 +416,15 @@ def solve_univariate(eq: StructuredEquation, cfg: SolverConfig | None = None) ->
         raise
     families: list[SolutionFamily] = []
     rejected: list[Diagnostic] = []
-    head = itertools.islice(indices, cfg.max_classes)
+    # no pool yields more classes than islice can count
+    head = itertools.islice(indices, min(cfg.max_classes, sys.maxsize))
     for classes, outcomes in _class_batches(eq, roots[keep], [nulls[i] for i in keep], head, cfg):
         for cls, outcome in zip(classes, outcomes):
             if isinstance(outcome, SolutionFamily):
                 families.append(outcome)
             else:
                 label = "class (" + ", ".join(_fmt_c(r) for r in cls) + ")"
-                rejected.append(Diagnostic(label, outcome))
+                rejected.append(Diagnostic(label, str(outcome)))
     if next(indices, None) is not None:
         diagnostics.append(
             Diagnostic("class enumeration", f"truncated at max_classes={cfg.max_classes}")
@@ -482,10 +480,8 @@ def family_from_points(
     order = sorted(range(n), key=lambda k: tuple(linalg.lex_key(v) for v in values[k]))
     eigenvalues = values[order].T[:, None]
     (outcome,) = _assemble_families(eq, eigenvalues, vectors[order][None], cfg)
-    if isinstance(outcome, str):
-        # a singular stack's reason names its class; any other reason is the residual gate's
-        error = TransformSingular if outcome.startswith("TransformSingular: ") else NotASolution
-        raise error(outcome)
+    if not isinstance(outcome, SolutionFamily):
+        raise outcome
     return outcome
 
 
@@ -553,6 +549,7 @@ def quotient_factor(
         raise DimensionMismatch("quotient_factor needs a univariate equation")
     if eq.orientation is not Orientation.UNKNOWNS_LEFT:
         raise DimensionMismatch("quotient_factor applies to unknowns-left equations")
+    SolverConfig(tol_residual=tol_residual)  # the positivity rule of every tolerance
     n = eq.dim
     xm = linalg._checked(x, (n, n), "candidate")
     resid = verify_residual(eq, [xm])
@@ -625,16 +622,7 @@ def dual_equation(eq: StructuredEquation) -> StructuredEquation:
 
 @dataclass
 class SandwichProbeRow:
-    alpha: complex
-    mu: complex
-    scalar_identity: float
-    identity_scale: float
-    det_probe: float
-
-
-@dataclass
-class SandwichProbeReport:
-    """Per-eigenpair sandwich diagnostics.
+    """Sandwich diagnostics of one eigenpair.
 
     ``scalar_identity`` is |g_k P(alpha_k, mu_k) t_k|, the quantity that
     provably vanishes for simultaneously diagonalizable solutions;
@@ -642,7 +630,11 @@ class SandwichProbeReport:
     threshold.
     """
 
-    rows: list[SandwichProbeRow]
+    alpha: complex
+    mu: complex
+    scalar_identity: float
+    identity_scale: float
+    det_probe: float
 
 
 def _joint_eigenbasis(x: np.ndarray, y: np.ndarray):
@@ -682,12 +674,13 @@ def _joint_eigenbasis(x: np.ndarray, y: np.ndarray):
     return vecs, vecs_inv, np.diag(dx), np.diag(dy)
 
 
-def sandwich_probe(eq: StructuredEquation, x, y) -> SandwichProbeReport:
+def sandwich_probe(eq: StructuredEquation, x, y) -> list[SandwichProbeRow]:
     """Diagnose a candidate (X, Y) pair for the bivariate sandwich equation.
 
     Extracts a shared eigenbasis from X, checks that it diagonalizes X and
-    Y to ``JOINT_DIAGONAL_TOL``, and reports, per eigenpair (alpha_k, mu_k),
-    the scalar identity g_k P(alpha_k, mu_k) t_k together with |det P| there.
+    Y to ``JOINT_DIAGONAL_TOL``, and returns one row per eigenpair
+    (alpha_k, mu_k): the scalar identity g_k P(alpha_k, mu_k) t_k together
+    with |det P| there.
     """
     if eq.orientation is not Orientation.SANDWICH_BIVARIATE:
         raise DimensionMismatch("sandwich_probe needs a sandwich equation")
@@ -712,4 +705,4 @@ def sandwich_probe(eq: StructuredEquation, x, y) -> SandwichProbeReport:
                 det_probe=abs(np.linalg.det(pk)),
             )
         )
-    return SandwichProbeReport(rows=rows)
+    return rows

@@ -112,7 +112,7 @@ def sample_variety_per_point(p, side, count, seed):
     """
     m = p.arity
     budget = 4 * count + 8
-    phase = math.fmod(seed * 0.6180339887498949, 1.0)
+    phase = math.fmod(seed % 2**53 * 0.6180339887498949, 1.0)
     points = []
     for sl in range(budget):
         if len(points) >= count:

@@ -245,13 +245,13 @@ def test_ac6_sandwich_probe():
         res = verify_residual(inst.equation, inst.truth_unknowns)
         if res > 1e-10:
             violations.append(f"n={n} seed={seed}: residual {res:.2e}")
-        report = sandwich_probe(inst.equation, *inst.truth_unknowns)
-        for row in report.rows:
+        rows = sandwich_probe(inst.equation, *inst.truth_unknowns)
+        for row in rows:
             if row.scalar_identity > 1e-9 * row.identity_scale:
                 violations.append(
                     f"n={n} seed={seed}: scalar identity {row.scalar_identity:.2e}"
                 )
-        probes = ", ".join(f"{row.det_probe:.3e}" for row in report.rows)
+        probes = ", ".join(f"{row.det_probe:.3e}" for row in rows)
         probe_lines.append(f"  n={n} seed={seed} |det P| probes: {probes}")
     ok = not violations
     _report("AC6", ok, "10 sandwich instances, scalar identities <= 1e-9 * scale")

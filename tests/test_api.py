@@ -7,7 +7,15 @@ import pytest
 import matpolyeq
 from matpolyeq import io, linalg
 from matpolyeq.errors import DimensionMismatch, DocumentError, InvalidSetting, NonFiniteInput
-from matpolyeq.polymatrix import MatrixPolynomial, det_poly_univariate, fix_all_but, sample_variety
+from matpolyeq.cli import main
+from matpolyeq.instances import plant_instance
+from matpolyeq.polymatrix import (
+    MatrixPolynomial,
+    det_poly_univariate,
+    fix_all_but,
+    null_vectors_at,
+    sample_variety,
+)
 from matpolyeq.solver import (
     Orientation,
     SolverConfig,
@@ -56,10 +64,19 @@ def test_readme_quick_start_prints_verified_families(capsys):
         assert matpolyeq.verify_residual(namespace["eq"], family.unknowns) <= 1e-8
 
 
+def test_readme_solve_example_prints_its_document(capsys):
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    command = "matpolyeq solve tests/data/scalar_quadratic.json --seed 0"
+    shown = text.split(f"`{command}` writes\n\n```json\n", 1)[1].split("```", 1)[0]
+    assert main(command.split()[1:]) == 0
+    assert capsys.readouterr() == (shown, "")
+
+
 I2 = np.eye(2)
 UNIVARIATE = MatrixPolynomial(1, 2, {(1,): I2, (0,): -2 * I2})
 BIVARIATE = MatrixPolynomial(2, 2, {(1, 0): I2, (0, 1): I2})
 RIGHT_1 = StructuredEquation(UNIVARIATE, Orientation.UNKNOWNS_RIGHT)
+LEFT_1 = StructuredEquation(UNIVARIATE, Orientation.UNKNOWNS_LEFT)
 LEFT_2 = StructuredEquation(BIVARIATE, Orientation.UNKNOWNS_LEFT)
 MISSING = Path(__file__).parent / "data" / "missing.json"
 
@@ -142,6 +159,16 @@ GUARDS = {
         InvalidSetting,
         "side must be 'left' or 'right', got 'up'",
     ),
+    "null_vectors_at-side": (
+        lambda: null_vectors_at(BIVARIATE, [1.0, -1.0], "Right"),
+        InvalidSetting,
+        "side must be 'left' or 'right', got 'Right'",
+    ),
+    "quotient_factor-tolerance": (
+        lambda: quotient_factor(LEFT_1, 2 * I2, tol_residual=float("nan")),
+        InvalidSetting,
+        "tol_residual must be positive",
+    ),
     "inverse_stack-inf": (
         lambda: linalg.inverse_stack(np.full((1, 2, 2), np.inf)),
         NonFiniteInput,
@@ -156,3 +183,31 @@ def test_guard_raises_its_class_and_message(call, error, message):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+RIGHT = Orientation.UNKNOWNS_RIGHT
+
+#: Each integer argument with a non-integral value, and the function that
+#: reads it through operator.index on entry.
+INTEGRAL = {
+    "exponent": (lambda: MatrixPolynomial(1, 1, {(1,): [[1]], (1.5,): [[7]]}), "__post_init__"),
+    "arity": (lambda: MatrixPolynomial(1.0, 1, {}), "__post_init__"),
+    "dim": (lambda: MatrixPolynomial(1, 2.5, {}), "__post_init__"),
+    "count": (lambda: sample_variety(BIVARIATE, "right", 2.5, 0), "sample_variety"),
+    "seed": (lambda: sample_variety(BIVARIATE, "right", 2, 0.5), "sample_variety"),
+    "pivot": (lambda: fix_all_but(BIVARIATE, 0.5, [1.0]), "fix_all_but"),
+    "max_classes": (lambda: SolverConfig(max_classes=2.5), "__post_init__"),
+    "config-seed": (lambda: SolverConfig(seed=0.5), "__post_init__"),
+    "n": (lambda: plant_instance(2.5, 1, 2, RIGHT, 0), "plant_instance"),
+    "m": (lambda: plant_instance(2, 1.5, 2, RIGHT, 0), "plant_instance"),
+    "degree": (lambda: plant_instance(2, 1, 2.5, RIGHT, 0), "plant_instance"),
+}
+
+
+@pytest.mark.parametrize("name", list(INTEGRAL))
+def test_integer_argument_gate(name):
+    call, entry = INTEGRAL[name]
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$") as info:
+        call()
+    # raised where the argument is read, before any work on it
+    assert info.traceback[-1].name == entry

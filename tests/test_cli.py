@@ -296,21 +296,19 @@ def test_negative_seed_or_zero_count_exit_1(tmp_path, capsys, argv, message):
     ],
     ids=["solve", "sample-variety", "solve-one-unknown"],
 )
-def test_seed_beyond_double_range_exit_1(tmp_path, capsys, argv):
-    # a seed no double can hold is an input error, not a traceback
+def test_seed_beyond_double_range_wraps_modulo_2_53(tmp_path, capsys, argv):
+    # the walk reads a seed modulo 2**53, so any seed no double can hold
+    # writes the document of its remainder
     eq = tmp_path / "eq2.json"
     plant = ["plant", "--dimension", "4", "--arity", "2", "--degree", "2", "--seed", "1"]
     assert main(plant + ["--output", str(eq), "--truth", str(tmp_path / "truth.json")]) == 0
-    capsys.readouterr()
-    out = tmp_path / "out.json"
     argv = [str(tmp_path / a) if a == "eq2.json" else a for a in argv]
-    assert main(argv + ["--seed", str(10**400), "--output", str(out)]) == 1
-    assert capsys.readouterr().err == {
-        "solve": "solve: InvalidSetting: seed must be <= 2**1024 - 2**970 - 8\n",
-        "sample-variety": "sample-variety: InvalidSetting: seed must be < 2**1024 - 2**970\n",
-    }[argv[0]]
-    assert not out.exists()
-    assert main(argv + ["--seed", str(2**64), "--output", str(out)]) == 0
+    for seed in (10**400, 2**53 + 7, 2**64):
+        big, wrapped = tmp_path / "big.json", tmp_path / "wrapped.json"
+        assert main(argv + ["--seed", str(seed), "--output", str(big)]) == 0
+        assert main(argv + ["--seed", str(seed % 2**53), "--output", str(wrapped)]) == 0
+        assert big.read_bytes() == wrapped.read_bytes()
+    assert capsys.readouterr().err == ""
 
 
 def test_sample_variety_identically_singular(tmp_path, capsys):
@@ -440,6 +438,15 @@ def test_plant_invalid_flags():
         "--output", "/dev/null", "--truth", "/dev/null",
     ])
     assert rc == 1
+
+
+def test_plant_beyond_the_separated_draws_exit_1(tmp_path, capsys):
+    out, truth = tmp_path / "eq.json", tmp_path / "truth.json"
+    argv = ["plant", "--dimension", "80", "--arity", "1", "--degree", "2", "--seed", "0"]
+    assert main(argv + ["--output", str(out), "--truth", str(truth)]) == 1
+    err = capsys.readouterr().err
+    assert err == "plant: InvalidSetting: could not draw separated eigenvalues at n = 80\n"
+    assert not out.exists() and not truth.exists()
 
 
 def test_usage_error_exit_code():
@@ -911,10 +918,14 @@ def test_solve_unwritable_stdout_exit_1(open_stdout):
 
 
 @pytest.mark.parametrize("max_classes", [str(sys.maxsize + 1), "100000000000000000000"])
-def test_solve_max_classes_beyond_sys_maxsize_exit_1(capsys, max_classes):
-    argv = ["solve", str(DATA / "scalar_quadratic.json"), "--seed", "0", "--max-classes", max_classes]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == f"solve: InvalidSetting: max_classes must be <= {sys.maxsize}\n"
+def test_solve_max_classes_beyond_sys_maxsize_solves_every_class(capsys, max_classes):
+    # a cap past what islice can count enumerates every class, as the default does
+    argv = ["solve", str(DATA / "scalar_quadratic.json"), "--seed", "0"]
+    assert main(argv + ["--max-classes", max_classes]) == 0
+    capped = capsys.readouterr()
+    assert main(argv) == 0
+    assert capped == capsys.readouterr()
+    assert capped.err == "" and len(json.loads(capped.out)["families"]) == 2
 
 
 def test_repeated_main_calls_do_not_leak_state(tmp_path):
@@ -949,7 +960,7 @@ def per_family_report(eq, doc, tol):
         entry = {"index": k, "residual": residual, "commutation": commutation, "ok": residual <= tol}
         if eq.orientation is Orientation.SANDWICH_BIVARIATE:
             try:
-                rows = sandwich_probe(eq, family.unknowns[0], family.unknowns[1]).rows
+                rows = sandwich_probe(eq, family.unknowns[0], family.unknowns[1])
                 entry["probe"] = [
                     {**dataclasses.asdict(row), "alpha": io.to_pairs(row.alpha), "mu": io.to_pairs(row.mu)}
                     for row in rows

@@ -12,7 +12,7 @@ from oracles import (
 )
 from per_point import term_scale
 
-from matpolyeq.errors import DegreeZero, DimensionMismatch
+from matpolyeq.errors import DegreeZero, DimensionMismatch, InvalidSetting
 from matpolyeq.instances import EIGEN_SEPARATION, plant_instance
 from matpolyeq.polymatrix import (
     MatrixPolynomial,
@@ -231,6 +231,13 @@ def test_planted_eigenvalues_are_separated(n):
         for vals in inst.truth_eigenvalues:
             for a, b in itertools.combinations(vals, 2):
                 assert abs(a - b) >= EIGEN_SEPARATION
+
+
+@pytest.mark.parametrize("n, seed", [(64, 4), (64, 10), (80, 0)])
+def test_plant_beyond_the_separated_draws_is_an_invalid_setting(n, seed):
+    # n eigenvalues 0.1 apart rarely fit the annulus 0.5 <= |z| <= 2 beyond n = 64
+    with pytest.raises(InvalidSetting, match=f"^could not draw separated eigenvalues at n = {n}$"):
+        plant_instance(n, 1, 2, Orientation.UNKNOWNS_RIGHT, seed)
 
 
 def test_plant_sandwich_requires_template():

@@ -23,7 +23,6 @@ from matpolyeq.errors import (
 from matpolyeq.instances import plant_instance
 from matpolyeq.polymatrix import (
     DEFAULT_TOL_ZERO,
-    SEED_LIMIT,
     MatrixPolynomial,
     ScalarPolynomial,
     _evaluate_stack,
@@ -557,7 +556,7 @@ def test_sample_variety_batch_size_is_invisible(monkeypatch, side):
 def companion_of_slice(monkeypatch, p, side, count, seed, sl):
     # the companion that the eigensolve of slice sl of a walk receives
     m, budget = p.arity, 4 * count + 8
-    pos = (sl + math.fmod(seed * 0.6180339887498949, 1.0)) / budget
+    pos = (sl + math.fmod(seed % 2**53 * 0.6180339887498949, 1.0)) / budget
     fixed = [np.exp(2j * np.pi * (pos + j / m)) for j in range(m - 1)]
     with monkeypatch.context() as patch:
         calls = spy(patch, np.linalg, "eig")
@@ -596,15 +595,21 @@ def test_sample_variety_eigensolver_fault_stays_in_its_slice(monkeypatch, past):
         assert faults == [8, 1]
 
 
-def test_sample_variety_rejects_seed_beyond_double_range():
+def test_sample_variety_reads_seed_modulo_2_53():
+    # every seed below 2**53 is a double, and any larger one samples as its remainder
     p = MatrixPolynomial(arity=2, dim=1, terms={(2, 0): I1, (0, 2): I1, (0, 0): -2 * I1})
     with pytest.raises(OverflowError):
-        SEED_LIMIT * 0.5
-    for seed in (SEED_LIMIT, 10**400):
-        with pytest.raises(ValueError, match=r"seed must be < 2\*\*1024 - 2\*\*970"):
-            sample_variety(p, "right", count=4, seed=seed)
-    for seed in (2**64, SEED_LIMIT - 1):
-        assert len(sample_variety(p, "right", count=4, seed=seed)) >= 4
+        10**400 * 0.5
+    for seed in (2**53, 2**53 + 7, 2**64 + 3, 10**400):
+        got = sample_variety(p, "right", count=4, seed=seed)
+        want = sample_variety(p, "right", count=4, seed=seed % 2**53)
+        assert len(got) >= 4
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.null_vectors, want.null_vectors)
+        assert np.array_equal(got.det_residuals, want.det_residuals)
+    assert not np.array_equal(
+        sample_variety(p, "right", 4, 2**53 + 1).values, sample_variety(p, "right", 4, 0).values
+    )
 
 
 def test_left_slice_spectrum_with_scale_beyond_double_range():

@@ -30,7 +30,6 @@ from matpolyeq.errors import (
 )
 from matpolyeq.instances import plant_instance
 from matpolyeq.polymatrix import (
-    SEED_LIMIT,
     MatrixPolynomial,
     VarietySample,
     evaluate,
@@ -194,23 +193,27 @@ def test_solver_config_rejects_negative_seed():
 
 
 def test_solver_config_caps_max_classes_at_sys_maxsize():
-    # itertools.islice cuts the class stream at most at sys.maxsize
-    with pytest.raises(ValueError, match=f"max_classes must be <= {sys.maxsize}"):
-        SolverConfig(max_classes=2**63)
+    # the class stream is cut at sys.maxsize at most, the most islice can
+    # count: a larger cap enumerates every class
     inst = plant_instance(2, 1, 2, Orientation.UNKNOWNS_RIGHT, 1)
-    assert len(solve_univariate(inst.equation, SolverConfig(max_classes=sys.maxsize)).families) == 6
+    want = solve_univariate(inst.equation, SolverConfig(max_classes=sys.maxsize))
+    assert len(want.families) == 6
+    for cap in (2**63, 10**20):
+        got = solve_univariate(inst.equation, SolverConfig(max_classes=cap))
+        assert got.diagnostics == want.diagnostics
+        for f, g in zip(got.families, want.families, strict=True):
+            assert np.array_equal(f.unknowns[0], g.unknowns[0])
 
 
 def test_solver_config_caps_seed_within_double_range():
-    # the 8 sampling attempts take seeds seed, ..., seed + 7, and the sampler
-    # scales each as a double
-    for seed in (SEED_LIMIT - 7, 10**400):
-        with pytest.raises(ValueError, match=r"seed must be <= 2\*\*1024 - 2\*\*970 - 8"):
-            SolverConfig(seed=seed)
+    # the sampler reads each attempt's seed modulo 2**53, where every
+    # integer is a double: a larger seed solves as its remainder
     inst = plant_instance(2, 2, 2, Orientation.UNKNOWNS_RIGHT, 1)
-    for seed in (2**64, SEED_LIMIT - 8):
-        cfg = SolverConfig(seed=seed)
-        assert len(solve_multivariate(inst.equation, cfg).families) == 1
+    for seed in (2**53, 2**64 + 5, 10**400):
+        (got,) = solve_multivariate(inst.equation, SolverConfig(seed=seed)).families
+        (want,) = solve_multivariate(inst.equation, SolverConfig(seed=seed % 2**53)).families
+        assert all(np.array_equal(x, y) for x, y in zip(got.unknowns, want.unknowns))
+        assert np.array_equal(got.transform, want.transform)
 
 
 def test_greedy_select_matches_per_candidate_loop():
@@ -965,8 +968,8 @@ def sandwich_equation(terms, n):
 
 def test_sandwich_probe_planted():
     inst = plant_instance(3, 2, 2, Orientation.SANDWICH_BIVARIATE, 47)
-    report = sandwich_probe(inst.equation, *inst.truth_unknowns)
-    for row in report.rows:
+    rows = sandwich_probe(inst.equation, *inst.truth_unknowns)
+    for row in rows:
         assert row.scalar_identity <= 1e-9 * row.identity_scale
 
 
@@ -977,8 +980,8 @@ def test_sandwich_probe_zero_solution():
         for key in [(2, 0), (0, 2), (1, 1), (1, 0), (0, 1)]
     }
     eq = sandwich_equation(terms, 2)  # F slot absent, i.e. zero
-    report = sandwich_probe(eq, np.zeros((2, 2)), np.zeros((2, 2)))
-    for row in report.rows:
+    rows = sandwich_probe(eq, np.zeros((2, 2)), np.zeros((2, 2)))
+    for row in rows:
         assert row.scalar_identity <= 1e-12
         assert row.det_probe <= 1e-12
 
@@ -992,8 +995,8 @@ def test_sandwich_probe_all_ones_eigenstructure():
     terms[(0, 0)] = -sum(terms.values())
     eq = sandwich_equation(terms, 2)
     assert verify_residual(eq, [I2, I2]) <= 1e-12
-    report = sandwich_probe(eq, I2, I2)
-    for row in report.rows:
+    rows = sandwich_probe(eq, I2, I2)
+    for row in rows:
         assert row.alpha == pytest.approx(1.0)
         assert row.mu == pytest.approx(1.0)
         assert row.scalar_identity <= 1e-9 * row.identity_scale
@@ -1009,8 +1012,8 @@ def test_sandwich_probe_refines_cluster_split_in_lex_order(seed):
     t_inv = np.linalg.inv(t)
     x = t @ np.diag([1, 1, 1 + 0.5j]) @ t_inv + 1e-11 * e
     y = t @ np.diag([2, 3, 4]) @ t_inv
-    report = sandwich_probe(sandwich_equation({(0, 0): np.eye(3)}, 3), x, y)
-    pairs = sorted((round(r.mu.real), r.alpha) for r in report.rows)
+    rows = sandwich_probe(sandwich_equation({(0, 0): np.eye(3)}, 3), x, y)
+    pairs = sorted((round(r.mu.real), r.alpha) for r in rows)
     assert [mu for mu, _ in pairs] == [2, 3, 4]
     assert np.allclose([alpha for _, alpha in pairs], [1, 1, 1 + 0.5j], atol=1e-6)
 
