@@ -37,6 +37,7 @@ from .solver import (
     Orientation,
     SolutionFamily,
     SolverConfig,
+    _check_positive,
     _commutations,
     _relative_residuals,
     sandwich_probe,
@@ -89,8 +90,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not args.tol > 0:
-        raise InvalidSetting("tol must be positive")
+    _check_positive(args.tol, "tol")
     eq = io.equation_from_document(io.load_document(args.equation))
     (_, _, unknowns, _), _ = io.solution_arrays(io.load_document(args.solutions), eq.dim, eq.arity)
     # contiguous copies, as np.stack made: a strided view may change the products' last bits

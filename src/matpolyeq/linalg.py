@@ -108,13 +108,25 @@ def lex_key(z: complex) -> tuple[float, float]:
     Rounding at the scale of the whole value, not per component, snaps
     roundoff like 1e-17 + 1j to (0, 1) so orderings stay reproducible.
     """
-    re = float(np.real(z))
-    im = float(np.imag(z))
+    z = complex(z)
+    re, im = z.real, z.imag
     scale = max(abs(re), abs(im))
     if scale == 0.0 or not math.isfinite(scale):
         return (re, im)
     decimals = 11 - math.floor(math.log10(scale))
     return (round(re, decimals), round(im, decimals))
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a complex array, bit for bit, without its wrapper.
+
+    The Frobenius or 2-norm as numpy 2.x computes it: the square root of the
+    dot products of the real and imaginary parts of x, raveled in memory
+    order.
+    """
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def lex_argsort(values) -> np.ndarray:

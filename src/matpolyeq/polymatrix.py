@@ -29,7 +29,12 @@ coefficients, and every evaluation, slice and term scale reads that table:
 the monomials of all points and terms are one array expression, and P sums
 their products with the coefficients in real arithmetic.  A single point is
 a stack of one and takes the same array arithmetic, so a stacked result
-equals the single-point one bit for bit.
+equals the single-point one bit for bit.  The Frobenius norms of the
+coefficients and the total degree are computed once per polynomial, on
+first use, so that a polynomial that is only built or parsed never takes
+them.  A norm whose squares leave the double range is inf, without a
+warning, and the term scales and residual normalisations that read it are
+inf or nan.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -81,7 +87,8 @@ class MatrixPolynomial:
     ``exponents`` of its nonzero terms in ascending lexicographic order and
     the matching (T, dim, dim) coefficient ``stack``; both are copies of the
     input and read-only.  ``terms`` is rebuilt in that order, its values
-    being read-only views of ``stack``.
+    being read-only views of ``stack``.  The Frobenius norms of the
+    coefficients and the total degree are computed on first use and kept.
     """
 
     arity: int
@@ -123,6 +130,19 @@ class MatrixPolynomial:
         object.__setattr__(self, "exponents", exponents)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "terms", dict(zip(keys, stack)))
+
+    @cached_property
+    def _norms(self) -> np.ndarray:
+        # the (T,) Frobenius norms of the coefficients; a norm whose squares
+        # leave the double range is inf
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(self.stack, axis=(1, 2))
+        norms.flags.writeable = False
+        return norms
+
+    @cached_property
+    def _degree(self) -> int:
+        return int(self.exponents.sum(axis=1).max(initial=0))
 
 
 @dataclass(frozen=True)
@@ -176,7 +196,7 @@ class VarietySample:
 
 def total_degree(p: MatrixPolynomial) -> int:
     """Largest exponent-tuple sum over nonzero terms (0 for the zero polynomial)."""
-    return int(p.exponents.sum(axis=1).max(initial=0))
+    return p._degree
 
 
 def _point(p: MatrixPolynomial, point) -> np.ndarray:
@@ -266,8 +286,8 @@ def _root_scale(coeffs: np.ndarray) -> float:
     # ratio is the unscaled one bit for bit wherever squaring the entries
     # neither overflows nor underflows, and stays finite where it would
     _, e = np.frexp(np.abs(coeffs.view(np.float64)).max(axis=(1, 2)))
-    lo_norm = np.linalg.norm(coeffs[lo] * np.ldexp(1.0, -e[lo]))
-    hi_norm = np.linalg.norm(coeffs[hi] * np.ldexp(1.0, -e[hi]))
+    lo_norm = linalg._norm(coeffs[lo] * np.ldexp(1.0, -e[lo]))
+    hi_norm = linalg._norm(coeffs[hi] * np.ldexp(1.0, -e[hi]))
     mantissa, k = lo_norm / hi_norm, hi - lo
     with np.errstate(over="ignore"):
         ratio = np.ldexp(mantissa, e[lo] - e[hi])
@@ -337,6 +357,10 @@ def _cluster_roots(raw: np.ndarray, scale: float) -> list[list[int]]:
     mags = np.abs(raw)
     reach = ROOT_CLUSTER_TOL * (scale + np.maximum(mags[:, None], mags[None, :]))
     linked = np.abs(raw[:, None] - raw[None, :]) <= reach
+    # the usual case: no root links to another (a nan root links to nothing,
+    # not even to itself, so the diagonal is counted, not assumed)
+    if np.count_nonzero(linked) == np.count_nonzero(linked.diagonal()):
+        return [[i] for i in range(d)]
     # label propagation over the links: each root takes the smallest label
     # it links to until no label moves, so a group is labelled by its first
     # member
@@ -490,9 +514,10 @@ def _slice_spectrum(p: MatrixPolynomial, side: str = "right"):
 
 
 def _term_scales(p: MatrixPolynomial, points: np.ndarray) -> np.ndarray:
-    # per point, the sum over terms of |monomial| * ||coefficient||_F
-    norms = np.linalg.norm(p.stack, axis=(1, 2))
-    return (_monomials(np.abs(points), p.exponents) * norms).sum(axis=1)
+    # per point, the sum over terms of |monomial| * ||coefficient||_F; an
+    # inf norm gives inf, or nan where its monomial is 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (_monomials(np.abs(points), p.exponents) * p._norms).sum(axis=1)
 
 
 def _null_spaces(p: MatrixPolynomial, points: np.ndarray, side: str, offered=None, isolated=None):
@@ -532,6 +557,13 @@ def _null_spaces(p: MatrixPolynomial, points: np.ndarray, side: str, offered=Non
 def _check_side(side: str) -> None:
     if side not in _SIDES:
         raise InvalidSetting(f"side must be 'left' or 'right', got {side!r}")
+
+
+def _check_seed(seed: int) -> None:
+    # the rule of every seed setting; each entry point reads its seed with
+    # operator.index first, so that a TypeError is raised where it is read
+    if seed < 0:
+        raise InvalidSetting("seed must be >= 0")
 
 
 def null_vectors_at(p: MatrixPolynomial, point, side: str) -> list[np.ndarray]:
@@ -629,8 +661,7 @@ def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> Var
     _check_side(side)
     if operator.index(count) < 1:
         raise InvalidSetting("count must be >= 1")
-    if operator.index(seed) < 0:
-        raise InvalidSetting("seed must be >= 0")
+    _check_seed(operator.index(seed))
     if not p.terms:
         raise IdenticallySingular("zero polynomial matrix")
     budget = 4 * count + 8

@@ -51,6 +51,7 @@ from .errors import (
 from .polymatrix import (
     MatrixPolynomial,
     VarietySample,
+    _check_seed,
     _cluster_roots,
     _coefficients,
     _evaluate_stack,
@@ -125,12 +126,16 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.tol_residual > 0:
-            raise InvalidSetting("tol_residual must be positive")
+        _check_positive(self.tol_residual, "tol_residual")
         if operator.index(self.max_classes) < 1:
             raise InvalidSetting("max_classes must be >= 1")
-        if operator.index(self.seed) < 0:
-            raise InvalidSetting("seed must be >= 0")
+        _check_seed(operator.index(self.seed))
+
+
+def _check_positive(tol: float, name: str) -> None:
+    # the rule of every tolerance setting; a nan tolerance fails it too
+    if not tol > 0:
+        raise InvalidSetting(f"{name} must be positive")
 
 
 @dataclass
@@ -166,18 +171,20 @@ def _fmt_c(z: complex) -> str:
     return f"{z.real:.6g}{z.imag:+.6g}j"
 
 
-def _monomial(powers: list[list[np.ndarray]], exps: list[int], n: int) -> np.ndarray:
+def _monomial(powers: list[list[np.ndarray | None]], exps: list[int]) -> np.ndarray | None:
+    # the product of the unknowns' powers, None for the constant term
     acc = None
     for s, e in enumerate(exps):
         if e:
             acc = powers[s][e] if acc is None else acc @ powers[s][e]
-    return np.eye(n, dtype=np.complex128) if acc is None else acc
+    return acc
 
 
-def _matrix_powers(x: np.ndarray, kmax: int) -> list[np.ndarray]:
-    out = [np.eye(x.shape[-1], dtype=np.complex128)]
-    for k in range(1, kmax + 1):
-        out.append(x if k == 1 else out[-1] @ x)
+def _matrix_powers(x: np.ndarray, kmax: int) -> list[np.ndarray | None]:
+    # x^0 is never read: the constant term takes no monomial
+    out = [None, x]
+    for _ in range(2, kmax + 1):
+        out.append(out[-1] @ x)
     return out
 
 
@@ -218,8 +225,12 @@ def _lhs(eq: StructuredEquation, xs: list[np.ndarray]) -> np.ndarray:
     powers = [_matrix_powers(xs[s], kmax[s]) for s in range(eq.arity)]
     acc = np.zeros(xs[0].shape, dtype=np.complex128)
     for exps, coeff in zip(eq.poly.exponents.tolist(), eq.poly.stack):
-        mono = _monomial(powers, exps, n)
-        if eq.orientation is Orientation.UNKNOWNS_LEFT:
+        mono = _monomial(powers, exps)
+        if mono is None:
+            # the constant term sorts first, so acc is all +0.0 here and
+            # adding C gives the bits that adding C I would
+            acc += coeff
+        elif eq.orientation is Orientation.UNKNOWNS_LEFT:
             acc += mono @ coeff
         else:
             acc += coeff @ mono
@@ -241,7 +252,7 @@ def _relative_residuals(eq: StructuredEquation, xs: list[np.ndarray]) -> np.ndar
     # residuals of K candidates at once; xs[s] is the (K, n, n) stack of unknown s
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = _lhs(eq, xs)
-        coeff_sum = float(np.linalg.norm(eq.poly.stack, axis=(1, 2)).sum())
+        coeff_sum = float(eq.poly._norms.sum())
         xmax = np.max([np.linalg.norm(x, axis=(-2, -1)) for x in xs], axis=0)
         denom = 1.0 + coeff_sum * np.maximum(1.0, xmax) ** total_degree(eq.poly)
         return np.linalg.norm(lhs, axis=(-2, -1)) / denom
@@ -448,14 +459,15 @@ def _greedy_select(sample: VarietySample, n: int) -> list[int] | None:
         taken[chosen[-1]] = True
         q = resid[:, chosen[-1]]
         q = q - basis @ (basis.conj().T @ q)  # one reorthogonalization pass
-        norm = np.linalg.norm(q)
+        norm = linalg._norm(q)
         if norm > 0.0:
             q /= norm
             basis = np.column_stack([basis, q])
             resid -= q[:, None] * (q.conj()[:, None] * resid).sum(axis=0)
         if len(chosen) == n:
             return chosen
-        score = np.linalg.norm(resid, axis=0)
+        # np.linalg.norm(resid, axis=0) as numpy 2.x computes it
+        score = np.sqrt(np.add.reduce((resid.conj() * resid).real, axis=0))
         score[taken] = -1.0
         chosen.append(int(np.argmax(score)))
 
@@ -477,7 +489,8 @@ def family_from_points(
     n = eq.dim
     values = linalg._checked(values, (n, eq.arity), "values")
     vectors = linalg._checked(null_vectors, (n, n), "null_vectors")
-    order = sorted(range(n), key=lambda k: tuple(linalg.lex_key(v) for v in values[k]))
+    rows = values.tolist()
+    order = sorted(range(n), key=lambda k: tuple(map(linalg.lex_key, rows[k])))
     eigenvalues = values[order].T[:, None]
     (outcome,) = _assemble_families(eq, eigenvalues, vectors[order][None], cfg)
     if not isinstance(outcome, SolutionFamily):
@@ -549,7 +562,7 @@ def quotient_factor(
         raise DimensionMismatch("quotient_factor needs a univariate equation")
     if eq.orientation is not Orientation.UNKNOWNS_LEFT:
         raise DimensionMismatch("quotient_factor applies to unknowns-left equations")
-    SolverConfig(tol_residual=tol_residual)  # the positivity rule of every tolerance
+    _check_positive(tol_residual, "tol_residual")
     n = eq.dim
     xm = linalg._checked(x, (n, n), "candidate")
     resid = verify_residual(eq, [xm])

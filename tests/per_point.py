@@ -7,6 +7,9 @@ scalar arithmetic, so the results must agree bit for bit.  Two references
 read single items through the library's private stacked helpers:
 :func:`term_scale`, the term scale of P at one point, and
 :func:`iter_solution_classes`, the classes of a root pool as root tuples.
+Two restate the general path beside a shortcut of the library:
+:func:`cluster_roots_per_pair` links every pair of roots, and
+:func:`equation_lhs_with_identity` multiplies the constant term by I.
 """
 
 import itertools
@@ -76,6 +79,20 @@ def poly_roots_per_root(sp, cluster_tol=ROOT_CLUSTER_TOL):
     companion[:-1, 1:] = np.eye(d - 1)
     companion[-1] = -np.linalg.solve(scaled[d:, None], scaled[None, :d])[0]
     raw = gamma * np.linalg.eigvals(companion)
+    groups = cluster_roots_per_pair(raw, gamma, cluster_tol)
+    clustered = [(complex(np.mean(raw[idx])), len(idx)) for idx in groups]
+    clustered.sort(key=lambda rm: linalg.lex_key(rm[0]))
+    return clustered
+
+
+def cluster_roots_per_pair(raw, scale, cluster_tol=ROOT_CLUSTER_TOL):
+    """Union-find clustering of the roots ``raw``, one pair at a time.
+
+    Two roots link when they lie within ``cluster_tol * (scale + the larger
+    modulus)`` of each other.  Returns the index groups in the order of
+    their first members, each ascending.
+    """
+    d = len(raw)
     parent = list(range(d))
 
     def find(i):
@@ -86,16 +103,36 @@ def poly_roots_per_root(sp, cluster_tol=ROOT_CLUSTER_TOL):
 
     for i in range(d):
         for j in range(i + 1, d):
-            if abs(raw[i] - raw[j]) <= cluster_tol * (gamma + max(abs(raw[i]), abs(raw[j]))):
+            if abs(raw[i] - raw[j]) <= cluster_tol * (scale + max(abs(raw[i]), abs(raw[j]))):
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[rj] = ri
     groups = {}
     for i in range(d):
         groups.setdefault(find(i), []).append(i)
-    clustered = [(complex(np.mean(raw[idx])), len(idx)) for idx in groups.values()]
-    clustered.sort(key=lambda rm: linalg.lex_key(rm[0]))
-    return clustered
+    return list(groups.values())
+
+
+def equation_lhs_with_identity(eq, xs):
+    """The left-hand side of a non-sandwich equation, the constant times I.
+
+    ``xs[s]`` is unknown s as an (n, n) matrix or a (K, n, n) stack.  Each
+    monomial is the product of the unknowns' powers, x^e taken as
+    ((x x) x) ..., and the constant term's monomial is the identity.
+    """
+    eye = np.eye(eq.dim, dtype=np.complex128)
+    acc = np.zeros(xs[0].shape, dtype=np.complex128)
+    for exps, coeff in zip(eq.poly.exponents.tolist(), eq.poly.stack):
+        mono = None
+        for x, e in zip(xs, exps):
+            if e:
+                power = x
+                for _ in range(e - 1):
+                    power = power @ x
+                mono = power if mono is None else mono @ power
+        mono = eye if mono is None else mono
+        acc += mono @ coeff if eq.orientation is Orientation.UNKNOWNS_LEFT else coeff @ mono
+    return acc
 
 
 def sample_variety_per_point(p, side, count, seed):

@@ -201,6 +201,7 @@ INTEGRAL = {
     "n": (lambda: plant_instance(2.5, 1, 2, RIGHT, 0), "plant_instance"),
     "m": (lambda: plant_instance(2, 1.5, 2, RIGHT, 0), "plant_instance"),
     "degree": (lambda: plant_instance(2, 1, 2.5, RIGHT, 0), "plant_instance"),
+    "plant-seed": (lambda: plant_instance(2, 1, 2, RIGHT, 0.5), "plant_instance"),
 }
 
 

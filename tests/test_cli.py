@@ -231,6 +231,22 @@ def test_determinant_overflow_without_a_warning(tmp_path, capsys, doc, status, e
     assert capsys.readouterr().err == err
 
 
+def test_coefficient_norms_past_the_double_range_without_a_warning(tmp_path, capsys):
+    # a planted n = 4 equation of two unknowns times 1e160: the squares of its
+    # entries, and so its coefficient norms, leave the double range
+    doc = str(DATA / "scaled_1e160_arity2.json")
+    sol, points = str(tmp_path / "s.json"), str(tmp_path / "p.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", doc, "--seed", "0", "--output", sol]) == 0
+        assert main(["sample-variety", doc, "--seed", "0", "--output", points]) == 0
+        assert main(["verify", doc, sol, "--output", str(tmp_path / "r.json")]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["all_ok"] and len(report["families"]) == 1
+    assert len(json.loads(Path(points).read_text())["points"]) >= 8
+
+
 @pytest.mark.parametrize(
     "argv, line",
     [

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from matpolyeq import linalg
 from matpolyeq.errors import ConvergenceFailure, DimensionMismatch, NonFiniteInput, SingularMatrix
@@ -167,3 +171,45 @@ def test_determinism_bit_for_bit():
     i1, c1 = linalg.inverse(m)
     i2, c2 = linalg.inverse(m)
     assert np.array_equal(i1, i2) and c1 == c2
+
+
+def key_bits(key):
+    # a lex key as bytes: tells -0.0 from 0.0 and compares nan equal to itself
+    return struct.pack("<dd", *key)
+
+
+#: Doubles with every special case a lex key must pass through: signed
+#: zeros, subnormals, the largest finite values, infinities and nan.
+SPECIAL_DOUBLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@given(SPECIAL_DOUBLES, SPECIAL_DOUBLES)
+def test_lex_key_agrees_across_scalar_types(re, im):
+    z = complex(re, im)
+    assert key_bits(linalg.lex_key(np.complex128(z))) == key_bits(linalg.lex_key(z))
+    assert key_bits(linalg.lex_key(np.float64(re))) == key_bits(linalg.lex_key(complex(re, 0.0)))
+    # lex_key reads the parts through complex(), which gives the bits that
+    # np.real and np.imag give, for each scalar type
+    for v in (z, np.complex128(z), np.float64(re)):
+        assert key_bits((complex(v).real, complex(v).imag)) == key_bits(
+            (float(np.real(v)), float(np.imag(v)))
+        )
+
+
+@pytest.mark.parametrize(
+    "shape, order",
+    [((7,), "C"), ((3, 3), "C"), ((4, 5), "F"), ((1, 1), "C"), ((0,), "C")],
+)
+def test_norm_is_numpys_norm_bit_for_bit(shape, order):
+    rng = np.random.default_rng(5)
+    for scale in (1.0, 1e-160, 1e150):
+        x = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        x = np.asarray(x, order=order)
+        want = np.linalg.norm(x)
+        assert struct.pack("<d", linalg._norm(x)) == struct.pack("<d", want)
+    # a strided view, as a column of a C-ordered matrix
+    column = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[:, 2]
+    assert struct.pack("<d", linalg._norm(column)) == struct.pack("<d", np.linalg.norm(column))

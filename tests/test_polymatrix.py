@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import symbolic_det_oracle
-from per_point import poly_roots_per_root, sample_variety_per_point, term_scale
+from per_point import (
+    cluster_roots_per_pair,
+    poly_roots_per_root,
+    sample_variety_per_point,
+    term_scale,
+)
 
 from matpolyeq import polymatrix
 from matpolyeq.errors import (
@@ -25,6 +30,7 @@ from matpolyeq.polymatrix import (
     DEFAULT_TOL_ZERO,
     MatrixPolynomial,
     ScalarPolynomial,
+    _cluster_roots,
     _evaluate_stack,
     _slice_spectrum,
     det_poly_univariate,
@@ -808,3 +814,77 @@ def test_empty_table():
     assert np.array_equal(evaluate(p, [1.0, 2.0]), np.zeros((2, 2)))
     assert term_scale(p, [1.0, 2.0]) == 0.0
     assert fix_all_but(p, 0, [3.0]).terms == {}
+
+
+def scaled_1e160():
+    # a planted n = 4 equation of two unknowns with every coefficient times
+    # 1e160: the coefficients are finite, the squares of their entries are not
+    inst = plant_instance(4, 2, 2, Orientation.UNKNOWNS_RIGHT, 3)
+    terms = {exps: 1e160 * a for exps, a in inst.equation.poly.terms.items()}
+    return MatrixPolynomial(arity=2, dim=4, terms=terms)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_sample_variety_at_coefficient_norms_past_the_double_range(side):
+    p = scaled_1e160()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sample = sample_variety(p, side, 16, 0)
+    assert len(sample) >= 16
+    assert np.all(np.isfinite(sample.values)) and np.all(np.isfinite(sample.null_vectors))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        MatrixPolynomial(arity=1, dim=2, terms={}),
+        MatrixPolynomial(arity=1, dim=2, terms={(3,): I2, (0,): [[-0.0, 2j], [3, 4]]}),
+        MatrixPolynomial(arity=2, dim=1, terms={(2, 1): I1, (0, 4): -I1, (1, 0): 2 * I1}),
+        plant_instance(4, 3, 2, Orientation.UNKNOWNS_LEFT, 7).equation.poly,
+        scaled_1e160(),
+    ],
+    ids=["zero", "univariate", "bivariate", "planted", "scaled-1e160"],
+)
+def test_cached_norms_and_degree_equal_direct_computations(p):
+    # both are computed on first use, not when P is built
+    assert "_norms" not in vars(p) and "_degree" not in vars(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = p._norms
+    with np.errstate(over="ignore"):  # the 1e160 norms are inf
+        want = np.linalg.norm(p.stack, axis=(1, 2))
+    assert norms.tobytes() == want.tobytes() and not norms.flags.writeable
+    assert p._norms is norms
+    assert total_degree(p) == int(p.exponents.sum(axis=1).max(initial=0))
+    assert total_degree(p) == max((sum(e) for e in p.terms), default=0)
+
+
+#: Roots that link to nothing, exact twins, near twins, a chain and nan.
+CLUSTER_POOLS = {
+    "no-links": [1.0, -1.0, 1j, 2 + 2j],
+    "exact-twins": [1 + 1j, 0.5, 1 + 1j, 0.5, -3.0],
+    "near-twins": [1.0, 2.0, 1.0 + 5e-8, 2.0 - 5e-8j],
+    "chain": [0.0, 1e-7, 2e-7, 3e-7, 5.0],
+    "nan": [complex("nan"), 1.0, 2.0],
+    "two-nans-and-twins": [complex("nan"), 1.0, complex("nan+1j"), 1.0, 2.0],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("pool", CLUSTER_POOLS.values(), ids=CLUSTER_POOLS.keys())
+def test_cluster_roots_match_the_pairwise_union_find(pool):
+    raw = np.array(pool, dtype=np.complex128)
+    assert _cluster_roots(raw, 1.0) == cluster_roots_per_pair(raw, 1.0)
+
+
+@given(
+    st.lists(
+        st.sampled_from([0.0, 1.0, 1.0 + 1e-8, 1j, -2.0, 3 - 1j, complex("nan"), complex("inf")]),
+        max_size=9,
+    ),
+    st.sampled_from([0.0, 1e-3, 1.0, 1e6]),
+)
+def test_cluster_roots_match_the_pairwise_union_find_on_drawn_pools(pool, scale):
+    raw = np.array(pool, dtype=np.complex128)
+    with np.errstate(invalid="ignore"):
+        assert _cluster_roots(raw, scale) == cluster_roots_per_pair(raw, scale)

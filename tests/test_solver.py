@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import cyclic_reduction, plant_minimal_solvent
 from per_point import (
+    equation_lhs_with_identity,
     greedy_select_per_candidate,
     iter_solution_classes,
     solve_multivariate_per_point,
@@ -43,6 +44,7 @@ from matpolyeq.solver import (
     StructuredEquation,
     _commutations,
     _greedy_select,
+    _lhs,
     commutation_check,
     dual_equation,
     eigen_candidates,
@@ -190,6 +192,22 @@ def test_solver_config_rejects_nonpositive_tolerances(name, value):
 def test_solver_config_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed must be >= 0"):
         SolverConfig(seed=-1)
+
+
+SEED_READERS = {
+    "SolverConfig": lambda seed: SolverConfig(seed=seed),
+    "sample_variety": lambda seed: sample_variety(
+        MatrixPolynomial(2, 1, {(1, 0): I1, (0, 1): I1}), "right", 2, seed
+    ),
+    "plant_instance": lambda seed: plant_instance(2, 1, 2, Orientation.UNKNOWNS_RIGHT, seed),
+}
+
+
+@pytest.mark.parametrize("read", SEED_READERS.values(), ids=SEED_READERS.keys())
+def test_every_seed_is_read_with_operator_index(read):
+    # a string is no seed, not even one of digits
+    with pytest.raises(TypeError, match="^'str' object cannot be interpreted as an integer$"):
+        read("3")
 
 
 def test_solver_config_caps_max_classes_at_sys_maxsize():
@@ -1100,3 +1118,47 @@ def test_solve_result_diagnostics_not_silent():
     assert len(result.families) + len(result.diagnostics) > 0
     for family in result.families:
         assert family.residual <= 1e-8
+
+
+def zero_signed(rng, shape):
+    # complex entries among 0.0, -0.0 and small integers, in both parts
+    parts = rng.choice([0.0, -0.0, 1.0, -2.0, 3.0], size=(2, *shape))
+    return parts[0] + 1j * parts[1]
+
+
+@pytest.mark.parametrize("orientation", [Orientation.UNKNOWNS_LEFT, Orientation.UNKNOWNS_RIGHT])
+@pytest.mark.parametrize("arity, degree", [(1, 0), (1, 2), (2, 2), (3, 1)])
+def test_equation_lhs_matches_the_constant_times_identity(orientation, arity, degree):
+    # the constant term is added as it is, not multiplied by I first: with
+    # signed zeros in the constant and the unknowns, the bits still agree
+    rng = np.random.default_rng(arity * 10 + degree)
+    n = 3
+    for _ in range(20):
+        terms = {
+            exps: zero_signed(rng, (n, n))
+            for exps in itertools.product(range(degree + 1), repeat=arity)
+            if sum(exps) <= degree
+        }
+        terms[(0,) * arity] = zero_signed(rng, (n, n))
+        eq = StructuredEquation(MatrixPolynomial(arity, n, terms), orientation)
+        xs = [zero_signed(rng, (n, n)) for _ in range(arity)]
+        want = equation_lhs_with_identity(eq, xs)
+        assert equation_lhs(eq, xs).tobytes() == want.tobytes()
+        stacks = [np.stack([x, -x, 0.0 * x]) for x in xs]
+        assert _lhs(eq, stacks).tobytes() == equation_lhs_with_identity(eq, stacks).tobytes()
+
+
+def test_solve_multivariate_at_coefficient_norms_past_the_double_range():
+    # every coefficient times 1e160: the entries are finite, their squares
+    # and so the coefficient norms are not; the solve takes no warning.  The
+    # residual normalised by an inf coefficient norm reads 0, so the family
+    # is checked against the unscaled equation
+    inst = plant_instance(4, 2, 2, Orientation.UNKNOWNS_RIGHT, 3)
+    terms = {exps: 1e160 * a for exps, a in inst.equation.poly.terms.items()}
+    eq = StructuredEquation(MatrixPolynomial(2, 4, terms), Orientation.UNKNOWNS_RIGHT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = solve_multivariate(eq)
+        (family,) = result.families
+        assert verify_residual(eq, family.unknowns) == 0.0
+    assert verify_residual(inst.equation, family.unknowns) <= 1e-8
