@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidSetting
-from .polymatrix import MatrixPolynomial, _check_seed
+from .polymatrix import MatrixPolynomial
 from .solver import (
     SANDWICH_SLOTS,
     Orientation,
@@ -88,7 +88,8 @@ def plant_instance(
     """
     if min(operator.index(n), operator.index(m), operator.index(degree)) < 1:
         raise DimensionMismatch("n, m, degree must all be >= 1")
-    _check_seed(operator.index(seed))
+    if operator.index(seed) < 0:
+        raise InvalidSetting("seed must be >= 0")
     sandwich = orientation is Orientation.SANDWICH_BIVARIATE
     if sandwich and (m != 2 or degree != 2):
         raise DimensionMismatch("sandwich instances require m = 2 and degree = 2")

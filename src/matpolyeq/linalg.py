@@ -117,18 +117,6 @@ def lex_key(z: complex) -> tuple[float, float]:
     return (round(re, decimals), round(im, decimals))
 
 
-def _norm(x: np.ndarray) -> float:
-    """``np.linalg.norm(x)`` of a complex array, bit for bit, without its wrapper.
-
-    The Frobenius or 2-norm as numpy 2.x computes it: the square root of the
-    dot products of the real and imaginary parts of x, raveled in memory
-    order.
-    """
-    x = x.ravel(order="K")
-    re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
 def lex_argsort(values) -> np.ndarray:
     """Indices sorting complex values lexicographically by :func:`lex_key`."""
     v = np.asarray(values, dtype=np.complex128)

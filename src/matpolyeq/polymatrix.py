@@ -286,8 +286,8 @@ def _root_scale(coeffs: np.ndarray) -> float:
     # ratio is the unscaled one bit for bit wherever squaring the entries
     # neither overflows nor underflows, and stays finite where it would
     _, e = np.frexp(np.abs(coeffs.view(np.float64)).max(axis=(1, 2)))
-    lo_norm = linalg._norm(coeffs[lo] * np.ldexp(1.0, -e[lo]))
-    hi_norm = linalg._norm(coeffs[hi] * np.ldexp(1.0, -e[hi]))
+    lo_norm = np.linalg.norm(coeffs[lo] * np.ldexp(1.0, -e[lo]))
+    hi_norm = np.linalg.norm(coeffs[hi] * np.ldexp(1.0, -e[hi]))
     mantissa, k = lo_norm / hi_norm, hi - lo
     with np.errstate(over="ignore"):
         ratio = np.ldexp(mantissa, e[lo] - e[hi])
@@ -357,10 +357,6 @@ def _cluster_roots(raw: np.ndarray, scale: float) -> list[list[int]]:
     mags = np.abs(raw)
     reach = ROOT_CLUSTER_TOL * (scale + np.maximum(mags[:, None], mags[None, :]))
     linked = np.abs(raw[:, None] - raw[None, :]) <= reach
-    # the usual case: no root links to another (a nan root links to nothing,
-    # not even to itself, so the diagonal is counted, not assumed)
-    if np.count_nonzero(linked) == np.count_nonzero(linked.diagonal()):
-        return [[i] for i in range(d)]
     # label propagation over the links: each root takes the smallest label
     # it links to until no label moves, so a group is labelled by its first
     # member
@@ -559,13 +555,6 @@ def _check_side(side: str) -> None:
         raise InvalidSetting(f"side must be 'left' or 'right', got {side!r}")
 
 
-def _check_seed(seed: int) -> None:
-    # the rule of every seed setting; each entry point reads its seed with
-    # operator.index first, so that a TypeError is raised where it is read
-    if seed < 0:
-        raise InvalidSetting("seed must be >= 0")
-
-
 def null_vectors_at(p: MatrixPolynomial, point, side: str) -> list[np.ndarray]:
     """Unit null vectors of P(point), smallest singular direction first.
 
@@ -661,7 +650,8 @@ def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> Var
     _check_side(side)
     if operator.index(count) < 1:
         raise InvalidSetting("count must be >= 1")
-    _check_seed(operator.index(seed))
+    if operator.index(seed) < 0:
+        raise InvalidSetting("seed must be >= 0")
     if not p.terms:
         raise IdenticallySingular("zero polynomial matrix")
     budget = 4 * count + 8

@@ -51,7 +51,6 @@ from .errors import (
 from .polymatrix import (
     MatrixPolynomial,
     VarietySample,
-    _check_seed,
     _cluster_roots,
     _coefficients,
     _evaluate_stack,
@@ -129,7 +128,8 @@ class SolverConfig:
         _check_positive(self.tol_residual, "tol_residual")
         if operator.index(self.max_classes) < 1:
             raise InvalidSetting("max_classes must be >= 1")
-        _check_seed(operator.index(self.seed))
+        if operator.index(self.seed) < 0:
+            raise InvalidSetting("seed must be >= 0")
 
 
 def _check_positive(tol: float, name: str) -> None:
@@ -242,7 +242,11 @@ def verify_residual(eq: StructuredEquation, unknowns) -> float:
 
     Normalized by 1 + (sum of coefficient norms) * max(1, max ||X_s||_F)^N
     with N the total degree, so the same tolerance is meaningful across
-    scales and degrees.  Overflow makes it inf or nan, never small.
+    scales and degrees.  Overflow in the left-hand side or the unknowns
+    makes it inf or nan, never small.  A coefficient whose squared entries
+    leave the double range has an inf norm, and the residual then reads 0
+    or nan whatever the candidate: check such an equation with its
+    coefficients divided by a common factor, which keeps its solutions.
     """
     xs = _checked_unknowns(eq, unknowns)
     return float(_relative_residuals(eq, [x[None] for x in xs])[0])
@@ -459,15 +463,14 @@ def _greedy_select(sample: VarietySample, n: int) -> list[int] | None:
         taken[chosen[-1]] = True
         q = resid[:, chosen[-1]]
         q = q - basis @ (basis.conj().T @ q)  # one reorthogonalization pass
-        norm = linalg._norm(q)
+        norm = np.linalg.norm(q)
         if norm > 0.0:
             q /= norm
             basis = np.column_stack([basis, q])
             resid -= q[:, None] * (q.conj()[:, None] * resid).sum(axis=0)
         if len(chosen) == n:
             return chosen
-        # np.linalg.norm(resid, axis=0) as numpy 2.x computes it
-        score = np.sqrt(np.add.reduce((resid.conj() * resid).real, axis=0))
+        score = np.linalg.norm(resid, axis=0)
         score[taken] = -1.0
         chosen.append(int(np.argmax(score)))
 

@@ -7,9 +7,8 @@ scalar arithmetic, so the results must agree bit for bit.  Two references
 read single items through the library's private stacked helpers:
 :func:`term_scale`, the term scale of P at one point, and
 :func:`iter_solution_classes`, the classes of a root pool as root tuples.
-Two restate the general path beside a shortcut of the library:
-:func:`cluster_roots_per_pair` links every pair of roots, and
-:func:`equation_lhs_with_identity` multiplies the constant term by I.
+:func:`equation_lhs_with_identity` is the left-hand side with the constant
+term multiplied by I, where the library adds the constant as it is.
 """
 
 import itertools
@@ -79,20 +78,6 @@ def poly_roots_per_root(sp, cluster_tol=ROOT_CLUSTER_TOL):
     companion[:-1, 1:] = np.eye(d - 1)
     companion[-1] = -np.linalg.solve(scaled[d:, None], scaled[None, :d])[0]
     raw = gamma * np.linalg.eigvals(companion)
-    groups = cluster_roots_per_pair(raw, gamma, cluster_tol)
-    clustered = [(complex(np.mean(raw[idx])), len(idx)) for idx in groups]
-    clustered.sort(key=lambda rm: linalg.lex_key(rm[0]))
-    return clustered
-
-
-def cluster_roots_per_pair(raw, scale, cluster_tol=ROOT_CLUSTER_TOL):
-    """Union-find clustering of the roots ``raw``, one pair at a time.
-
-    Two roots link when they lie within ``cluster_tol * (scale + the larger
-    modulus)`` of each other.  Returns the index groups in the order of
-    their first members, each ascending.
-    """
-    d = len(raw)
     parent = list(range(d))
 
     def find(i):
@@ -103,14 +88,16 @@ def cluster_roots_per_pair(raw, scale, cluster_tol=ROOT_CLUSTER_TOL):
 
     for i in range(d):
         for j in range(i + 1, d):
-            if abs(raw[i] - raw[j]) <= cluster_tol * (scale + max(abs(raw[i]), abs(raw[j]))):
+            if abs(raw[i] - raw[j]) <= cluster_tol * (gamma + max(abs(raw[i]), abs(raw[j]))):
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[rj] = ri
     groups = {}
     for i in range(d):
         groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    clustered = [(complex(np.mean(raw[idx])), len(idx)) for idx in groups.values()]
+    clustered.sort(key=lambda rm: linalg.lex_key(rm[0]))
+    return clustered
 
 
 def equation_lhs_with_identity(eq, xs):

@@ -233,15 +233,20 @@ def test_determinant_overflow_without_a_warning(tmp_path, capsys, doc, status, e
 
 def test_coefficient_norms_past_the_double_range_without_a_warning(tmp_path, capsys):
     # a planted n = 4 equation of two unknowns times 1e160: the squares of its
-    # entries, and so its coefficient norms, leave the double range
+    # entries, and so its coefficient norms, leave the double range.  A
+    # residual normalised by an inf norm checks nothing, so the solution is
+    # verified against the unscaled equation, planted with the same settings
     doc = str(DATA / "scaled_1e160_arity2.json")
     sol, points = str(tmp_path / "s.json"), str(tmp_path / "p.json")
+    unscaled = str(tmp_path / "eq.json")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["solve", doc, "--seed", "0", "--output", sol]) == 0
         assert main(["sample-variety", doc, "--seed", "0", "--output", points]) == 0
-        assert main(["verify", doc, sol, "--output", str(tmp_path / "r.json")]) == 0
     assert capsys.readouterr().err == ""
+    plant = ["plant", "--dimension", "4", "--arity", "2", "--degree", "2", "--seed", "3"]
+    assert main([*plant, "--output", unscaled, "--truth", str(tmp_path / "t.json")]) == 0
+    assert main(["verify", unscaled, sol, "--output", str(tmp_path / "r.json")]) == 0
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["all_ok"] and len(report["families"]) == 1
     assert len(json.loads(Path(points).read_text())["points"]) >= 8

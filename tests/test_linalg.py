@@ -198,18 +198,3 @@ def test_lex_key_agrees_across_scalar_types(re, im):
             (float(np.real(v)), float(np.imag(v)))
         )
 
-
-@pytest.mark.parametrize(
-    "shape, order",
-    [((7,), "C"), ((3, 3), "C"), ((4, 5), "F"), ((1, 1), "C"), ((0,), "C")],
-)
-def test_norm_is_numpys_norm_bit_for_bit(shape, order):
-    rng = np.random.default_rng(5)
-    for scale in (1.0, 1e-160, 1e150):
-        x = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        x = np.asarray(x, order=order)
-        want = np.linalg.norm(x)
-        assert struct.pack("<d", linalg._norm(x)) == struct.pack("<d", want)
-    # a strided view, as a column of a C-ordered matrix
-    column = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[:, 2]
-    assert struct.pack("<d", linalg._norm(column)) == struct.pack("<d", np.linalg.norm(column))

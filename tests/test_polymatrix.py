@@ -9,12 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import symbolic_det_oracle
-from per_point import (
-    cluster_roots_per_pair,
-    poly_roots_per_root,
-    sample_variety_per_point,
-    term_scale,
-)
+from per_point import poly_roots_per_root, sample_variety_per_point, term_scale
 
 from matpolyeq import polymatrix
 from matpolyeq.errors import (
@@ -30,7 +25,6 @@ from matpolyeq.polymatrix import (
     DEFAULT_TOL_ZERO,
     MatrixPolynomial,
     ScalarPolynomial,
-    _cluster_roots,
     _evaluate_stack,
     _slice_spectrum,
     det_poly_univariate,
@@ -858,33 +852,3 @@ def test_cached_norms_and_degree_equal_direct_computations(p):
     assert total_degree(p) == int(p.exponents.sum(axis=1).max(initial=0))
     assert total_degree(p) == max((sum(e) for e in p.terms), default=0)
 
-
-#: Roots that link to nothing, exact twins, near twins, a chain and nan.
-CLUSTER_POOLS = {
-    "no-links": [1.0, -1.0, 1j, 2 + 2j],
-    "exact-twins": [1 + 1j, 0.5, 1 + 1j, 0.5, -3.0],
-    "near-twins": [1.0, 2.0, 1.0 + 5e-8, 2.0 - 5e-8j],
-    "chain": [0.0, 1e-7, 2e-7, 3e-7, 5.0],
-    "nan": [complex("nan"), 1.0, 2.0],
-    "two-nans-and-twins": [complex("nan"), 1.0, complex("nan+1j"), 1.0, 2.0],
-    "empty": [],
-}
-
-
-@pytest.mark.parametrize("pool", CLUSTER_POOLS.values(), ids=CLUSTER_POOLS.keys())
-def test_cluster_roots_match_the_pairwise_union_find(pool):
-    raw = np.array(pool, dtype=np.complex128)
-    assert _cluster_roots(raw, 1.0) == cluster_roots_per_pair(raw, 1.0)
-
-
-@given(
-    st.lists(
-        st.sampled_from([0.0, 1.0, 1.0 + 1e-8, 1j, -2.0, 3 - 1j, complex("nan"), complex("inf")]),
-        max_size=9,
-    ),
-    st.sampled_from([0.0, 1e-3, 1.0, 1e6]),
-)
-def test_cluster_roots_match_the_pairwise_union_find_on_drawn_pools(pool, scale):
-    raw = np.array(pool, dtype=np.complex128)
-    with np.errstate(invalid="ignore"):
-        assert _cluster_roots(raw, scale) == cluster_roots_per_pair(raw, scale)
