@@ -86,20 +86,22 @@ def inverse_stack(
     Member k is singular when its smallest singular value is at or below
     ``tol_rank`` times its largest one; ``failures[k]`` then says so (the
     message :func:`inverse` raises), its condition number is inf and its
-    inverse slot holds the identity.  Other members have ``failures[k]`` None.
+    inverse slot holds the identity, put in its place only when the stack
+    has a singular member.  Other members have ``failures[k]`` None.
     """
     if not np.all(np.isfinite(stack)):
         raise NonFiniteInput("matrix entries must be finite")
     s = np.linalg.svd(stack, compute_uv=False)
     singular = s[:, -1] <= tol_rank * s[:, 0]
-    eye = np.eye(stack.shape[-1], dtype=np.complex128)
-    inv = np.linalg.inv(np.where(singular[:, None, None], eye, stack))
-    cond = np.full(len(stack), np.inf)
-    cond[~singular] = s[~singular, 0] / s[~singular, -1]
+    with np.errstate(all="ignore"):
+        cond = s[:, 0] / s[:, -1]
     failures: list[str | None] = [None] * len(stack)
-    for k in np.flatnonzero(singular):
-        failures[k] = f"smallest singular value {s[k, -1]:.3e} <= {tol_rank:.0e} * {s[k, 0]:.3e}"
-    return inv, cond, failures
+    if singular.any():
+        stack = np.where(singular[:, None, None], np.eye(stack.shape[-1]), stack)
+        cond[singular] = np.inf
+        for k in np.flatnonzero(singular):
+            failures[k] = f"smallest singular value {s[k, -1]:.3e} <= {tol_rank:.0e} * {s[k, 0]:.3e}"
+    return np.linalg.inv(stack), cond, failures
 
 
 def lex_key(z: complex) -> tuple[float, float]:

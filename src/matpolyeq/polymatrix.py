@@ -310,9 +310,10 @@ def det_poly_univariate(p: MatrixPolynomial) -> ScalarPolynomial:
     to zero and trailing zeros are trimmed.
 
     Raises NonFiniteInput when a sampled determinant leaves the double
-    range, before the zero test.  Raises IdenticallySingular when every
-    sampled determinant is at or below ``DET_ZERO_REL`` times
-    ``||P||_F ** n`` at that node, i.e. when det P is the zero polynomial.
+    range, before the zero test: when it overflows, or when P(z) is nonzero
+    but its bound ``||P(z)||_F ** n`` is below the normal range.  Raises
+    IdenticallySingular when every sampled determinant is at or below
+    ``DET_ZERO_REL`` times that bound, i.e. when det P is the zero polynomial.
     The bound scales with P as the determinant does, so the test is
     scale-free; all nodes are evaluated and tested at once.  It exceeds
     Hadamard's bound (the product of the column norms) by up to
@@ -331,12 +332,12 @@ def det_poly_univariate(p: MatrixPolynomial) -> ScalarPolynomial:
     pz = _evaluate_stack(p, nodes[:, None])
     with np.errstate(over="ignore", invalid="ignore"):
         dets = np.linalg.det(pz)
-    if not np.isfinite(dets).all():
-        raise NonFiniteInput("det P leaves the double range at the sample nodes")
-    norms = np.linalg.norm(pz, axis=(1, 2))
     with np.errstate(over="ignore"):
-        if not np.any(np.abs(dets) > DET_ZERO_REL * norms**n):
-            raise IdenticallySingular("determinant vanishes at every sample node")
+        bound = np.linalg.norm(pz, axis=(1, 2)) ** n
+    if not np.isfinite(dets).all() or np.any(pz.any(axis=(1, 2)) & (bound < _TINY)):
+        raise NonFiniteInput("det P leaves the double range at the sample nodes")
+    if not np.any(np.abs(dets) > DET_ZERO_REL * bound):
+        raise IdenticallySingular("determinant vanishes at every sample node")
     # values at radius * exp(+2 pi i j / M) invert through the forward DFT
     coeffs = np.fft.fft(dets) / count
     coeffs = coeffs / radius ** np.arange(count)

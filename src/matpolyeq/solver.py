@@ -15,7 +15,8 @@ without one leaves the pool, as it does in the multivariate sampler.  It
 enumerates eigenvalue classes of that pool as tuples of root indices and
 assembles them in one batch loop: a chunk of classes becomes one index
 array, which gathers a (K, n, n) stack of transforms whose rank test,
-inverse, reconstruction and residual are computed together.  Directions are
+inverse (the identity replacing a singular one, in a chunk that has one),
+reconstruction and residual are computed together.  Directions are
 fitted only for the classes with a wide root, one whose null space holds
 more than one vector, and truncation is seen one class past
 ``max_classes``.  The multivariate path assembles a transform from sampled
@@ -325,33 +326,24 @@ def _assemble_families(
     """
     left = eq.orientation is Orientation.UNKNOWNS_LEFT
     stack = vectors if left else vectors.transpose(0, 2, 1)
-    inv, cond, singular = linalg.inverse_stack(stack)
+    inv, cond, failures = linalg.inverse_stack(stack)
     if left:
         xs = [(inv * lam[:, None, :]) @ stack for lam in eigenvalues]
     else:
         xs = [(stack * lam[:, None, :]) @ inv for lam in eigenvalues]
     resid = _relative_residuals(eq, xs)
-    # families hold row views of the stacks, not copies
-    transforms = list(stack)
-    spectra, unknowns = list(zip(*eigenvalues)), list(zip(*xs))
-    out: list[SolutionFamily | TransformSingular | NotASolution] = []
-    for k, (res, cnd) in enumerate(zip(resid.tolist(), cond.tolist())):
-        if singular[k] is not None:
-            out.append(TransformSingular(f"TransformSingular: {singular[k]}"))
-        elif not res <= cfg.tol_residual:  # a nan residual fails too
-            reason = f"residual {res:.3e} exceeds tol_residual {cfg.tol_residual:.0e}"
-            out.append(NotASolution(reason))
-        else:
-            out.append(
-                SolutionFamily(
-                    transform=transforms[k],
-                    eigenvalues=list(spectra[k]),
-                    unknowns=list(unknowns[k]),
-                    residual=res,
-                    transform_condition=cnd,
-                )
-            )
-    return out
+    tol = cfg.tol_residual
+    # families hold row views of the stacks; positional fields are faster
+    return [
+        TransformSingular(f"TransformSingular: {failure}")
+        if failure is not None
+        else NotASolution(f"residual {res:.3e} exceeds tol_residual {tol:.0e}")
+        if not res <= tol  # a nan residual fails too
+        else SolutionFamily(transform, list(spectrum), list(unknowns), res, cnd)
+        for transform, spectrum, unknowns, res, cnd, failure in zip(
+            stack, zip(*eigenvalues), zip(*xs), resid.tolist(), cond.tolist(), failures
+        )
+    ]
 
 
 def _class_batches(
@@ -372,9 +364,13 @@ def _class_batches(
     # each root's first null vector, normalised
     units = np.array([b[0] / np.linalg.norm(b[0]) for b in nulls], dtype=np.complex128)
     wide = np.array([len(b) > 1 for b in nulls])
-    size = linalg.chunk_size(eq.dim * eq.dim)
-    while chunk := list(itertools.islice(indices, size)):
-        idx = np.array(chunk, dtype=np.intp)
+    n = eq.dim
+    size = linalg.chunk_size(n * n)
+    while True:
+        chunk = itertools.chain.from_iterable(itertools.islice(indices, size))
+        idx = np.fromiter(chunk, dtype=np.intp).reshape(-1, n)
+        if not len(idx):
+            return
         vectors = units[idx]
         for k in np.flatnonzero(wide[idx].any(axis=1)):
             placed = ~wide[idx[k]]
@@ -434,11 +430,11 @@ def solve_univariate(eq: StructuredEquation, cfg: SolverConfig | None = None) ->
     # no pool yields more classes than islice can count
     head = itertools.islice(indices, min(cfg.max_classes, sys.maxsize))
     for classes, outcomes in _class_batches(eq, roots[keep], [nulls[i] for i in keep], head, cfg):
-        for cls, outcome in zip(classes, outcomes):
+        for k, outcome in enumerate(outcomes):
             if isinstance(outcome, SolutionFamily):
                 families.append(outcome)
             else:
-                label = "class (" + ", ".join(_fmt_c(r) for r in cls) + ")"
+                label = "class (" + ", ".join(_fmt_c(r) for r in classes[k]) + ")"
                 rejected.append(Diagnostic(label, str(outcome)))
     if next(indices, None) is not None:
         diagnostics.append(

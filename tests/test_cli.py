@@ -231,6 +231,28 @@ def test_determinant_overflow_without_a_warning(tmp_path, capsys, doc, status, e
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize(
+    "doc, command",
+    [
+        ("scaled_1e-45_univariate", "solve"),
+        ("scaled_1e-45_univariate", "detpoly"),
+        ("scaled_1e45_univariate", "detpoly"),
+    ],
+    ids=["1e-45-solve", "1e-45-detpoly", "1e45-detpoly"],
+)
+def test_determinant_out_of_range_is_non_finite_input(tmp_path, capsys, doc, command):
+    # the planted n = 8 equation times 1e-45 or 1e45: det P underflows or
+    # overflows at the interpolation nodes, which is no identically zero det P
+    argv = [command, str(DATA / f"{doc}.json"), "--output", str(tmp_path / "out.json")]
+    if command == "solve":
+        argv += ["--seed", "0"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    message = "NonFiniteInput: det P leaves the double range at the sample nodes"
+    assert capsys.readouterr().err == f"{command}: {message}\n"
+
+
 def test_coefficient_norms_past_the_double_range_without_a_warning(tmp_path, capsys):
     # a planted n = 4 equation of two unknowns times 1e160: the squares of its
     # entries, and so its coefficient norms, leave the double range.  A

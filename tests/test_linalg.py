@@ -109,6 +109,31 @@ def test_inverse_stack_flags_singular_members():
     assert cond[1] == np.inf
 
 
+@pytest.mark.parametrize("view", ["contiguous", "transposed"])
+def test_inverse_stack_members_do_not_depend_on_singular_neighbours(view):
+    # a stack with a singular member is copied to put the identity in its
+    # place, one without is inverted as it is: every nonsingular member
+    # must get the same inverse and condition number, bit for bit
+    rng = np.random.default_rng(9)
+    good = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+    deficient = good[0] @ np.diag([1.0, 1.0, 1.0, 1.0, 0.0]) @ good[1]
+    mixed = np.stack([good[0], np.zeros((5, 5)), good[1], deficient, good[2], good[3]])
+    if view == "transposed":
+        good, mixed = good.transpose(0, 2, 1), mixed.transpose(0, 2, 1)
+    assert mixed.flags.c_contiguous == (view == "contiguous")
+    inv, cond, failures = linalg.inverse_stack(good)
+    mixed_inv, mixed_cond, mixed_failures = linalg.inverse_stack(mixed)
+    assert failures == [None] * 4
+    assert [f is None for f in mixed_failures] == [True, False, True, False, True, True]
+    assert mixed_cond[1] == mixed_cond[3] == np.inf
+    assert np.array_equal(mixed_inv[[1, 3]], np.stack([np.eye(5)] * 2))
+    assert np.array_equal(mixed_inv[[0, 2, 4, 5]], inv)
+    assert np.array_equal(mixed_cond[[0, 2, 4, 5]], cond)
+    for k in range(4):
+        alone_inv, alone_cond, _ = linalg.inverse_stack(good[k : k + 1])
+        assert np.array_equal(alone_inv[0], inv[k]) and alone_cond[0] == cond[k]
+
+
 def test_inverse_round_trip_random():
     rng = np.random.default_rng(0)
     for _ in range(20):

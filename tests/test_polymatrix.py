@@ -192,6 +192,22 @@ def test_det_poly_overflow_is_non_finite_input_without_a_warning():
             det_poly_univariate(p)
 
 
+def test_det_poly_underflow_is_non_finite_input_without_a_warning():
+    # the same instance times 1e-45: det P and its bound ||P(z)||_F ** n both
+    # underflow to 0, which the zero test would read as identically singular
+    inst = plant_instance(8, 1, 2, Orientation.UNKNOWNS_LEFT, 3)
+    for scale, raises in ((1e-45, True), (1e-30, False)):
+        terms = {exps: scale * a for exps, a in inst.equation.poly.terms.items()}
+        p = MatrixPolynomial(arity=1, dim=8, terms=terms)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if raises:
+                with pytest.raises(NonFiniteInput, match="^det P leaves the double range at the"):
+                    det_poly_univariate(p)
+            else:
+                assert det_poly_univariate(p).degree == 16
+
+
 def test_det_poly_degree_bound():
     rng = np.random.default_rng(12)
     for _ in range(10):

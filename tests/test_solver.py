@@ -396,6 +396,38 @@ def test_combination_classes_match_per_class_reference(n, orientation):
 
 
 @pytest.mark.parametrize("orientation", [Orientation.UNKNOWNS_LEFT, Orientation.UNKNOWNS_RIGHT])
+def test_rejections_across_many_chunks_match_per_class_reference(monkeypatch, orientation):
+    # S diag((z-1)(z-2), (z-3)(z-4), (z-5)(z-6)) S^-1: six simple roots, two
+    # per null vector, so 12 of the 20 classes are singular.  Three classes
+    # to a chunk make seven chunks, the last holding two; a gate at the
+    # median residual of the other 8 rejects some of them as well
+    rng = np.random.default_rng(5)
+    s = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    s_inv = np.linalg.inv(s)
+    terms = {
+        (2,): s @ s_inv,
+        (1,): s @ np.diag([-3.0, -7.0, -11.0]) @ s_inv,
+        (0,): s @ np.diag([2.0, 12.0, 30.0]) @ s_inv,
+    }
+    eq = StructuredEquation(MatrixPolynomial(arity=1, dim=3, terms=terms), orientation)
+    monkeypatch.setattr(linalg, "CHUNK_ENTRIES", 27)
+    assert linalg.chunk_size(9) == 3
+    residuals = sorted(f.residual for f in solve_univariate(eq).families)
+    cfg = SolverConfig(tol_residual=residuals[len(residuals) // 2])
+    result = solve_univariate(eq, cfg)
+    assert_same_solution(result, *solve_univariate_per_class(eq, cfg))
+    labels = [class_label(cls) for cls in iter_solution_classes(eigen_candidates(eq), 3)]
+    assert len(labels) == 20
+    chunks = {"TransformSingular": set(), "residual": set()}
+    for d in result.diagnostics:
+        kind = "residual" if d.failure.startswith("residual ") else d.failure.split(":")[0]
+        chunks[kind].add(labels.index(d.label) // 3)
+    assert len(chunks["TransformSingular"]) > 1 and len(chunks["residual"]) > 1
+    assert len(result.diagnostics) == 12 + len(residuals) - len(result.families)
+    assert 0 < len(result.families) < len(residuals) == 8
+
+
+@pytest.mark.parametrize("orientation", [Orientation.UNKNOWNS_LEFT, Orientation.UNKNOWNS_RIGHT])
 def test_solve_univariate_distinct_pool_rejections_in_class_order(orientation):
     # diag((z-2)(z-3), (z-1)(z-4)): four simple roots, 2 and 3 sharing the
     # null vector e1 and 1 and 4 sharing e2, so two of six classes are singular
@@ -624,6 +656,18 @@ def test_solve_univariate_recovers_planted_at_extreme_scale(scale):
         for f in result.families
     )
     assert best <= 1e-7
+
+
+def test_solve_univariate_determinant_underflow_is_non_finite_input():
+    # planted n = 8 times 1e-45: det P underflows at the interpolation nodes,
+    # so the solve must not report the equation identically singular
+    inst = plant_instance(8, 1, 2, Orientation.UNKNOWNS_LEFT, 3)
+    terms = {exps: 1e-45 * a for exps, a in inst.equation.poly.terms.items()}
+    eq = StructuredEquation(MatrixPolynomial(1, 8, terms), Orientation.UNKNOWNS_LEFT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput, match="^det P leaves the double range at the sample"):
+            solve_univariate(eq)
 
 
 def test_solve_univariate_right_orientation():
