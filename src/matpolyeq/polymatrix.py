@@ -334,7 +334,7 @@ def det_poly_univariate(p: MatrixPolynomial) -> ScalarPolynomial:
         dets = np.linalg.det(pz)
     with np.errstate(over="ignore"):
         bound = np.linalg.norm(pz, axis=(1, 2)) ** n
-    if not np.isfinite(dets).all() or np.any(pz.any(axis=(1, 2)) & (bound < _TINY)):
+    if not np.isfinite(dets).all() or pz[bound < _TINY].any():
         raise NonFiniteInput("det P leaves the double range at the sample nodes")
     if not np.any(np.abs(dets) > DET_ZERO_REL * bound):
         raise IdenticallySingular("determinant vanishes at every sample node")
