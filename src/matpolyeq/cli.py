@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import io
+from . import io, linalg
 from .errors import (
     DegreeZero,
     DocumentError,
@@ -168,17 +168,15 @@ def cmd_plant(args) -> int:
     orientation = Orientation(args.orientation)
     planted = plant_instance(args.dimension, args.arity, args.degree, orientation, args.seed)
     eq = planted.equation
-    # the truth family mirrors solver output: W = T^-1 for left, T otherwise
-    if orientation is Orientation.UNKNOWNS_LEFT:
-        stored = np.linalg.inv(planted.truth_transform)
-    else:
-        stored = planted.truth_transform
+    # the truth family mirrors solver output: W = T^-1 for left, T otherwise,
+    # with T^-1 and cond(T) from the rule of every solver family
+    inverse, condition = linalg.inverse(planted.truth_transform)
     family = SolutionFamily(
-        transform=stored,
+        transform=inverse if orientation is Orientation.UNKNOWNS_LEFT else planted.truth_transform,
         eigenvalues=[np.asarray(v) for v in planted.truth_eigenvalues],
         unknowns=planted.truth_unknowns,
         residual=verify_residual(eq, planted.truth_unknowns),
-        transform_condition=float(np.linalg.cond(planted.truth_transform)),
+        transform_condition=condition,
     )
     # one file for both would end up holding the truth alone
     if os.path.realpath(args.output) == os.path.realpath(args.truth) or (

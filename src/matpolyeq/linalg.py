@@ -7,10 +7,11 @@ it promotes the argument to complex128, raises DimensionMismatch for a
 wrong shape and NonFiniteInput for a non-finite entry.  Stacks are checked
 for finiteness whole, apart from it: a polynomial's coefficients, the
 matrices of :func:`inverse_stack` and the solver's stacked candidates;
-:func:`eigensolve` and :func:`lex_argsort` take arrays the package computed.
-Every function is deterministic for identical inputs.  Invertibility is
-decided on singular values; eigenvalues come back in a fixed lexicographic
-order so that downstream class enumeration is reproducible.
+:func:`eigensolve` takes arrays the package computed.  Every function is
+deterministic for identical inputs.  Invertibility is decided on singular
+values.  Every eigenvalue of the package comes from :func:`eigensolve`, and
+:func:`eigen` sorts those of a matrix in a fixed lexicographic order so that
+downstream class enumeration is reproducible.
 """
 
 from __future__ import annotations
@@ -119,12 +120,6 @@ def lex_key(z: complex) -> tuple[float, float]:
     return (round(re, decimals), round(im, decimals))
 
 
-def lex_argsort(values) -> np.ndarray:
-    """Indices sorting complex values lexicographically by :func:`lex_key`."""
-    v = np.asarray(values, dtype=np.complex128)
-    return np.array(sorted(range(len(v)), key=lambda i: lex_key(v[i])), dtype=int)
-
-
 def eigen(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and right eigenvectors, sorted lexicographically.
 
@@ -132,17 +127,17 @@ def eigen(m) -> tuple[np.ndarray, np.ndarray]:
     for ``values[k]``; ordering is by (real, imag) after rounding to 12
     significant digits so repeated calls enumerate identically.
     """
-    vals, vecs = eigensolve(np.linalg.eig, _square(m))
-    order = lex_argsort(vals)
+    vals, vecs = eigensolve(_square(m))
+    order = sorted(range(len(vals)), key=lambda i: lex_key(vals[i]))
     return vals[order], vecs[:, order]
 
 
-def eigensolve(solve, a: np.ndarray):
-    """``solve(a)`` for ``np.linalg.eig`` or ``eigvals``, passed at each call.
+def eigensolve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eig(a)`` of a matrix or a stack: the package's one eigensolve.
 
     LAPACK's geev hitting its iteration cap is raised as ConvergenceFailure.
     """
     try:
-        return solve(a)
+        return np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolve: {exc}") from exc

@@ -6,9 +6,10 @@ evaluation, univariate slicing, extraction of the scalar determinant
 polynomial by evaluation and interpolation on scaled roots of unity, and
 sampling of the zero set of det P together with attached null vectors,
 returned as one :class:`VarietySample` of stacked arrays, a row per point.
-Every root list comes from one scaled block companion eigensolve with
-relative clustering, and no root is polished: the roots of a scalar
-polynomial are its 1x1 case, and the sampler takes the eigenvalues of each
+Every root list comes from one routine, :func:`_slice_spectra`: a scaled
+block companion, one ``linalg.eigensolve`` and relative clustering, with no
+root polished.  The roots of a scalar polynomial are its 1x1 case
+(:func:`poly_roots`), and the sampler takes the eigenvalues of each
 univariate slice from the linearization of the slice itself (a reversed one
 when the leading coefficient is singular), not from its determinant
 polynomial.  The same eigensolve offers the sampler its null vectors, the
@@ -21,9 +22,8 @@ alone, so the sample is the same bit for bit.  One routine,
 vector whose backward error passes, and otherwise takes an SVD of P.  The
 points of one polynomial are evaluated as one stack, never chunked: the
 n d + 1 interpolation nodes of its determinant and the at most n d roots
-where its null spaces are taken.  Every eigensolve goes through
-``linalg.eigensolve``, which raises LAPACK's non-convergence as
-ConvergenceFailure.
+where its null spaces are taken.  ``linalg.eigensolve`` raises LAPACK's
+non-convergence as ConvergenceFailure.
 P is held as one sorted table of exponent tuples with the matching stack of
 coefficients, and every evaluation, slice and term scale reads that table:
 the monomials of all points and terms are one array expression, and P sums
@@ -281,14 +281,14 @@ def _root_scale(coeffs: np.ndarray) -> float:
     lo, hi = int(nonzero[0]), int(nonzero[-1])
     if hi == lo:
         return 1.0
-    # each norm is taken of its block divided by 2^e, e the exponent of the
-    # block's largest real or imaginary part: the division is exact, so the
-    # ratio is the unscaled one bit for bit wherever squaring the entries
-    # neither overflows nor underflows, and stays finite where it would
+    # each norm is taken of its block times 2^-e by ldexp, e the exponent of
+    # the block's largest real or imaginary part: the scaling is exact, so
+    # the ratio is the unscaled one bit for bit wherever squaring the entries
+    # neither overflows nor underflows, and stays finite where it would (2^-e
+    # itself overflows when that part is subnormal)
     _, e = np.frexp(np.abs(coeffs.view(np.float64)).max(axis=(1, 2)))
-    lo_norm = np.linalg.norm(coeffs[lo] * np.ldexp(1.0, -e[lo]))
-    hi_norm = np.linalg.norm(coeffs[hi] * np.ldexp(1.0, -e[hi]))
-    mantissa, k = lo_norm / hi_norm, hi - lo
+    parts = [np.ldexp(coeffs[k].view(np.float64), -e[k]).view(np.complex128) for k in (lo, hi)]
+    mantissa, k = np.linalg.norm(parts[0]) / np.linalg.norm(parts[1]), hi - lo
     with np.errstate(over="ignore"):
         ratio = np.ldexp(mantissa, e[lo] - e[hi])
     if _TINY <= ratio < math.inf:
@@ -318,7 +318,8 @@ def det_poly_univariate(p: MatrixPolynomial) -> ScalarPolynomial:
     scale-free; all nodes are evaluated and tested at once.  It exceeds
     Hadamard's bound (the product of the column norms) by up to
     ``n ** (n / 2)``, so planted instances of dimension 16 and more are
-    still read as singular.
+    still read as singular.  A coefficient that survives the snap below the
+    normal range has lost its precision, and raises NonFiniteInput too.
     """
     if p.arity != 1:
         raise DimensionMismatch(f"det_poly_univariate needs arity 1, got {p.arity}")
@@ -341,8 +342,11 @@ def det_poly_univariate(p: MatrixPolynomial) -> ScalarPolynomial:
     # values at radius * exp(+2 pi i j / M) invert through the forward DFT
     coeffs = np.fft.fft(dets) / count
     coeffs = coeffs / radius ** np.arange(count)
-    cmax = np.abs(coeffs).max()
-    coeffs[np.abs(coeffs) <= COEFF_SNAP * cmax] = 0.0
+    mags = np.abs(coeffs)
+    kept = mags > COEFF_SNAP * mags.max()
+    if (mags[kept] < _TINY).any():
+        raise NonFiniteInput("det P leaves the double range at the sample nodes")
+    coeffs[~kept] = 0.0
     return ScalarPolynomial(coeffs).trimmed()
 
 
@@ -376,13 +380,12 @@ def _cluster_roots(raw: np.ndarray, scale: float) -> list[list[int]]:
 def poly_roots(sp: ScalarPolynomial) -> list[tuple[complex, int]]:
     """All complex roots with multiplicities, from the scaled companion matrix.
 
-    The roots are the eigenvalues of the companion of the trimmed polynomial,
-    scaled and solved as the 1x1 case of the block companion of
-    :func:`_slice_spectrum`; no root is polished afterwards.  Roots within
-    ``ROOT_CLUSTER_TOL * (gamma + |root|)`` of each other, gamma the root
-    scale of the polynomial, are merged into a single root (their centroid)
-    with summed multiplicity.  The result is sorted lexicographically by
-    (real, imag).
+    The trimmed polynomial is a 1x1 slice of :func:`_slice_spectra`: its
+    roots are the eigenvalues of its scaled companion, from the package's one
+    eigensolve, and no root is polished afterwards.  Each cluster of
+    :func:`_cluster_roots` at the root scale of the polynomial is merged into
+    a single root (its centroid) with summed multiplicity.  The result is
+    sorted lexicographically by (real, imag).
     """
     trimmed = sp.trimmed()
     c = trimmed.coefficients
@@ -390,11 +393,8 @@ def poly_roots(sp: ScalarPolynomial) -> list[tuple[complex, int]]:
         raise DegreeZero("zero polynomial has no well-defined roots")
     if trimmed.degree == 0:
         raise DegreeZero("nonzero constant polynomial has no roots")
-    stack = c[:, None, None]
-    scale = _root_scale(stack)
-    companion = _companions(_scaled(stack, scale)[None])[0]
-    raw = scale * linalg.eigensolve(np.linalg.eigvals, companion)
-    roots = [(complex(np.mean(raw[g])), len(g)) for g in _cluster_roots(raw, scale)]
+    raw, _, groups = _slice_spectra(c[None, :, None, None])[0]
+    roots = [(complex(np.mean(raw[g])), len(g)) for g in groups]
     roots.sort(key=lambda rm: linalg.lex_key(rm[0]))
     return roots
 
@@ -454,11 +454,12 @@ def _slice_spectra(coeffs: np.ndarray, side: str = "right") -> list:
     ``coeffs`` stacks the coefficients A_0, ..., A_d of B univariate slices
     P(z) = sum_k z^k A_k as a (B, d + 1, n, n) array.  Their eigenpairs come
     from the block companions of the slices scaled by :func:`_root_scale`,
-    as :func:`poly_roots` builds them for a 1x1 stack, through one batched
-    rank SVD, solve and eigensolve; no eigenvalue is polished.  A slice whose
-    A_d fails the rank test of ``linalg.DEFAULT_TOL_RANK`` is linearized as
-    its reversal w^d P(z0 + 1/w) (:func:`_reversal`): its eigenvalues w ~ 0
-    are the infinite ones and are dropped, and every other w maps back to
+    through one batched rank SVD, solve and ``linalg.eigensolve``; no
+    eigenvalue is polished, and :func:`poly_roots` takes the roots of a
+    scalar polynomial from here, as a 1x1 slice.  A slice whose A_d fails
+    the rank test of ``linalg.DEFAULT_TOL_RANK`` is linearized as its
+    reversal w^d P(z0 + 1/w) (:func:`_reversal`): its eigenvalues w ~ 0 are
+    the infinite ones and are dropped, and every other w maps back to
     z0 + 1/w.  For ``side='left'`` the transposed stacks are linearized,
     which have the same eigenvalues.
 
@@ -489,12 +490,15 @@ def _slice_spectra(coeffs: np.ndarray, side: str = "right") -> list:
     scaled = np.array([_scaled(stack, gamma) for stack, gamma in zip(stacks, gammas)])
     if side == "left":
         scaled = scaled.transpose(0, 1, 3, 2)
-    mu, eigvecs = linalg.eigensolve(np.linalg.eig, _companions(scaled))
+    mu, eigvecs = linalg.eigensolve(_companions(scaled))
     # an eigenvector of the companion stacks v, mu v, ..., mu^(d-1) v for a
-    # null vector v of the slice at gamma mu: keep its top block, unit norm
+    # null vector v of the slice at gamma mu: keep its top block, unit norm.
+    # A top block whose norm underflows, at a root far from the root scale,
+    # gives a row of inf or nan, which no backward error test passes
     top = eigvecs[:, :n].transpose(0, 2, 1)
     values = np.array(gammas)[:, None] * mu
-    vectors = top / np.linalg.norm(top, axis=2, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vectors = top / np.linalg.norm(top, axis=2, keepdims=True)
     spectra = []
     for k, z0 in enumerate(shifts):
         vals, vecs = values[k], vectors[k]

@@ -663,8 +663,7 @@ def _joint_eigenbasis(x: np.ndarray, y: np.ndarray):
             raise NotSimultaneouslyDiagonalizable(
                 "first matrix has no well-conditioned eigenvector basis"
             )
-        sub_vals, sub_vecs = linalg.eigensolve(np.linalg.eig, restricted)
-        refined = block @ sub_vecs[:, linalg.lex_argsort(sub_vals)]
+        refined = block @ linalg.eigen(restricted)[1]
         norms = np.linalg.norm(refined, axis=0)
         norms[norms == 0] = 1.0
         vecs[:, group] = refined / norms

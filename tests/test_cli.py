@@ -237,12 +237,25 @@ def test_determinant_overflow_without_a_warning(tmp_path, capsys, doc, status, e
         ("scaled_1e-45_univariate", "solve"),
         ("scaled_1e-45_univariate", "detpoly"),
         ("scaled_1e45_univariate", "detpoly"),
+        ("scaled_1e-41_univariate", "solve"),
+        ("scaled_1e-41_univariate", "detpoly"),
+        ("scaled_1e-40_univariate", "solve"),
+        ("scaled_1e-40_univariate", "detpoly"),
     ],
-    ids=["1e-45-solve", "1e-45-detpoly", "1e45-detpoly"],
+    ids=[
+        "1e-45-solve",
+        "1e-45-detpoly",
+        "1e45-detpoly",
+        "1e-41-solve",
+        "1e-41-detpoly",
+        "1e-40-solve",
+        "1e-40-detpoly",
+    ],
 )
 def test_determinant_out_of_range_is_non_finite_input(tmp_path, capsys, doc, command):
     # the planted n = 8 equation times 1e-45 or 1e45: det P underflows or
-    # overflows at the interpolation nodes, which is no identically zero det P
+    # overflows at the interpolation nodes, which is no identically zero det P.
+    # Times 1e-41 or 1e-40 its interpolated coefficients are subnormal
     argv = [command, str(DATA / f"{doc}.json"), "--output", str(tmp_path / "out.json")]
     if command == "solve":
         argv += ["--seed", "0"]

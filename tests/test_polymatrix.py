@@ -2,6 +2,7 @@ import cmath
 import math
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -194,9 +195,12 @@ def test_det_poly_overflow_is_non_finite_input_without_a_warning():
 
 def test_det_poly_underflow_is_non_finite_input_without_a_warning():
     # the same instance times 1e-45: det P and its bound ||P(z)||_F ** n both
-    # underflow to 0, which the zero test would read as identically singular
+    # underflow to 0, which the zero test would read as identically singular.
+    # Times 1e-41 or 1e-40 the bound stays normal, but coefficients of det P
+    # that survive the snap are subnormal, and have lost their precision
     inst = plant_instance(8, 1, 2, Orientation.UNKNOWNS_LEFT, 3)
-    for scale, raises in ((1e-45, True), (1e-30, False)):
+    cases = ((1e-45, True), (1e-41, True), (1e-40, True), (1e-39, False), (1e-30, False))
+    for scale, raises in cases:
         terms = {exps: scale * a for exps, a in inst.equation.poly.terms.items()}
         p = MatrixPolynomial(arity=1, dim=8, terms=terms)
         with warnings.catch_warnings():
@@ -206,6 +210,20 @@ def test_det_poly_underflow_is_non_finite_input_without_a_warning():
                     det_poly_univariate(p)
             else:
                 assert det_poly_univariate(p).degree == 16
+
+
+@pytest.mark.parametrize("coeffs", [[1e-320, 1.0], [1.0, 0.0, 1e-318]], ids=["lo", "hi"])
+def test_root_scale_of_a_subnormal_block(coeffs):
+    # a block whose largest entry is subnormal scales by ldexp, as 2^-e for
+    # its exponent e overflows; the scale is the exactly rounded one
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ratio = Decimal(coeffs[0]) / Decimal(coeffs[-1])
+        want = float(ratio ** (Decimal(1) / (len(coeffs) - 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = polymatrix._root_scale(np.array(coeffs, dtype=np.complex128)[:, None, None])
+    assert got == want
 
 
 def test_det_poly_degree_bound():
@@ -308,14 +326,28 @@ def test_poly_roots_beyond_the_double_range(coeffs, want):
         assert abs(root - exact) <= 1e-14 * abs(exact)
 
 
+def test_poly_roots_far_from_the_root_scale_without_a_warning():
+    # 1e-300 + z^19 + z^20 has the root scale 1e-15, so the companion
+    # eigenvector of the root -1 has a top entry whose norm underflows: its
+    # unit null vector is not finite, and the roots need none
+    c = np.zeros(21, dtype=np.complex128)
+    c[[0, 19, 20]] = 1e-300, 1.0, 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = poly_roots(ScalarPolynomial(c))
+    assert got[0] == (-1.0, 1)
+    assert sum(m for _, m in got) == 20
+
+
 def test_poly_roots_match_per_root_reference():
     # random polynomials, some with a repeated factor and a close pair so
-    # that clustering is exercised, then linear ones and ones with a zero
-    # constant term, whose lowest nonzero coefficient sets the scale
+    # that clustering is exercised, up to degree 64, the degree of det P at
+    # n = 32, then linear ones and ones with a zero constant term, whose
+    # lowest nonzero coefficient sets the scale
     rng = np.random.default_rng(21)
     inputs = []
-    for trial in range(40):
-        degree = int(rng.integers(1, 13))
+    for trial in range(60):
+        degree = int(rng.integers(1, 13) if trial < 40 else rng.integers(13, 65))
         roots = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
         if trial % 3 == 0 and degree > 2:
             roots[1] = roots[0]
@@ -444,8 +476,8 @@ def test_companion_eigensolve_failure_is_a_package_error(monkeypatch):
     def no_convergence(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    # np.linalg.eig is the one eigensolve: of the slices and of a polynomial
     monkeypatch.setattr(np.linalg, "eig", no_convergence)
-    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
     p = MatrixPolynomial(arity=2, dim=1, terms={(2, 0): I1, (0, 2): I1, (0, 0): -2 * I1})
     with pytest.raises(ConvergenceFailure, match="did not converge"):
         sample_variety(p, "right", count=4, seed=0)

@@ -660,14 +660,20 @@ def test_solve_univariate_recovers_planted_at_extreme_scale(scale):
 
 def test_solve_univariate_determinant_underflow_is_non_finite_input():
     # planted n = 8 times 1e-45: det P underflows at the interpolation nodes,
-    # so the solve must not report the equation identically singular
+    # so the solve must not report the equation identically singular.  Times
+    # 1e-41 or 1e-40 det P keeps subnormal coefficients, which the companion
+    # would divide by; times 1e-39 it solves
     inst = plant_instance(8, 1, 2, Orientation.UNKNOWNS_LEFT, 3)
-    terms = {exps: 1e-45 * a for exps, a in inst.equation.poly.terms.items()}
-    eq = StructuredEquation(MatrixPolynomial(1, 8, terms), Orientation.UNKNOWNS_LEFT)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NonFiniteInput, match="^det P leaves the double range at the sample"):
-            solve_univariate(eq)
+    for scale in (1e-45, 1e-41, 1e-40, 1e-39):
+        terms = {exps: scale * a for exps, a in inst.equation.poly.terms.items()}
+        eq = StructuredEquation(MatrixPolynomial(1, 8, terms), Orientation.UNKNOWNS_LEFT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if scale == 1e-39:
+                assert len(solve_univariate(eq).families) == 200
+                continue
+            with pytest.raises(NonFiniteInput, match="^det P leaves the double range at the"):
+                solve_univariate(eq)
 
 
 def test_solve_univariate_right_orientation():
