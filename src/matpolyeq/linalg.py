@@ -66,34 +66,31 @@ def _square(data) -> np.ndarray:
     return _checked(a, (len(a), len(a)), "matrix")
 
 
-def inverse(m, tol_rank: float = DEFAULT_TOL_RANK) -> tuple[np.ndarray, float]:
+def inverse(m) -> tuple[np.ndarray, float]:
     """Matrix inverse together with the 2-norm condition number.
 
     Raises SingularMatrix when the smallest singular value is at or below
-    ``tol_rank`` times the largest one.
+    ``DEFAULT_TOL_RANK`` times the largest one.
     """
-    a = _square(m)
-    inv, cond, failures = inverse_stack(a[None], tol_rank=tol_rank)
+    inv, cond, failures = inverse_stack(_square(m)[None])
     if failures[0] is not None:
         raise SingularMatrix(failures[0])
     return inv[0], float(cond[0])
 
 
-def inverse_stack(
-    stack: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK
-) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
+def inverse_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
     """Inverses and 2-norm condition numbers of a (K, n, n) stack of matrices.
 
     Member k is singular when its smallest singular value is at or below
-    ``tol_rank`` times its largest one; ``failures[k]`` then says so (the
-    message :func:`inverse` raises), its condition number is inf and its
-    inverse slot holds the identity, put in its place only when the stack
-    has a singular member.  Other members have ``failures[k]`` None.
+    ``DEFAULT_TOL_RANK`` times its largest one; ``failures[k]`` then says so
+    (the message :func:`inverse` raises), its condition number is inf and
+    its inverse slot holds the identity, put in its place only when the
+    stack has a singular member.  Other members have ``failures[k]`` None.
     """
     if not np.all(np.isfinite(stack)):
         raise NonFiniteInput("matrix entries must be finite")
     s = np.linalg.svd(stack, compute_uv=False)
-    singular = s[:, -1] <= tol_rank * s[:, 0]
+    singular = s[:, -1] <= DEFAULT_TOL_RANK * s[:, 0]
     with np.errstate(all="ignore"):
         cond = s[:, 0] / s[:, -1]
     failures: list[str | None] = [None] * len(stack)
@@ -101,8 +98,18 @@ def inverse_stack(
         stack = np.where(singular[:, None, None], np.eye(stack.shape[-1]), stack)
         cond[singular] = np.inf
         for k in np.flatnonzero(singular):
-            failures[k] = f"smallest singular value {s[k, -1]:.3e} <= {tol_rank:.0e} * {s[k, 0]:.3e}"
+            failures[k] = (
+                f"smallest singular value {s[k, -1]:.3e} <= {DEFAULT_TOL_RANK:.0e} * {s[k, 0]:.3e}"
+            )
     return np.linalg.inv(stack), cond, failures
+
+
+def _binary_scaled(a: np.ndarray, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    # a times 2^-e and e, per slice over axes, e the exponent of its largest real
+    # or imaginary part: ldexp on the float view is exact where 2^-e overflows
+    parts = np.ascontiguousarray(a).view(np.float64)
+    _, e = np.frexp(np.abs(parts).max(axis=axes, keepdims=True))
+    return np.ldexp(parts, -e).view(np.complex128), np.squeeze(e, axis=axes)
 
 
 def lex_key(z: complex) -> tuple[float, float]:

@@ -75,6 +75,8 @@ _TINY = np.finfo(np.float64).tiny
 INFINITE_ROOT_TOL = 1e-5
 #: The sides a null vector can be taken on: P v = 0 or v^T P = 0.
 _SIDES = ("left", "right")
+#: The golden-ratio fraction (sqrt 5 - 1) / 2, for phases and generic weights.
+GOLDEN = 0.6180339887498949
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,22 +283,19 @@ def _root_scale(coeffs: np.ndarray) -> float:
     lo, hi = int(nonzero[0]), int(nonzero[-1])
     if hi == lo:
         return 1.0
-    # each norm is taken of its block times 2^-e by ldexp, e the exponent of
-    # the block's largest real or imaginary part: the scaling is exact, so
+    # each norm is taken of its block scaled exactly by a power of two 2^-e:
     # the ratio is the unscaled one bit for bit wherever squaring the entries
-    # neither overflows nor underflows, and stays finite where it would (2^-e
-    # itself overflows when that part is subnormal)
-    _, e = np.frexp(np.abs(coeffs.view(np.float64)).max(axis=(1, 2)))
-    parts = [np.ldexp(coeffs[k].view(np.float64), -e[k]).view(np.complex128) for k in (lo, hi)]
-    mantissa, k = np.linalg.norm(parts[0]) / np.linalg.norm(parts[1]), hi - lo
+    # neither overflows nor underflows, and stays finite where it would
+    parts, e = linalg._binary_scaled(coeffs, (1, 2))
+    mantissa, k = np.linalg.norm(parts[lo]) / np.linalg.norm(parts[hi]), hi - lo
     with np.errstate(over="ignore"):
         ratio = np.ldexp(mantissa, e[lo] - e[hi])
-    if _TINY <= ratio < math.inf:
-        return float(ratio ** (1.0 / k))
-    # the ratio itself leaves the double range: root its mantissa and its
-    # power of two apart
-    q, r = divmod(int(e[lo] - e[hi]), k)
-    return float(np.ldexp(np.ldexp(mantissa, r) ** (1.0 / k), q))
+        if _TINY <= ratio < math.inf:
+            return float(ratio ** (1.0 / k))
+        # the ratio itself leaves the double range: root its mantissa and its
+        # power of two apart; a root scale beyond the double range is 0 or inf
+        q, r = divmod(int(e[lo] - e[hi]), k)
+        return float(np.ldexp(np.ldexp(mantissa, r) ** (1.0 / k), q))
 
 
 def det_poly_univariate(p: MatrixPolynomial) -> ScalarPolynomial:
@@ -385,7 +384,8 @@ def poly_roots(sp: ScalarPolynomial) -> list[tuple[complex, int]]:
     eigensolve, and no root is polished afterwards.  Each cluster of
     :func:`_cluster_roots` at the root scale of the polynomial is merged into
     a single root (its centroid) with summed multiplicity.  The result is
-    sorted lexicographically by (real, imag).
+    sorted lexicographically by (real, imag).  A root beyond the double
+    range raises NonFiniteInput.
     """
     trimmed = sp.trimmed()
     c = trimmed.coefficients
@@ -416,7 +416,9 @@ def _scaled(coeffs: np.ndarray, gamma: float) -> np.ndarray:
 
 def _companions(scaled: np.ndarray) -> np.ndarray:
     # block companions of a (B, d + 1, n, n) stack of _scaled stacks, C_d
-    # nonsingular: their eigenvalues are the roots over gamma
+    # nonsingular: their eigenvalues are the roots over gamma.  One exact power
+    # of two per slice leaves -C_d^-1 C_k as it is and lifts subnormal blocks
+    scaled, _ = linalg._binary_scaled(scaled, (1, 2, 3))
     b, d, n = scaled.shape[0], scaled.shape[1] - 1, scaled.shape[2]
     companion = np.zeros((b, d * n, d * n), dtype=np.complex128)
     companion[:, : (d - 1) * n, n:] = np.eye((d - 1) * n)
@@ -431,7 +433,7 @@ def _reversal(coeffs: np.ndarray, scale: float) -> tuple[np.ndarray, complex]:
     # SHIFT_COUNT fixed points on the circle of the root scale
     terms = {(k,): a for k, a in enumerate(coeffs)}
     p = MatrixPolynomial(arity=1, dim=coeffs.shape[1], terms=terms)
-    angles = 2 * np.pi * (np.arange(SHIFT_COUNT) + 0.6180339887498949) / SHIFT_COUNT
+    angles = 2 * np.pi * (np.arange(SHIFT_COUNT) + GOLDEN) / SHIFT_COUNT
     shifts = scale * np.exp(1j * angles)
     s = np.linalg.svd(_evaluate_stack(p, shifts[:, None]), compute_uv=False)
     ratios = s[:, -1] / np.where(s[:, 0] > 0, s[:, 0], 1.0)
@@ -448,14 +450,20 @@ def _reversal(coeffs: np.ndarray, scale: float) -> tuple[np.ndarray, complex]:
     return stack, z0
 
 
+def _check_root_scales(scales: list[float]) -> None:
+    if not all(0.0 < s < math.inf for s in scales):
+        raise NonFiniteInput("a root of P leaves the double range")
+
+
 def _slice_spectra(coeffs: np.ndarray, side: str = "right") -> list:
     """Finite eigenvalues, null vectors and clusters of B slices of one degree.
 
     ``coeffs`` stacks the coefficients A_0, ..., A_d of B univariate slices
     P(z) = sum_k z^k A_k as a (B, d + 1, n, n) array.  Their eigenpairs come
-    from the block companions of the slices scaled by :func:`_root_scale`,
-    through one batched rank SVD, solve and ``linalg.eigensolve``; no
-    eigenvalue is polished, and :func:`poly_roots` takes the roots of a
+    from the block companions of the slices scaled by :func:`_root_scale`
+    (then exactly by one power of two each, which keeps subnormal blocks in
+    range), through one batched rank SVD, solve and ``linalg.eigensolve``;
+    no eigenvalue is polished, and :func:`poly_roots` takes the roots of a
     scalar polynomial from here, as a 1x1 slice.  A slice whose A_d fails
     the rank test of ``linalg.DEFAULT_TOL_RANK`` is linearized as its
     reversal w^d P(z0 + 1/w) (:func:`_reversal`): its eigenvalues w ~ 0 are
@@ -468,14 +476,16 @@ def _slice_spectra(coeffs: np.ndarray, side: str = "right") -> list:
     (K, n) array, which are null vectors of P there (v with P v = 0 on the
     right, y with y^T P = 0 on the left, with small backward error at a
     simple eigenvalue: Higham, Li & Tisseur, SIMAX 2007), and the clusters
-    of :func:`_cluster_roots` at the root scale of P.  Raises
-    IdenticallySingular for a zero A_d, or when P(z0) is rank-deficient at
-    every shift point.  A slice of degree 0 has no eigenvalues.
+    of :func:`_cluster_roots` at the root scale of P.  A root scale of a
+    slice or its reversal of 0 or inf raises NonFiniteInput; a zero A_d, or
+    a P(z0) rank-deficient at every shift point, IdenticallySingular.  A
+    slice of degree 0 has no eigenvalues.
     """
     n, d = coeffs.shape[2], coeffs.shape[1] - 1
     if not np.any(coeffs[:, d], axis=(1, 2)).all():
         raise IdenticallySingular("zero polynomial matrix")
     scales = [_root_scale(c) for c in coeffs]
+    _check_root_scales(scales)
     s = np.linalg.svd(coeffs[:, d], compute_uv=False)
     regular = (s[:, -1] > linalg.DEFAULT_TOL_RANK * s[:, 0]).tolist()
     stacks, gammas, shifts = [], [], []
@@ -484,6 +494,7 @@ def _slice_spectra(coeffs: np.ndarray, side: str = "right") -> list:
         stacks.append(stack)
         gammas.append(scale if reg else _root_scale(stack))
         shifts.append(z0)
+    _check_root_scales(gammas)
     if d == 0:
         empty = (np.zeros(0, dtype=np.complex128), np.zeros((0, n), dtype=np.complex128), [])
         return [empty] * len(coeffs)
@@ -660,7 +671,7 @@ def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> Var
     if not p.terms:
         raise IdenticallySingular("zero polynomial matrix")
     budget = 4 * count + 8
-    phase = math.fmod(seed % 2**53 * 0.6180339887498949, 1.0)
+    phase = math.fmod(seed % 2**53 * GOLDEN, 1.0)
     most = max(1, total_degree(p) * p.dim)  # eigenvalues of one slice at most
     cap, start, rows, found = linalg.chunk_size(most**2), 0, [], 0
     while found < count and start < budget:

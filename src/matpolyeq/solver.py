@@ -50,9 +50,9 @@ from .errors import (
     TransformSingular,
 )
 from .polymatrix import (
+    GOLDEN,
     MatrixPolynomial,
     VarietySample,
-    _cluster_roots,
     _coefficients,
     _evaluate_stack,
     _null_spaces,
@@ -650,48 +650,42 @@ class SandwichProbeRow:
 
 
 def _joint_eigenbasis(x: np.ndarray, y: np.ndarray):
-    vals, vecs = linalg.eigen(x)
-    # refine eigenvector choice inside each cluster of repeated eigenvalues,
-    # wherever its members sort, so that y becomes diagonal there too, when
-    # possible
-    for group in _cluster_roots(vals, 1.0):
-        if len(group) == 1:
-            continue
-        block = vecs[:, group]
-        restricted, _, rank, _ = np.linalg.lstsq(block, y @ block, rcond=None)
-        if rank < len(group):
-            raise NotSimultaneouslyDiagonalizable(
-                "first matrix has no well-conditioned eigenvector basis"
-            )
-        refined = block @ linalg.eigen(restricted)[1]
-        norms = np.linalg.norm(refined, axis=0)
-        norms[norms == 0] = 1.0
-        vecs[:, group] = refined / norms
+    # commuting diagonalizable matrices share the eigenvectors of a generic
+    # combination (Bunse-Gerstner, Byers & Mehrmann, SIMAX 1993), here of x
+    # and y each scaled exactly by a power of two, undone on their diagonals
+    (xs, ex), (ys, ey) = linalg._binary_scaled(x, (0, 1)), linalg._binary_scaled(y, (0, 1))
+    _, vecs = linalg.eigensolve(xs + GOLDEN * ys)
     try:
-        vecs_inv, _ = linalg.inverse(vecs, tol_rank=1e-12)
+        vecs_inv, _ = linalg.inverse(vecs)
     except SingularMatrix as exc:
         raise NotSimultaneouslyDiagonalizable(
-            "first matrix has no well-conditioned eigenvector basis"
+            "no well-conditioned eigenvector basis shared by both matrices"
         ) from exc
-    dx = vecs_inv @ x @ vecs
-    dy = vecs_inv @ y @ vecs
-    for name, d in (("first", dx), ("second", dy)):
+    diagonals = []
+    for name, m, e in (("first", xs, ex), ("second", ys, ey)):
+        d = vecs_inv @ m @ vecs
         off = d - np.diag(np.diag(d))
         if np.linalg.norm(off) > JOINT_DIAGONAL_TOL * (1.0 + np.linalg.norm(d)):
             raise NotSimultaneouslyDiagonalizable(
                 f"{name} matrix is not diagonal in the shared basis"
                 f" (off-diagonal mass {np.linalg.norm(off):.3e})"
             )
-    return vecs, vecs_inv, np.diag(dx), np.diag(dy)
+        diagonals.append(np.ldexp(np.diag(d).copy().view(np.float64), e).view(np.complex128))
+    alphas, mus = diagonals
+    order = sorted(range(len(x)), key=lambda k: linalg.lex_key(alphas[k]) + linalg.lex_key(mus[k]))
+    return vecs[:, order], vecs_inv[order], alphas[order], mus[order]
 
 
 def sandwich_probe(eq: StructuredEquation, x, y) -> list[SandwichProbeRow]:
     """Diagnose a candidate (X, Y) pair for the bivariate sandwich equation.
 
-    Extracts a shared eigenbasis from X, checks that it diagonalizes X and
-    Y to ``JOINT_DIAGONAL_TOL``, and returns one row per eigenpair
-    (alpha_k, mu_k): the scalar identity g_k P(alpha_k, mu_k) t_k together
-    with |det P| there.
+    The shared eigenbasis T is one eigensolve of X + phi Y, each scaled
+    exactly by a power of two (so the rows are invariant under such scalings)
+    and phi the golden-ratio fraction.  T must pass ``linalg.inverse`` and
+    diagonalize both to ``JOINT_DIAGONAL_TOL``, or NotSimultaneouslyDiagonalizable
+    is raised.  Returns one row per eigenpair (alpha_k, mu_k), sorted by their
+    keys: the scalar identity g_k P(alpha_k, mu_k) t_k (g_k a row of T^-1,
+    t_k a column of T) together with |det P| there.
     """
     if eq.orientation is not Orientation.SANDWICH_BIVARIATE:
         raise DimensionMismatch("sandwich_probe needs a sandwich equation")
@@ -699,21 +693,8 @@ def sandwich_probe(eq: StructuredEquation, x, y) -> list[SandwichProbeRow]:
     xm, ym = linalg._checked(x, (n, n), "x"), linalg._checked(y, (n, n), "y")
     T, T_inv, alphas, mus = _joint_eigenbasis(xm, ym)
     stack = _evaluate_stack(eq.poly, np.stack([alphas, mus], axis=1))
-    rows = []
-    for k, pk in enumerate(stack):
-        g = T_inv[k]
-        t = T[:, k]
-        identity = complex(g @ pk @ t)
-        scale = float(
-            np.linalg.norm(g) * np.linalg.norm(t) * max(1.0, np.linalg.norm(pk))
-        )
-        rows.append(
-            SandwichProbeRow(
-                alpha=complex(alphas[k]),
-                mu=complex(mus[k]),
-                scalar_identity=abs(identity),
-                identity_scale=scale,
-                det_probe=abs(np.linalg.det(pk)),
-            )
-        )
-    return rows
+    identities = np.abs(np.einsum("ki,kij,jk->k", T_inv, stack, T))
+    norms = np.linalg.norm(T_inv, axis=1) * np.linalg.norm(T, axis=0)
+    scales = norms * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+    columns = (alphas, mus, identities, scales, np.abs(np.linalg.det(stack)))
+    return [SandwichProbeRow(*row) for row in zip(*(c.tolist() for c in columns))]

@@ -266,6 +266,16 @@ def test_determinant_out_of_range_is_non_finite_input(tmp_path, capsys, doc, com
     assert capsys.readouterr().err == f"{command}: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "sample-variety"])
+def test_roots_past_the_double_range_exit_1(capsys, command):
+    # 1e300 z1 + 1e-300 z2: each slice's root, -1e-600 z2, underflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(DATA / "root_underflow_arity2.json"), "--seed", "0"]) == 1
+    message = "NonFiniteInput: a root of P leaves the double range"
+    assert capsys.readouterr().err == f"{command}: {message}\n"
+
+
 def test_coefficient_norms_past_the_double_range_without_a_warning(tmp_path, capsys):
     # a planted n = 4 equation of two unknowns times 1e160: the squares of its
     # entries, and so its coefficient norms, leave the double range.  A

@@ -326,6 +326,25 @@ def test_poly_roots_beyond_the_double_range(coeffs, want):
         assert abs(root - exact) <= 1e-14 * abs(exact)
 
 
+def test_roots_at_the_ends_of_the_double_range_without_a_warning():
+    # a root at 1e-320 is subnormal but in range: the scaled blocks of the
+    # companion are subnormal too, and one power of two lifts them exactly.
+    # A root at 1e-600 or 1e320 leaves the range, and its root scale is 0 or
+    # inf
+    far = MatrixPolynomial(arity=1, dim=1, terms={(0,): I1, (1,): 1e-320 * I1})
+    sampled = MatrixPolynomial(arity=2, dim=1, terms={(1, 0): 1e300 * I1, (0, 1): 1e-300 * I1})
+    message = "^a root of P leaves the double range$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert poly_roots(ScalarPolynomial([1e-320, 1.0])) == [(-1e-320 + 0j, 1)]
+        with pytest.raises(NonFiniteInput, match=message):
+            poly_roots(ScalarPolynomial([1e-300, 1e300]))
+        with pytest.raises(NonFiniteInput, match=message):
+            _slice_spectrum(far)
+        with pytest.raises(NonFiniteInput, match=message):
+            sample_variety(sampled, "right", 4, 0)
+
+
 def test_poly_roots_far_from_the_root_scale_without_a_warning():
     # 1e-300 + z^19 + z^20 has the root scale 1e-15, so the companion
     # eigenvector of the root -1 has a top entry whose norm underflows: its

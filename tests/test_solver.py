@@ -1091,13 +1091,14 @@ def test_sandwich_probe_rejects_non_commuting():
     eq = sandwich_equation(terms, 2)
     a = np.array([[0.0, 1.0], [0.0, 0.0]]) + np.diag([1.0, 2.0])
     b = np.array([[0.0, 0.0], [1.0, 0.0]]) + np.diag([3.0, 4.0])
-    with pytest.raises(NotSimultaneouslyDiagonalizable, match="second matrix"):
+    # the basis diagonalizes their combination, and so neither of them
+    with pytest.raises(NotSimultaneouslyDiagonalizable, match="first matrix is not diagonal"):
         sandwich_probe(eq, a, b)
 
 
 def test_sandwich_probe_rejects_nearly_defective_first_matrix():
-    # two eigenvalues 1e-6 apart, too far apart to be refined as one cluster,
-    # with eigenvectors about 1e-14 apart
+    # two eigenvalues 1e-6 apart with eigenvectors about 1e-14 apart: the
+    # shared basis is singular
     eq = sandwich_equation({(0, 0): I2}, 2)
     x = np.array([[1.0, 1e8], [0.0, 1.0 + 1e-6]])
     with pytest.raises(NotSimultaneouslyDiagonalizable, match="no well-conditioned eigenvector"):
@@ -1106,7 +1107,7 @@ def test_sandwich_probe_rejects_nearly_defective_first_matrix():
 
 def test_sandwich_probe_rejects_defective_first_matrix():
     # a Jordan block: eig returns two parallel eigenvectors for the double
-    # eigenvalue 1, so the cluster has no basis to refine
+    # eigenvalue of X + phi Y, so the shared basis is singular
     eq = sandwich_equation({(0, 0): I2}, 2)
     x = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(NotSimultaneouslyDiagonalizable, match="no well-conditioned eigenvector"):
@@ -1119,21 +1120,84 @@ def test_sandwich_template_enforced():
 
 
 def test_sandwich_probe_cluster_eigensolve_non_convergence(monkeypatch):
-    # X = 1.5 I is one cluster: the second eig call refines it inside the
-    # cluster, and its failure is raised as the package's error
-    eig, calls = np.linalg.eig, []
+    # X = 1.5 I is one cluster, which Y splits: the probe's one eigensolve,
+    # of their combination, fails and is raised as the package's error
+    calls = []
 
-    def fail_second(a):
+    def fail(a):
         calls.append(a)
-        if len(calls) == 2:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eig(a)
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eig", fail_second)
+    monkeypatch.setattr(np.linalg, "eig", fail)
     eq = sandwich_equation({(0, 0): I2}, 2)
     with pytest.raises(ConvergenceFailure, match="^eigensolve: Eigenvalues did not converge$"):
         sandwich_probe(eq, 1.5 * I2, np.diag([1.0, 2.0]))
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def ldexp(z, k):
+    # z times 2^k, exactly
+    return np.ldexp(z.real, k) + 1j * np.ldexp(z.imag, k)
+
+
+def planted_pair(seed, alphas, mus):
+    # X = T diag(alphas) T^-1 and Y = T diag(mus) T^-1 for a random complex T
+    rng = np.random.default_rng(seed)
+    n = len(alphas)
+    t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    t_inv = np.linalg.inv(t)
+    return t @ np.diag(alphas) @ t_inv, t @ np.diag(mus) @ t_inv
+
+
+def sorted_pairs(pairs, decimals=None):
+    # (alpha, mu) rows in the order of their parts, rounded to decimals first
+    keys = pairs if decimals is None else np.round(pairs, decimals)
+    return pairs[np.lexsort((keys[:, 1].imag, keys[:, 1].real, keys[:, 0].imag, keys[:, 0].real))]
+
+
+def probe_pairs(rows):
+    return np.array([(r.alpha, r.mu) for r in rows])
+
+
+def test_sandwich_probe_small_scale_keeps_eigenvalues_apart():
+    # eigenvalues 1e-7 apart are distinct at the scale of X: a cluster radius
+    # of 1e-7, fixed whatever the scale, would merge them all and misplace
+    # the eigenvectors
+    alphas, mus = np.array([1.0, 1.0, 2.0, 3.0]) * 1e-7, np.array([5.0, 6.0, 7.0, 7.0])
+    x, y = planted_pair(4, alphas, mus)
+    got = probe_pairs(sandwich_probe(sandwich_equation({(0, 0): np.eye(4)}, 4), x, y))
+    got = sorted_pairs(got * [1e7, 1], decimals=6)
+    assert np.allclose(got, np.stack([alphas * 1e7, mus], axis=1), rtol=1e-8, atol=0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 5),
+    repeated=st.sampled_from(["first", "second"]),
+    k=st.integers(-900, 900),
+    j=st.integers(-900, 900),
+)
+def test_sandwich_probe_power_of_two_scaling_invariance(seed, n, repeated, k, j):
+    # a commuting pair whose X or Y has a repeated eigenvalue: (2^k X, 2^j Y)
+    # gives the (alpha, mu) of (X, Y) times (2^k, 2^j), bit for bit, and
+    # those are the planted ones
+    rng = np.random.default_rng(seed)
+    alphas = rng.integers(-4, 5, n) + 1j * rng.integers(-4, 5, n)
+    mus = rng.permutation(n) + 1.0
+    if repeated == "first":
+        alphas[1] = alphas[0]
+    else:
+        mus[1] = mus[0]
+        alphas[1] = alphas[0] + 1
+    x, y = planted_pair(seed, alphas, mus)
+    eq = sandwich_equation({(0, 0): np.eye(n)}, n)
+    want = probe_pairs(sandwich_probe(eq, x, y))
+    got = probe_pairs(sandwich_probe(eq, ldexp(x, k), ldexp(y, j)))
+    unscaled = np.stack([ldexp(got[:, 0], -k), ldexp(got[:, 1], -j)], axis=1)
+    assert np.array_equal(sorted_pairs(unscaled), sorted_pairs(want))
+    planted = sorted_pairs(np.stack([alphas, mus], axis=1))
+    assert np.allclose(sorted_pairs(want, decimals=6), planted, rtol=0, atol=1e-8)
 
 
 def test_family_transform_reconstruction_invariant():
