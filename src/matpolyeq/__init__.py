@@ -29,7 +29,6 @@ from .errors import (
     TransformSingular,
 )
 from .instances import PlantedInstance, plant_instance
-from .linalg import as_matrix, eigen, inverse
 from .polymatrix import (
     MatrixPolynomial,
     ScalarPolynomial,
@@ -51,7 +50,6 @@ from .solver import (
     SolverConfig,
     StructuredEquation,
     commutation_check,
-    dual_equation,
     eigen_candidates,
     equation_lhs,
     family_from_points,
@@ -91,17 +89,13 @@ __all__ = [
     "StructuredEquation",
     "TransformSingular",
     "VarietySample",
-    "as_matrix",
     "commutation_check",
     "det_poly_univariate",
-    "dual_equation",
-    "eigen",
     "eigen_candidates",
     "equation_lhs",
     "evaluate",
     "family_from_points",
     "fix_all_but",
-    "inverse",
     "null_vectors_at",
     "plant_instance",
     "poly_roots",

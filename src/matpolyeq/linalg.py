@@ -9,9 +9,7 @@ for finiteness whole, apart from it: a polynomial's coefficients, the
 matrices of :func:`inverse_stack` and the solver's stacked candidates;
 :func:`eigensolve` takes arrays the package computed.  Every function is
 deterministic for identical inputs.  Invertibility is decided on singular
-values.  Every eigenvalue of the package comes from :func:`eigensolve`, and
-:func:`eigen` sorts those of a matrix in a fixed lexicographic order so that
-downstream class enumeration is reproducible.
+values.  Every eigenvalue of the package comes from :func:`eigensolve`.
 """
 
 from __future__ import annotations
@@ -56,13 +54,8 @@ def _checked(data, shape: tuple[int | None, ...], what: str) -> np.ndarray:
     return a
 
 
-def as_matrix(data) -> np.ndarray:
-    """Coerce to a 2-d complex128 array, rejecting non-finite entries."""
-    return _checked(data, (None, None), "matrix")
-
-
 def _square(data) -> np.ndarray:
-    a = as_matrix(data)
+    a = _checked(data, (None, None), "matrix")
     return _checked(a, (len(a), len(a)), "matrix")
 
 
@@ -125,18 +118,6 @@ def lex_key(z: complex) -> tuple[float, float]:
         return (re, im)
     decimals = 11 - math.floor(math.log10(scale))
     return (round(re, decimals), round(im, decimals))
-
-
-def eigen(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and right eigenvectors, sorted lexicographically.
-
-    Returns ``(values, vectors)`` with ``vectors[:, k]`` the unit eigenvector
-    for ``values[k]``; ordering is by (real, imag) after rounding to 12
-    significant digits so repeated calls enumerate identically.
-    """
-    vals, vecs = eigensolve(_square(m))
-    order = sorted(range(len(vals)), key=lambda i: lex_key(vals[i]))
-    return vals[order], vecs[:, order]
 
 
 def eigensolve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

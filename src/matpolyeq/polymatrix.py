@@ -308,9 +308,11 @@ def det_poly_univariate(p: MatrixPolynomial) -> ScalarPolynomial:
     Coefficients below ``COEFF_SNAP`` times the largest modulus are snapped
     to zero and trailing zeros are trimmed.
 
-    Raises NonFiniteInput when a sampled determinant leaves the double
-    range, before the zero test: when it overflows, or when P(z) is nonzero
-    but its bound ``||P(z)||_F ** n`` is below the normal range.  Raises
+    Raises NonFiniteInput, as :func:`_slice_spectra` does, when the root
+    scale of P is 0 or inf, before any node is placed; and when a sampled
+    determinant leaves the double range, before the zero test: when it
+    overflows, or when P(z) is nonzero but its bound ``||P(z)||_F ** n`` is
+    below the normal range.  Raises
     IdenticallySingular when every sampled determinant is at or below
     ``DET_ZERO_REL`` times that bound, i.e. when det P is the zero polynomial.
     The bound scales with P as the determinant does, so the test is
@@ -327,7 +329,9 @@ def det_poly_univariate(p: MatrixPolynomial) -> ScalarPolynomial:
         raise IdenticallySingular("zero polynomial matrix")
     coeffs = _coefficients(p)
     count = n * (len(coeffs) - 1) + 1
-    radius = max(1.0, _root_scale(coeffs))
+    scale = _root_scale(coeffs)
+    _check_root_scales([scale])
+    radius = max(1.0, scale)
     nodes = radius * np.exp(2j * np.pi * np.arange(count) / count)
     pz = _evaluate_stack(p, nodes[:, None])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -553,8 +557,11 @@ def _null_spaces(p: MatrixPolynomial, points: np.ndarray, side: str, offered=Non
     bound = DEFAULT_TOL_ZERO * _term_scales(p, points)
     kept = np.zeros(len(points), dtype=bool)
     if offered is not None:
-        image = pz @ offered[:, :, None] if side == "right" else offered[:, None] @ pz
-        kept = isolated & (np.linalg.norm(image.reshape(-1, p.dim), axis=1) <= bound)
+        # an image norm that overflows is inf, which fails the bound: that
+        # point takes the SVD
+        with np.errstate(over="ignore"):
+            image = pz @ offered[:, :, None] if side == "right" else offered[:, None] @ pz
+            kept = isolated & (np.linalg.norm(image.reshape(-1, p.dim), axis=1) <= bound)
     vectors = [[offered[k]] if keep else [] for k, keep in enumerate(kept.tolist())]
     rest = np.flatnonzero(~kept)
     if len(rest):
@@ -591,12 +598,9 @@ def _batch_rows(p: MatrixPolynomial, side: str, slices: range, budget: int, phas
     m, stacks = p.arity, {}
     for pivot in sorted({sl % m for sl in slices}):
         mine = [sl for sl in slices if sl % m == pivot]
-        # one scalar exp per value, as a vector one may round differently
-        fixed = [
-            [np.exp(2j * np.pi * ((sl + phase) / budget + j / m)) for j in range(m - 1)]
-            for sl in mine
-        ]
-        folded = _fold(p, pivot, np.array(fixed, dtype=np.complex128))
+        turns = (np.array(mine)[:, None] + phase) / budget + np.arange(m - 1) / m
+        fixed = np.exp(2j * np.pi * turns)
+        folded = _fold(p, pivot, fixed)
         if not np.isfinite(folded).all():
             raise NonFiniteInput("matrix entries must be finite")
         # trailing zero blocks are trimmed; a zero slice keeps all, and

@@ -548,25 +548,27 @@ def solve_multivariate(eq: StructuredEquation, cfg: SolverConfig | None = None) 
     )
 
 
-def quotient_factor(
-    eq: StructuredEquation, x, tol_residual: float = 1e-8
-) -> MatrixPolynomial:
+def quotient_factor(eq: StructuredEquation, x) -> MatrixPolynomial:
     """Quotient Q with P(z) = (zI - X) Q(z) for an accepted solution X.
 
-    Q(z) = sum_k z^k B_k with B_k = sum_{j>k} X^{j-k-1} A_j, computed by the
-    backward recurrence B_{k-1} = A_k + X B_k.  The identity is checked at
-    p*n + 1 sample nodes before returning.
+    X is accepted when its :func:`verify_residual` is at most the default
+    ``SolverConfig.tol_residual``, the gate of every solve; otherwise
+    NotASolution is raised.  Q(z) = sum_k z^k B_k with
+    B_k = sum_{j>k} X^{j-k-1} A_j, computed by the backward recurrence
+    B_{k-1} = A_k + X B_k.  The identity is checked at p*n + 1 sample nodes
+    before returning: FactorCheckFailed is raised where it is off by more
+    than 1e-8 (1 + ||P(z)||_F), which an X that passes the gate can be.
     """
     if eq.arity != 1:
         raise DimensionMismatch("quotient_factor needs a univariate equation")
     if eq.orientation is not Orientation.UNKNOWNS_LEFT:
         raise DimensionMismatch("quotient_factor applies to unknowns-left equations")
-    _check_positive(tol_residual, "tol_residual")
     n = eq.dim
     xm = linalg._checked(x, (n, n), "candidate")
     resid = verify_residual(eq, [xm])
-    if not resid <= tol_residual:  # a nan residual fails too
-        raise NotASolution(f"residual {resid:.3e} exceeds {tol_residual:.0e}")
+    tol = SolverConfig.tol_residual
+    if not resid <= tol:  # a nan residual fails too
+        raise NotASolution(f"residual {resid:.3e} exceeds {tol:.0e}")
     coeffs = _coefficients(eq.poly)
     p = len(coeffs) - 1
     if p < 1:
@@ -595,7 +597,8 @@ def commutation_check(unknowns) -> float:
     xs = _unknown_list(unknowns)
     if not xs:
         raise DimensionMismatch("expected at least 1 unknown, got 0")
-    n = len(linalg.as_matrix(xs[0]))  # the first unknown sets the shape of all
+    # the first unknown sets the shape of all
+    n = len(linalg._checked(xs[0], (None, None), "matrix"))
     return float(_commutations([linalg._checked(x, (n, n), "unknown")[None] for x in xs])[0])
 
 
@@ -610,26 +613,6 @@ def _commutations(xs: list[np.ndarray]) -> np.ndarray:
         # fmax skips the nan of a pair whose products overflowed
         worst = np.fmax(worst, comm / (1.0 + norms[i] * norms[j]))
     return worst
-
-
-def dual_equation(eq: StructuredEquation) -> StructuredEquation:
-    """Transpose-dual: coefficients transposed, exponent tuples reversed.
-
-    If (X_1, ..., X_m) solves the original, then the reversed transposes
-    (X_m^T, ..., X_1^T) solve the dual with the opposite orientation.
-    """
-    if eq.orientation is Orientation.SANDWICH_BIVARIATE:
-        raise DimensionMismatch("the sandwich template has no transpose dual")
-    flipped = (
-        Orientation.UNKNOWNS_RIGHT
-        if eq.orientation is Orientation.UNKNOWNS_LEFT
-        else Orientation.UNKNOWNS_LEFT
-    )
-    terms = {exps[::-1]: a.T for exps, a in eq.poly.terms.items()}
-    return StructuredEquation(
-        poly=MatrixPolynomial(arity=eq.arity, dim=eq.dim, terms=terms),
-        orientation=flipped,
-    )
 
 
 @dataclass

@@ -10,6 +10,8 @@
   whose spectrum splits at a known radius, by a matrix iteration without
   any eigensolve; :func:`plant_minimal_solvent` builds such equations with
   a known minimal solvent, at any n.
+- :func:`dual_equation`: the transpose dual of an equation, whose solutions
+  are the reversed transposes of the original's.
 """
 
 import numpy as np
@@ -17,6 +19,26 @@ import numpy as np
 from matpolyeq.errors import DimensionMismatch
 from matpolyeq.polymatrix import MatrixPolynomial, ScalarPolynomial, _coefficients, poly_roots
 from matpolyeq.solver import Orientation, StructuredEquation
+
+
+def dual_equation(eq: StructuredEquation) -> StructuredEquation:
+    """Transpose-dual: coefficients transposed, exponent tuples reversed.
+
+    If (X_1, ..., X_m) solves the original, then the reversed transposes
+    (X_m^T, ..., X_1^T) solve the dual with the opposite orientation.
+    """
+    if eq.orientation is Orientation.SANDWICH_BIVARIATE:
+        raise DimensionMismatch("the sandwich template has no transpose dual")
+    flipped = (
+        Orientation.UNKNOWNS_RIGHT
+        if eq.orientation is Orientation.UNKNOWNS_LEFT
+        else Orientation.UNKNOWNS_LEFT
+    )
+    terms = {exps[::-1]: a.T for exps, a in eq.poly.terms.items()}
+    return StructuredEquation(
+        poly=MatrixPolynomial(arity=eq.arity, dim=eq.dim, terms=terms),
+        orientation=flipped,
+    )
 
 
 class NonIntegerInput(ValueError):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import dual_equation
 
 import matpolyeq
 from matpolyeq import io, linalg
@@ -20,7 +21,6 @@ from matpolyeq.solver import (
     Orientation,
     SolverConfig,
     StructuredEquation,
-    dual_equation,
     eigen_candidates,
     quotient_factor,
     sandwich_probe,
@@ -163,11 +163,6 @@ GUARDS = {
         lambda: null_vectors_at(BIVARIATE, [1.0, -1.0], "Right"),
         InvalidSetting,
         "side must be 'left' or 'right', got 'Right'",
-    ),
-    "quotient_factor-tolerance": (
-        lambda: quotient_factor(LEFT_1, 2 * I2, tol_residual=float("nan")),
-        InvalidSetting,
-        "tol_residual must be positive",
     ),
     "inverse_stack-inf": (
         lambda: linalg.inverse_stack(np.full((1, 2, 2), np.inf)),

@@ -276,6 +276,38 @@ def test_roots_past_the_double_range_exit_1(capsys, command):
     assert capsys.readouterr().err == f"{command}: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "detpoly"])
+@pytest.mark.parametrize("doc", ["root_overflow_univariate", "root_underflow_univariate"])
+def test_univariate_roots_past_the_double_range_exit_1(capsys, doc, command):
+    # 1e-320 z + 1, whose root -1e320 overflows, and 1e300 z + 1e-300, whose
+    # root -1e-600 underflows: the determinant route applies the range rule
+    # of the pencil before it places its nodes
+    argv = [command, str(DATA / f"{doc}.json")] + (["--seed", "0"] if command == "solve" else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    message = "NonFiniteInput: a root of P leaves the double range"
+    assert capsys.readouterr().err == f"{command}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "doc", ["null_norm_overflow_arity2", "null_norm_overflow_quadratic_arity2"]
+)
+def test_null_vector_image_overflow_solves_without_a_warning(tmp_path, capsys, doc):
+    # 1e300 z1 + z2 + 1e-300 and z1^2 + 1e200 z2 + 1: at a root near 1e300 or
+    # 1e200, P applied to the offered null vector is off by more than 1e154,
+    # whose square overflows in its norm; the point takes the SVD instead
+    path, sol = str(DATA / f"{doc}.json"), str(tmp_path / "s.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", path, "--seed", "0", "--output", sol]) == 0
+        points = ["sample-variety", path, "--seed", "0", "--output", str(tmp_path / "p.json")]
+        assert main(points) == 0
+        assert main(["verify", path, sol, "--output", str(tmp_path / "r.json")]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "r.json").read_text())["all_ok"]
+
+
 def test_coefficient_norms_past_the_double_range_without_a_warning(tmp_path, capsys):
     # a planted n = 4 equation of two unknowns times 1e160: the squares of its
     # entries, and so its coefficient norms, leave the double range.  A

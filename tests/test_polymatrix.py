@@ -332,6 +332,7 @@ def test_roots_at_the_ends_of_the_double_range_without_a_warning():
     # A root at 1e-600 or 1e320 leaves the range, and its root scale is 0 or
     # inf
     far = MatrixPolynomial(arity=1, dim=1, terms={(0,): I1, (1,): 1e-320 * I1})
+    near = MatrixPolynomial(arity=1, dim=1, terms={(0,): 1e-300 * I1, (1,): 1e300 * I1})
     sampled = MatrixPolynomial(arity=2, dim=1, terms={(1, 0): 1e300 * I1, (0, 1): 1e-300 * I1})
     message = "^a root of P leaves the double range$"
     with warnings.catch_warnings():
@@ -339,10 +340,29 @@ def test_roots_at_the_ends_of_the_double_range_without_a_warning():
         assert poly_roots(ScalarPolynomial([1e-320, 1.0])) == [(-1e-320 + 0j, 1)]
         with pytest.raises(NonFiniteInput, match=message):
             poly_roots(ScalarPolynomial([1e-300, 1e300]))
-        with pytest.raises(NonFiniteInput, match=message):
-            _slice_spectrum(far)
+        for p in (far, near):
+            with pytest.raises(NonFiniteInput, match=message):
+                _slice_spectrum(p)
+            with pytest.raises(NonFiniteInput, match=message):
+                det_poly_univariate(p)
         with pytest.raises(NonFiniteInput, match=message):
             sample_variety(sampled, "right", 4, 0)
+
+
+def test_null_spaces_take_the_svd_where_the_image_norm_overflows():
+    # P = 1e300 z1 + z2 + 1e-300 at z = (1, 1e290 - 1e300) is about 1e290:
+    # its norm overflows when squared, fails the bound, and the point takes
+    # the SVD, whose singular value 1e290 is below the bound 2e294
+    p = MatrixPolynomial(
+        arity=2, dim=1, terms={(1, 0): 1e300 * I1, (0, 1): I1, (0, 0): 1e-300 * I1}
+    )
+    points = np.array([[1.0, 1e290 - 1e300]], dtype=np.complex128)
+    offered = np.ones((1, 1), dtype=np.complex128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pz, (vectors,) = polymatrix._null_spaces(p, points, "right", offered, np.array([True]))
+    assert abs(pz[0, 0, 0]) > 1e154
+    assert len(vectors) == 1 and abs(vectors[0][0]) == 1.0
 
 
 def test_poly_roots_far_from_the_root_scale_without_a_warning():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cyclic_reduction, plant_minimal_solvent
+from oracles import cyclic_reduction, dual_equation, plant_minimal_solvent
 from per_point import (
     equation_lhs_with_identity,
     greedy_select_per_candidate,
@@ -46,7 +46,6 @@ from matpolyeq.solver import (
     _greedy_select,
     _lhs,
     commutation_check,
-    dual_equation,
     eigen_candidates,
     equation_lhs,
     family_from_points,
@@ -862,10 +861,13 @@ def test_quotient_factor_rejects_non_solution():
 
 
 def test_quotient_factor_names_first_failing_node():
-    # X = 3 leaves P(z) - (z - 3) Q(z) = 2 at every node; the gate is opened
-    # wide enough to let it through, so the identity check must catch it
-    with pytest.raises(FactorCheckFailed, match=r"identity off by 2\.000e\+00 at z=1\+0j"):
-        quotient_factor(scalar_quadratic(), np.array([[3.0]]), tol_residual=1.0)
+    # X = 2 + 1e-7 passes the residual gate (4.0e-9 <= 1e-8) but leaves
+    # P(z) - (z - X) Q(z) = P(X), about 1e-7, at every node, over the
+    # identity check's 1e-8 (1 + |P(z)|)
+    eq, x = scalar_quadratic(), np.array([[2.0 + 1e-7]])
+    assert verify_residual(eq, [x]) == pytest.approx(4.0e-9, rel=1e-3)
+    with pytest.raises(FactorCheckFailed, match=r"identity off by 1\.000e-07 at z=1\+0j"):
+        quotient_factor(eq, x)
 
 
 def test_quotient_factor_rejects_nan_residual():
