@@ -6,9 +6,11 @@ evaluation, univariate slicing, extraction of the scalar determinant
 polynomial by evaluation and interpolation on scaled roots of unity, and
 sampling of the zero set of det P together with attached null vectors,
 returned as one :class:`VarietySample` of stacked arrays, a row per point.
-Every root list comes from one routine, :func:`_slice_spectra`: a scaled
-block companion, one ``linalg.eigensolve`` and relative clustering, with no
-root polished.  The roots of a scalar polynomial are its 1x1 case
+Every root list comes from one routine, :func:`_slice_spectra`: a block
+companion balanced by the power of two nearest the root scale, one
+``linalg.eigensolve`` and relative clustering, with no root polished; every
+scaling is exact, so scaling z by a power of two scales the spectrum by it
+bit for bit.  The roots of a scalar polynomial are its 1x1 case
 (:func:`poly_roots`), and the sampler takes the eigenvalues of each
 univariate slice from the linearization of the slice itself (a reversed one
 when the leading coefficient is singular), not from its determinant
@@ -69,14 +71,17 @@ DET_ZERO_REL = 1e-12
 SHIFT_COUNT = 3
 #: Smallest positive normal double.
 _TINY = np.finfo(np.float64).tiny
-#: Eigenvalues of a reversed slice at or below this modulus, relative to its
-#: root scale, are its infinite ones.  A Jordan chain of length k at infinity
-#: is computed only to about eps^(1/k), 1e-8 for k = 2.
+#: Eigenvalues of a reversed slice at or below this modulus, relative to the
+#: power of two nearest its root scale, are its infinite ones.  A Jordan
+#: chain of length k at infinity is computed only to about eps^(1/k), 1e-8
+#: for k = 2.
 INFINITE_ROOT_TOL = 1e-5
 #: The sides a null vector can be taken on: P v = 0 or v^T P = 0.
 _SIDES = ("left", "right")
 #: The golden-ratio fraction (sqrt 5 - 1) / 2, for phases and generic weights.
 GOLDEN = 0.6180339887498949
+#: GOLDEN times 2**53, exactly an integer: the walk's phase is taken from it.
+_GOLDEN_53 = int(GOLDEN * 2**53)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,17 +358,18 @@ def det_poly_univariate(p: MatrixPolynomial) -> ScalarPolynomial:
     return ScalarPolynomial(coeffs).trimmed()
 
 
-def _cluster_roots(raw: np.ndarray, scale: float) -> list[list[int]]:
+def _cluster_roots(raw: np.ndarray, q: int) -> list[list[int]]:
     """Indices of the roots ``raw`` grouped into clusters by single linkage.
 
-    Two roots link when they lie within ``ROOT_CLUSTER_TOL * (scale + the
-    larger modulus)`` of each other, ``scale`` being the root scale of their
-    coefficient stack.  Each group lists its members in ascending order, and
-    the groups come in the order of their first members.
+    Two roots link when they lie within ``ROOT_CLUSTER_TOL * (2^q + the
+    larger modulus)`` of each other, 2^q being the power of two nearest the
+    root scale of their coefficient stack.  Each group lists its members in
+    ascending order, and the groups come in the order of their first members.
     """
     d = len(raw)
     mags = np.abs(raw)
-    reach = ROOT_CLUSTER_TOL * (scale + np.maximum(mags[:, None], mags[None, :]))
+    larger = np.maximum(mags[:, None], mags[None, :])
+    reach = ROOT_CLUSTER_TOL * larger + math.ldexp(ROOT_CLUSTER_TOL, q)
     linked = np.abs(raw[:, None] - raw[None, :]) <= reach
     # label propagation over the links: each root takes the smallest label
     # it links to until no label moves, so a group is labelled by its first
@@ -403,24 +409,9 @@ def poly_roots(sp: ScalarPolynomial) -> list[tuple[complex, int]]:
     return roots
 
 
-def _scaled(coeffs: np.ndarray, gamma: float) -> np.ndarray:
-    # the blocks gamma^k C_k of sum_k z^k C_k as a polynomial in z / gamma
-    d = len(coeffs) - 1
-    with np.errstate(over="ignore"):
-        powers = gamma ** np.arange(d + 1)
-    if _TINY <= powers.min() and powers.max() < math.inf:
-        return coeffs * powers[:, None, None]
-    # gamma^d leaves the double range: with gamma = f 2^q, scale by f^k and
-    # then exactly by 2^(qk), so that only the scaled blocks must fit
-    f, q = math.frexp(gamma)
-    k = np.arange(d + 1)
-    parts = (coeffs * (f**k)[:, None, None]).view(np.float64)
-    return np.ldexp(parts, (q * k)[:, None, None]).view(np.complex128)
-
-
 def _companions(scaled: np.ndarray) -> np.ndarray:
-    # block companions of a (B, d + 1, n, n) stack of _scaled stacks, C_d
-    # nonsingular: their eigenvalues are the roots over gamma.  One exact power
+    # block companions of a (B, d + 1, n, n) stack of balanced stacks, C_d
+    # nonsingular: their eigenvalues are the roots over 2^q.  One exact power
     # of two per slice leaves -C_d^-1 C_k as it is and lifts subnormal blocks
     scaled, _ = linalg._binary_scaled(scaled, (1, 2, 3))
     b, d, n = scaled.shape[0], scaled.shape[1] - 1, scaled.shape[2]
@@ -431,14 +422,14 @@ def _companions(scaled: np.ndarray) -> np.ndarray:
     return companion
 
 
-def _reversal(coeffs: np.ndarray, scale: float) -> tuple[np.ndarray, complex]:
+def _reversal(coeffs: np.ndarray, q: int) -> tuple[np.ndarray, complex]:
     # the reversal w^d P(z0 + 1/w) of a dense coefficient stack whose leading
     # block fails the rank test, and its shift z0: the best conditioned of
-    # SHIFT_COUNT fixed points on the circle of the root scale
+    # SHIFT_COUNT fixed points on the circle of radius 2^q
     terms = {(k,): a for k, a in enumerate(coeffs)}
     p = MatrixPolynomial(arity=1, dim=coeffs.shape[1], terms=terms)
     angles = 2 * np.pi * (np.arange(SHIFT_COUNT) + GOLDEN) / SHIFT_COUNT
-    shifts = scale * np.exp(1j * angles)
+    shifts = _times_power_of_two(np.exp(1j * angles), q)
     s = np.linalg.svd(_evaluate_stack(p, shifts[:, None]), compute_uv=False)
     ratios = s[:, -1] / np.where(s[:, 0] > 0, s[:, 0], 1.0)
     if not np.any(ratios > linalg.DEFAULT_TOL_RANK):
@@ -459,15 +450,37 @@ def _check_root_scales(scales: list[float]) -> None:
         raise NonFiniteInput("a root of P leaves the double range")
 
 
+def _exponents(scales: list[float]) -> np.ndarray:
+    # the integers q nearest log2 of positive finite root scales f 2^e, f in
+    # [0.5, 1): e where f is at least 2^(-1/2) (whose double is rounded up),
+    # else e - 1.  Scaling a root scale by 2^k moves q by k
+    parts = [math.frexp(s) for s in scales]
+    return np.array([e - (f < math.sqrt(0.5)) for f, e in parts], dtype=np.int64)
+
+
+def _times_power_of_two(z: np.ndarray, q) -> np.ndarray:
+    # z times 2^q, q broadcast against the rows of z, exact on the float view
+    # wherever the product is normal
+    parts = np.ascontiguousarray(z).view(np.float64)
+    return np.ldexp(parts, q).view(np.complex128)
+
+
 def _slice_spectra(coeffs: np.ndarray, side: str = "right") -> list:
     """Finite eigenvalues, null vectors and clusters of B slices of one degree.
 
     ``coeffs`` stacks the coefficients A_0, ..., A_d of B univariate slices
-    P(z) = sum_k z^k A_k as a (B, d + 1, n, n) array.  Their eigenpairs come
-    from the block companions of the slices scaled by :func:`_root_scale`
-    (then exactly by one power of two each, which keeps subnormal blocks in
-    range), through one batched rank SVD, solve and ``linalg.eigensolve``;
-    no eigenvalue is polished, and :func:`poly_roots` takes the roots of a
+    P(z) = sum_k z^k A_k as a (B, d + 1, n, n) array.  Each slice is
+    balanced by 2^q, q the integer nearest log2 of its :func:`_root_scale`:
+    its blocks become 2^(qk) A_k, a polynomial in z / 2^q, and the
+    eigenvalues are multiplied back by 2^q.  Every scale it applies or reads
+    (the blocks, the eigenvalues, the circle of the shift points, the reach
+    of the clusters and the infinite cut-off) is that power of two, so each
+    step is exact, and the spectrum of P(2^-k z) is 2^k times that of P(z)
+    bit for bit wherever q moves by k, which fails only when log2 of the
+    root scale lies within rounding of a half-integer.  One more exact
+    power of two per slice keeps subnormal blocks in range.  The eigenpairs
+    come through one batched rank SVD, solve and ``linalg.eigensolve``; no
+    eigenvalue is polished, and :func:`poly_roots` takes the roots of a
     scalar polynomial from here, as a 1x1 slice.  A slice whose A_d fails
     the rank test of ``linalg.DEFAULT_TOL_RANK`` is linearized as its
     reversal w^d P(z0 + 1/w) (:func:`_reversal`): its eigenvalues w ~ 0 are
@@ -480,7 +493,7 @@ def _slice_spectra(coeffs: np.ndarray, side: str = "right") -> list:
     (K, n) array, which are null vectors of P there (v with P v = 0 on the
     right, y with y^T P = 0 on the left, with small backward error at a
     simple eigenvalue: Higham, Li & Tisseur, SIMAX 2007), and the clusters
-    of :func:`_cluster_roots` at the root scale of P.  A root scale of a
+    of :func:`_cluster_roots` at the power of two of P.  A root scale of a
     slice or its reversal of 0 or inf raises NonFiniteInput; a zero A_d, or
     a P(z0) rank-deficient at every shift point, IdenticallySingular.  A
     slice of degree 0 has no eigenvalues.
@@ -490,11 +503,12 @@ def _slice_spectra(coeffs: np.ndarray, side: str = "right") -> list:
         raise IdenticallySingular("zero polynomial matrix")
     scales = [_root_scale(c) for c in coeffs]
     _check_root_scales(scales)
+    qs = _exponents(scales).tolist()
     s = np.linalg.svd(coeffs[:, d], compute_uv=False)
     regular = (s[:, -1] > linalg.DEFAULT_TOL_RANK * s[:, 0]).tolist()
     stacks, gammas, shifts = [], [], []
-    for c, scale, reg in zip(coeffs, scales, regular):
-        stack, z0 = (c, None) if reg else _reversal(c, scale)
+    for c, scale, q, reg in zip(coeffs, scales, qs, regular):
+        stack, z0 = (c, None) if reg else _reversal(c, q)
         stacks.append(stack)
         gammas.append(scale if reg else _root_scale(stack))
         shifts.append(z0)
@@ -502,25 +516,29 @@ def _slice_spectra(coeffs: np.ndarray, side: str = "right") -> list:
     if d == 0:
         empty = (np.zeros(0, dtype=np.complex128), np.zeros((0, n), dtype=np.complex128), [])
         return [empty] * len(coeffs)
-    scaled = np.array([_scaled(stack, gamma) for stack, gamma in zip(stacks, gammas)])
+    # the blocks 2^(qk) C_k of each pencil, a polynomial in z / 2^q
+    powers = _exponents(gammas)
+    blocks = np.multiply.outer(powers, np.arange(d + 1))[:, :, None, None]
+    scaled = _times_power_of_two(np.array(stacks), blocks)
     if side == "left":
         scaled = scaled.transpose(0, 1, 3, 2)
     mu, eigvecs = linalg.eigensolve(_companions(scaled))
     # an eigenvector of the companion stacks v, mu v, ..., mu^(d-1) v for a
-    # null vector v of the slice at gamma mu: keep its top block, unit norm.
+    # null vector v of the slice at 2^q mu: keep its top block, unit norm.
     # A top block whose norm underflows, at a root far from the root scale,
     # gives a row of inf or nan, which no backward error test passes
     top = eigvecs[:, :n].transpose(0, 2, 1)
-    values = np.array(gammas)[:, None] * mu
+    values = _times_power_of_two(mu, powers[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
         vectors = top / np.linalg.norm(top, axis=2, keepdims=True)
     spectra = []
-    for k, z0 in enumerate(shifts):
+    for k, (z0, q) in enumerate(zip(shifts, qs)):
         vals, vecs = values[k], vectors[k]
         if z0 is not None:
-            finite = np.abs(vals) > INFINITE_ROOT_TOL * gammas[k]
+            # |w| <= INFINITE_ROOT_TOL 2^q, read on w / 2^q
+            finite = np.abs(mu[k]) > INFINITE_ROOT_TOL
             vals, vecs = z0 + 1.0 / vals[finite], vecs[finite]
-        spectra.append((vals, vecs, _cluster_roots(vals, scales[k])))
+        spectra.append((vals, vecs, _cluster_roots(vals, q)))
     return spectra
 
 
@@ -644,6 +662,8 @@ def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> Var
     side : 'left' or 'right'; which null vectors to attach.
     count : stop once at least this many points were collected.
     seed : phases the walk along the unit circle; >= 0, read modulo 2**53.
+        The phase is seed * GOLDEN modulo 1, taken exactly in integers; as
+        GOLDEN has 49 significant bits, seeds 2**49 apart share a phase.
 
     At most ``4 * count + 8`` slices are taken.  Each slice fixes every
     variable except a round-robin pivot at equispaced points of the unit
@@ -654,10 +674,12 @@ def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> Var
     one stack, offered the top blocks of their eigenvectors: a cluster, or
     an isolated root whose vector fails, takes the vectors of an SVD of P,
     so a repeated root yields one row per null vector.  Slices with no
-    finite eigenvalue contribute nothing; a slice that is rank-deficient at
-    every test point propagates IdenticallySingular, and the zero
-    polynomial raises it before any slice is folded.  The rows are returned
-    as one :class:`VarietySample`, in the order found.
+    finite eigenvalue contribute nothing, and so does a slice that is
+    rank-deficient at every test point: det P may vanish on its line alone.
+    IdenticallySingular is the walk's verdict: it is raised, as the first
+    such slice raised it, only when every slice walked was one, and the
+    zero polynomial raises it before any slice is folded.  The rows are
+    returned as one :class:`VarietySample`, in the order found.
 
     Slices are folded and eigensolved a batch at a time: ceil(points still
     wanted / (total degree * n)) slices, at most the budget left and
@@ -675,18 +697,24 @@ def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> Var
     if not p.terms:
         raise IdenticallySingular("zero polynomial matrix")
     budget = 4 * count + 8
-    phase = math.fmod(seed % 2**53 * GOLDEN, 1.0)
+    # seed * GOLDEN modulo 1 in integer arithmetic, GOLDEN being _GOLDEN_53 /
+    # 2**53 exactly: the float product's phase for seeds 0-26, and no
+    # collapse to 0 where that product has no fraction bits left
+    phase = (seed % 2**53) * _GOLDEN_53 % 2**53 / 2**53
     most = max(1, total_degree(p) * p.dim)  # eigenvalues of one slice at most
-    cap, start, rows, found = linalg.chunk_size(most**2), 0, [], 0
+    cap, start, rows, found, singular = linalg.chunk_size(most**2), 0, [], 0, None
     while found < count and start < budget:
         size = min(-(-(count - found) // most), budget - start, cap)
         try:
             batch = _batch_rows(p, side, range(start, start + size), budget, phase)
-        except Exception:
-            if size == 1:
+        except Exception as exc:
+            if size > 1:
+                cap = 1  # walk on a slice at a time, to the slice that raises
+                continue
+            if not isinstance(exc, IdenticallySingular):
                 raise
-            cap = 1  # walk on a slice at a time, to the slice that raises
-            continue
+            # det P may vanish on the line of one slice alone: it adds no points
+            batch, singular = [], singular or exc
         start += size
         for part in batch:
             rows.append(part)
@@ -694,6 +722,8 @@ def sample_variety(p: MatrixPolynomial, side: str, count: int, seed: int) -> Var
             if found >= count:
                 break
     if not found:
+        if not rows:  # every slice walked raised IdenticallySingular
+            raise singular
         raise NoPointsFound(f"no variety points found in {budget} slices")
     values, vectors, residuals = (np.concatenate(column) for column in zip(*rows))
     return VarietySample(values, vectors, residuals, side)

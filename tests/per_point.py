@@ -57,14 +57,14 @@ def iter_solution_classes(pool, n):
 
 
 def poly_roots_per_root(sp, cluster_tol=ROOT_CLUSTER_TOL):
-    """Scaled scalar companion eigenvalues, then union-find clustering of pairs.
+    """Balanced scalar companion eigenvalues, then union-find clustering of pairs.
 
-    With c_lo and c_hi the lowest and highest nonzero coefficients, the
-    roots are gamma times the eigenvalues of the companion of the monic
-    polynomial in z / gamma, gamma = (|c_lo| / |c_hi|)^(1 / (hi - lo)).
-    Two roots cluster when they lie within ``cluster_tol * (gamma + the
-    larger modulus)`` of each other.  Each cluster becomes its centroid; no
-    root is polished.
+    With c_lo and c_hi the lowest and highest nonzero coefficients, gamma =
+    (|c_lo| / |c_hi|)^(1 / (hi - lo)) and 2^q the power of two nearest it,
+    the roots are 2^q times the eigenvalues of the companion of the monic
+    polynomial in z / 2^q.  Two roots cluster when they lie within
+    ``cluster_tol * (2^q + the larger modulus)`` of each other.  Each
+    cluster becomes its centroid; no root is polished.
     """
     c = sp.trimmed().coefficients
     d = len(c) - 1
@@ -73,11 +73,12 @@ def poly_roots_per_root(sp, cluster_tol=ROOT_CLUSTER_TOL):
     gamma = 1.0
     if hi > lo:
         gamma = float((np.linalg.norm(c[lo]) / np.linalg.norm(c[hi])) ** (1.0 / (hi - lo)))
-    scaled = c * gamma ** np.arange(d + 1)
+    q = math.floor(math.log2(gamma) + 0.5)
+    scaled = c * 2.0 ** (q * np.arange(d + 1))
     companion = np.zeros((d, d), dtype=np.complex128)
     companion[:-1, 1:] = np.eye(d - 1)
     companion[-1] = -np.linalg.solve(scaled[d:, None], scaled[None, :d])[0]
-    raw = gamma * np.linalg.eigvals(companion)
+    raw = 2.0**q * np.linalg.eigvals(companion)
     parent = list(range(d))
 
     def find(i):
@@ -88,7 +89,8 @@ def poly_roots_per_root(sp, cluster_tol=ROOT_CLUSTER_TOL):
 
     for i in range(d):
         for j in range(i + 1, d):
-            if abs(raw[i] - raw[j]) <= cluster_tol * (gamma + max(abs(raw[i]), abs(raw[j]))):
+            reach = cluster_tol * max(abs(raw[i]), abs(raw[j])) + cluster_tol * 2.0**q
+            if abs(raw[i] - raw[j]) <= reach:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[rj] = ri
@@ -136,7 +138,7 @@ def sample_variety_per_point(p, side, count, seed):
     """
     m = p.arity
     budget = 4 * count + 8
-    phase = math.fmod(seed % 2**53 * 0.6180339887498949, 1.0)
+    phase = seed % 2**53 * 5566755282872656 % 2**53 / 2**53
     points = []
     for sl in range(budget):
         if len(points) >= count:

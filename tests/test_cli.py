@@ -747,6 +747,31 @@ def test_solve_multivariate_failure_document_keeps_attempts(tmp_path):
     assert diagnostics[0]["failure"].startswith("TransformSingular: no well-conditioned")
 
 
+@pytest.mark.parametrize("name", ["product", "diagonal"])
+def test_one_singular_slice_solves_and_samples(tmp_path, capsys, name):
+    # (z1 + 2)(z2 - 1) I, the document tests/data/slice_on_variety_arity2.json,
+    # and diag(z2 - 1, z1 + 2): at seed 0 the walk starts on the line z2 = 1,
+    # where P is singular for every z1, and still solves and samples
+    eq_path = DATA / "slice_on_variety_arity2.json"
+    if name == "diagonal":
+        eq_path = tmp_path / "diagonal.json"
+        terms = {
+            (0, 1): np.diag([1.0, 0.0]),
+            (1, 0): np.diag([0.0, 1.0]),
+            (0, 0): np.diag([-1.0, 2.0]),
+        }
+        write_equation(eq_path, terms, 2, Orientation.UNKNOWNS_RIGHT)
+    sol, points = tmp_path / "sol.json", tmp_path / "points.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", str(eq_path), "--seed", "0", "--output", str(sol)]) == 0
+        argv = ["sample-variety", str(eq_path), "--seed", "0", "--output", str(points)]
+        assert main(argv) == 0
+        assert main(["verify", str(eq_path), str(sol)]) == 0
+    assert capsys.readouterr().err == ""
+    assert load(sol)["families"] and load(points)["points"]
+
+
 def test_unimodular_equations_exit_2(tmp_path):
     # I + zN and I + (z1 + z2)N for nilpotent N have det P = 1 and no solution
     nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])

@@ -22,6 +22,7 @@ from matpolyeq.errors import (
     DegreeZero,
     DimensionMismatch,
     FactorCheckFailed,
+    IdenticallySingular,
     InsufficientRoots,
     NoPointsFound,
     NonFiniteInput,
@@ -481,6 +482,49 @@ def test_solve_univariate_unimodular_has_no_roots():
     with pytest.raises(InsufficientRoots, match="nonzero constant polynomial has no roots") as info:
         solve_univariate(eq)
     assert isinstance(info.value.__cause__, DegreeZero)
+
+
+#: Equations with det P not identically zero whose walk at seed 0 starts on a
+#: line where P is singular for every value of the pivot: the phase is 0,
+#: so slice 0 fixes z2 = 1.
+SINGULAR_FIRST_SLICE = {
+    "product": MatrixPolynomial(
+        arity=2, dim=2, terms={(1, 1): I2, (1, 0): -I2, (0, 1): 2 * I2, (0, 0): -2 * I2}
+    ),
+    "diagonal": MatrixPolynomial(
+        arity=2,
+        dim=2,
+        terms={
+            (0, 1): np.diag([1.0, 0.0]),
+            (1, 0): np.diag([0.0, 1.0]),
+            (0, 0): np.diag([-1.0, 2.0]),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SINGULAR_FIRST_SLICE)
+def test_one_singular_slice_is_no_verdict_on_det_p(name):
+    # (z1 + 2)(z2 - 1) I and diag(z2 - 1, z1 + 2): slice 0 is singular at
+    # every shift point, adds no points, and the walk goes on
+    p = SINGULAR_FIRST_SLICE[name]
+    eq = StructuredEquation(p, Orientation.UNKNOWNS_RIGHT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sample = sample_variety(p, "right", 8, 0)
+        result = solve_multivariate(eq)
+    assert len(sample) >= 8
+    for values, vector in zip(sample.values, sample.null_vectors):
+        assert np.linalg.norm(evaluate(p, values) @ vector) <= 1e-12
+    assert result.families
+    for family in result.families:
+        assert verify_residual(eq, family.unknowns) <= 1e-8
+    # P singular on every slice is still IdenticallySingular, as its first
+    # slice says
+    col = np.array([[1.0, 0.0], [1.0, 0.0]])
+    rank_one = MatrixPolynomial(arity=2, dim=2, terms={e: col for e in p.terms})
+    with pytest.raises(IdenticallySingular, match="^P is rank-deficient at all 3 shift points$"):
+        sample_variety(rank_one, "right", 8, 0)
 
 
 def test_solve_multivariate_unimodular_finds_no_points():
