@@ -97,12 +97,18 @@ def inverse_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str |
     return np.linalg.inv(stack), cond, failures
 
 
+def _times_power_of_two(a: np.ndarray, q) -> np.ndarray:
+    # a times 2^q, q broadcast against its float view: exact wherever the
+    # product is normal, also where 2^q itself is not
+    return np.ldexp(np.ascontiguousarray(a).view(np.float64), q).view(np.complex128)
+
+
 def _binary_scaled(a: np.ndarray, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     # a times 2^-e and e, per slice over axes, e the exponent of its largest real
-    # or imaginary part: ldexp on the float view is exact where 2^-e overflows
-    parts = np.ascontiguousarray(a).view(np.float64)
-    _, e = np.frexp(np.abs(parts).max(axis=axes, keepdims=True))
-    return np.ldexp(parts, -e).view(np.complex128), np.squeeze(e, axis=axes)
+    # or imaginary part
+    a = np.ascontiguousarray(a)
+    _, e = np.frexp(np.abs(a.view(np.float64)).max(axis=axes, keepdims=True))
+    return _times_power_of_two(a, -e), np.squeeze(e, axis=axes)
 
 
 def lex_key(z: complex) -> tuple[float, float]:

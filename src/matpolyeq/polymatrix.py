@@ -21,11 +21,12 @@ stacks, with the stop rule and the budget of 4 count + 8 slices of a walk of
 one slice at a time; LAPACK treats each matrix of a stack as it treats it
 alone, so the sample is the same bit for bit.  One routine,
 ``_null_spaces``, holds the rule for every null vector: it keeps an offered
-vector whose backward error passes, and otherwise takes an SVD of P.  The
-points of one polynomial are evaluated as one stack, never chunked: the
-n d + 1 interpolation nodes of its determinant and the at most n d roots
-where its null spaces are taken.  ``linalg.eigensolve`` raises LAPACK's
-non-convergence as ConvergenceFailure.
+vector whose backward error passes, and otherwise takes an SVD of P; a point
+where P leaves the double range gets none.  The points of one polynomial
+are evaluated as one stack, never chunked: the n d + 1 interpolation nodes
+of its determinant and the at most n d roots where its null spaces are
+taken.  ``linalg.eigensolve`` raises LAPACK's non-convergence as
+ConvergenceFailure.
 P is held as one sorted table of exponent tuples with the matching stack of
 coefficients, and every evaluation, slice and term scale reads that table:
 the monomials of all points and terms are one array expression, and P sums
@@ -34,9 +35,9 @@ a stack of one and takes the same array arithmetic, so a stacked result
 equals the single-point one bit for bit.  The Frobenius norms of the
 coefficients and the total degree are computed once per polynomial, on
 first use, so that a polynomial that is only built or parsed never takes
-them.  A norm whose squares leave the double range is inf, without a
-warning, and the term scales and residual normalisations that read it are
-inf or nan.
+them.  Each norm is taken on its block scaled exactly by a power of two, so
+it stays finite and nonzero where the squares of the entries leave the
+double range.
 """
 
 from __future__ import annotations
@@ -140,10 +141,10 @@ class MatrixPolynomial:
 
     @cached_property
     def _norms(self) -> np.ndarray:
-        # the (T,) Frobenius norms of the coefficients; a norm whose squares
-        # leave the double range is inf
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(self.stack, axis=(1, 2))
+        # the (T,) Frobenius norms of the coefficients, each taken on its block
+        # times 2^-e and multiplied back: finite where the squares overflow
+        parts, e = linalg._binary_scaled(self.stack, (1, 2))
+        norms = np.ldexp(np.linalg.norm(parts, axis=(1, 2)), e)
         norms.flags.writeable = False
         return norms
 
@@ -219,7 +220,11 @@ def _monomials(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
 
 def _evaluate_stack(p: MatrixPolynomial, points: np.ndarray) -> np.ndarray:
     """P at each row of a (K, arity) stack of points, as a (K, n, n) stack."""
-    factors = _monomials(points, p.exponents)
+    return _sum_terms(p, _monomials(points, p.exponents))
+
+
+def _sum_terms(p: MatrixPolynomial, factors: np.ndarray) -> np.ndarray:
+    # sum_t f_t C_t for each row of a (K, T) stack of monomial values f.
     # f C = Re(f) C + Im(f) (i C), summed in real arithmetic on (re, im)
     # pairs: numpy rounds a real product once in every loop, but may fuse the
     # multiply-add of a complex one in its vector loops and not in its
@@ -227,7 +232,7 @@ def _evaluate_stack(p: MatrixPolynomial, points: np.ndarray) -> np.ndarray:
     # of one point in the last bit
     re, im = factors.real, factors.imag
     coeffs, turned = p.stack.view(np.float64), (1j * p.stack).view(np.float64)
-    acc = np.zeros((len(points), p.dim, 2 * p.dim))
+    acc = np.zeros((len(factors), p.dim, 2 * p.dim))
     for t in range(len(coeffs)):
         acc += re[:, t, None, None] * coeffs[t]
         acc += im[:, t, None, None] * turned[t]
@@ -429,7 +434,7 @@ def _reversal(coeffs: np.ndarray, q: int) -> tuple[np.ndarray, complex]:
     terms = {(k,): a for k, a in enumerate(coeffs)}
     p = MatrixPolynomial(arity=1, dim=coeffs.shape[1], terms=terms)
     angles = 2 * np.pi * (np.arange(SHIFT_COUNT) + GOLDEN) / SHIFT_COUNT
-    shifts = _times_power_of_two(np.exp(1j * angles), q)
+    shifts = linalg._times_power_of_two(np.exp(1j * angles), q)
     s = np.linalg.svd(_evaluate_stack(p, shifts[:, None]), compute_uv=False)
     ratios = s[:, -1] / np.where(s[:, 0] > 0, s[:, 0], 1.0)
     if not np.any(ratios > linalg.DEFAULT_TOL_RANK):
@@ -458,13 +463,6 @@ def _exponents(scales: list[float]) -> np.ndarray:
     return np.array([e - (f < math.sqrt(0.5)) for f, e in parts], dtype=np.int64)
 
 
-def _times_power_of_two(z: np.ndarray, q) -> np.ndarray:
-    # z times 2^q, q broadcast against the rows of z, exact on the float view
-    # wherever the product is normal
-    parts = np.ascontiguousarray(z).view(np.float64)
-    return np.ldexp(parts, q).view(np.complex128)
-
-
 def _slice_spectra(coeffs: np.ndarray, side: str = "right") -> list:
     """Finite eigenvalues, null vectors and clusters of B slices of one degree.
 
@@ -477,7 +475,8 @@ def _slice_spectra(coeffs: np.ndarray, side: str = "right") -> list:
     of the clusters and the infinite cut-off) is that power of two, so each
     step is exact, and the spectrum of P(2^-k z) is 2^k times that of P(z)
     bit for bit wherever q moves by k, which fails only when log2 of the
-    root scale lies within rounding of a half-integer.  One more exact
+    root scale lies within rounding of a half-integer.  An eigenvalue whose
+    unscaling leaves the double range raises NonFiniteInput.  One more exact
     power of two per slice keeps subnormal blocks in range.  The eigenpairs
     come through one batched rank SVD, solve and ``linalg.eigensolve``; no
     eigenvalue is polished, and :func:`poly_roots` takes the roots of a
@@ -519,7 +518,7 @@ def _slice_spectra(coeffs: np.ndarray, side: str = "right") -> list:
     # the blocks 2^(qk) C_k of each pencil, a polynomial in z / 2^q
     powers = _exponents(gammas)
     blocks = np.multiply.outer(powers, np.arange(d + 1))[:, :, None, None]
-    scaled = _times_power_of_two(np.array(stacks), blocks)
+    scaled = linalg._times_power_of_two(np.array(stacks), blocks)
     if side == "left":
         scaled = scaled.transpose(0, 1, 3, 2)
     mu, eigvecs = linalg.eigensolve(_companions(scaled))
@@ -528,8 +527,8 @@ def _slice_spectra(coeffs: np.ndarray, side: str = "right") -> list:
     # A top block whose norm underflows, at a root far from the root scale,
     # gives a row of inf or nan, which no backward error test passes
     top = eigvecs[:, :n].transpose(0, 2, 1)
-    values = _times_power_of_two(mu, powers[:, None])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values = linalg._times_power_of_two(mu, powers[:, None])
         vectors = top / np.linalg.norm(top, axis=2, keepdims=True)
     spectra = []
     for k, (z0, q) in enumerate(zip(shifts, qs)):
@@ -537,7 +536,10 @@ def _slice_spectra(coeffs: np.ndarray, side: str = "right") -> list:
         if z0 is not None:
             # |w| <= INFINITE_ROOT_TOL 2^q, read on w / 2^q
             finite = np.abs(mu[k]) > INFINITE_ROOT_TOL
-            vals, vecs = z0 + 1.0 / vals[finite], vecs[finite]
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals, vecs = z0 + 1.0 / vals[finite], vecs[finite]
+        if not np.isfinite(vals).all():
+            raise NonFiniteInput("a root of P leaves the double range")
         spectra.append((vals, vecs, _cluster_roots(vals, q)))
     return spectra
 
@@ -547,41 +549,37 @@ def _slice_spectrum(p: MatrixPolynomial, side: str = "right"):
     return _slice_spectra(_coefficients(p)[None], side)[0]
 
 
-def _term_scales(p: MatrixPolynomial, points: np.ndarray) -> np.ndarray:
-    # per point, the sum over terms of |monomial| * ||coefficient||_F; an
-    # inf norm gives inf, or nan where its monomial is 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (_monomials(np.abs(points), p.exponents) * p._norms).sum(axis=1)
-
-
 def _null_spaces(p: MatrixPolynomial, points: np.ndarray, side: str, offered=None, isolated=None):
     """Null vectors of P at each row of a (K, arity) stack of points.
 
     The one null-vector rule of the package: v is a null vector of P at z
     when ||P v|| (||v^T P|| on the left), or its singular value, is at most
-    ``DEFAULT_TOL_ZERO`` times the term scale of P at z, a bound on ||P||_F.
-    Point k keeps row k of an ``offered`` (K, n) stack of unit vectors where
-    ``isolated[k]`` and that row passes; the other points take the singular
-    vectors that pass, smallest first, from one SVD of their P, and no SVD
-    runs when none is left.  Returns ``(pz, vectors)``: P at the points and
-    the list of null vectors at each.  The stack is not chunked, as the
-    nodes of :func:`det_poly_univariate` are not: callers pass one point,
-    the roots of one determinant, or the points of one batch of slices,
-    which the sampler sizes to a chunk of companions.
+    ``DEFAULT_TOL_ZERO`` times the term scale sum_e |z^e| ||A_e||_F, a bound
+    on ||P||_F (Tisseur, LAA 2000), from the monomials z^e that P is summed
+    from.  Point k keeps row k of an ``offered`` (K, n) stack of unit vectors
+    where ``isolated[k]`` and that row passes; the other points take the
+    singular vectors that pass, smallest first, from one SVD of their P, and
+    no SVD runs when none is left; a point where P is not finite gets none.
+    Returns ``(pz, vectors)``: P at the points and the list of null vectors
+    at each.  The stack is not chunked, as the nodes of
+    :func:`det_poly_univariate` are not: callers pass one point, the roots
+    of one determinant, or the points of one batch of slices, which the
+    sampler sizes to a chunk of companions.
     """
-    pz = _evaluate_stack(p, points)
-    # the term scale bounds ||P||_F >= sigma_max; where it is 0 every
-    # singular value is 0, so all of them count
-    bound = DEFAULT_TOL_ZERO * _term_scales(p, points)
-    kept = np.zeros(len(points), dtype=bool)
-    if offered is not None:
-        # an image norm that overflows is inf, which fails the bound: that
-        # point takes the SVD
-        with np.errstate(over="ignore"):
+    # an image norm that overflows fails the bound: that point takes the SVD
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = _monomials(points, p.exponents)
+        pz = _sum_terms(p, factors)
+        # the term scale bounds ||P||_F >= sigma_max; where it is 0 every
+        # singular value is 0, so all of them count
+        bound = DEFAULT_TOL_ZERO * (np.abs(factors) * p._norms).sum(axis=1)
+        finite = np.isfinite(pz).all(axis=(1, 2))
+        kept = np.zeros(len(points), dtype=bool)
+        if offered is not None:
             image = pz @ offered[:, :, None] if side == "right" else offered[:, None] @ pz
-            kept = isolated & (np.linalg.norm(image.reshape(-1, p.dim), axis=1) <= bound)
+            kept = isolated & finite & (np.linalg.norm(image.reshape(-1, p.dim), axis=1) <= bound)
     vectors = [[offered[k]] if keep else [] for k, keep in enumerate(kept.tolist())]
-    rest = np.flatnonzero(~kept)
+    rest = np.flatnonzero(finite & ~kept)
     if len(rest):
         u, s, vh = np.linalg.svd(pz[rest])
         counts = np.sum(s <= bound[rest, None], axis=1)
@@ -642,7 +640,8 @@ def _batch_rows(p: MatrixPolynomial, side: str, slices: range, budget: int, phas
         sizes.append(len(groups))
     points, offered = np.concatenate(points), np.concatenate(offered)
     pz, nulls = _null_spaces(p, points, side, offered, np.array(isolated, dtype=bool))
-    with np.errstate(over="ignore"):  # an overflowing determinant stays inf
+    # inf where det P overflows, nan where P does (a point without vectors)
+    with np.errstate(over="ignore", invalid="ignore"):
         dets = np.linalg.det(pz)
     counts = [len(vecs) for vecs in nulls]
     values = np.repeat(points, counts, axis=0)

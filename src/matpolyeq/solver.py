@@ -244,10 +244,9 @@ def verify_residual(eq: StructuredEquation, unknowns) -> float:
     Normalized by 1 + (sum of coefficient norms) * max(1, max ||X_s||_F)^N
     with N the total degree, so the same tolerance is meaningful across
     scales and degrees.  Overflow in the left-hand side or the unknowns
-    makes it inf or nan, never small.  A coefficient whose squared entries
-    leave the double range has an inf norm, and the residual then reads 0
-    or nan whatever the candidate: check such an equation with its
-    coefficients divided by a common factor, which keeps its solutions.
+    makes it inf or nan, never small.  The coefficient norms stay finite
+    where the squares of their entries leave the double range, so such an
+    equation is checked as any other.
     """
     xs = _checked_unknowns(eq, unknowns)
     return float(_relative_residuals(eq, [x[None] for x in xs])[0])
@@ -653,7 +652,7 @@ def _joint_eigenbasis(x: np.ndarray, y: np.ndarray):
                 f"{name} matrix is not diagonal in the shared basis"
                 f" (off-diagonal mass {np.linalg.norm(off):.3e})"
             )
-        diagonals.append(np.ldexp(np.diag(d).copy().view(np.float64), e).view(np.complex128))
+        diagonals.append(linalg._times_power_of_two(np.diag(d), e))
     alphas, mus = diagonals
     order = sorted(range(len(x)), key=lambda k: linalg.lex_key(alphas[k]) + linalg.lex_key(mus[k]))
     return vecs[:, order], vecs_inv[order], alphas[order], mus[order]

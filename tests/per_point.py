@@ -5,8 +5,9 @@ library computes on stacks, built from the public single-point functions.
 Tests compare the two with ``np.array_equal``: the batched code keeps the
 scalar arithmetic, so the results must agree bit for bit.  Two references
 read single items through the library's private stacked helpers:
-:func:`term_scale`, the term scale of P at one point, and
-:func:`iter_solution_classes`, the classes of a root pool as root tuples.
+:func:`term_scale`, the term scale of P at one point from the cached
+coefficient norms, and :func:`iter_solution_classes`, the classes of a root
+pool as root tuples.
 :func:`equation_lhs_with_identity` is the left-hand side with the constant
 term multiplied by I, where the library adds the constant as it is.
 """
@@ -21,9 +22,7 @@ from matpolyeq.errors import SingularMatrix, TransformSingular
 from matpolyeq.polymatrix import (
     DEFAULT_TOL_ZERO,
     ROOT_CLUSTER_TOL,
-    _point,
     _slice_spectrum,
-    _term_scales,
     evaluate,
     fix_all_but,
     null_vectors_at,
@@ -43,10 +42,11 @@ from matpolyeq.solver import (
 def term_scale(p, point):
     """Triangle-inequality magnitude bound for ``evaluate(p, point)``.
 
-    The sum over terms of |monomial| times the coefficient's Frobenius norm,
-    at one point read as ``evaluate`` reads it.
+    The sum over terms of |z|^e times the coefficient's Frobenius norm, one
+    term at a time, at one point read as ``evaluate`` reads it.
     """
-    return float(_term_scales(p, _point(p, point))[0])
+    z = np.abs(linalg._checked(point, (p.arity,), "point"))
+    return float(sum(np.prod(z**e) * norm for e, norm in zip(p.exponents, p._norms)))
 
 
 def iter_solution_classes(pool, n):

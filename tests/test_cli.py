@@ -268,12 +268,15 @@ def test_determinant_out_of_range_is_non_finite_input(tmp_path, capsys, doc, com
 
 @pytest.mark.parametrize("command", ["solve", "sample-variety"])
 def test_roots_past_the_double_range_exit_1(capsys, command):
-    # 1e300 z1 + 1e-300 z2: each slice's root, -1e-600 z2, underflows
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main([command, str(DATA / "root_underflow_arity2.json"), "--seed", "0"]) == 1
+    # 1e300 z1 + 1e-300 z2: each slice's root, -1e-600 z2, underflows.
+    # 1e-320 z1^2 + z1 + 1 + z2: the root scale of each slice, 1e160, is in
+    # range, but one of its roots, near -1e320, is not
     message = "NonFiniteInput: a root of P leaves the double range"
-    assert capsys.readouterr().err == f"{command}: {message}\n"
+    for doc in ("root_underflow_arity2", "root_overflow_arity2"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(DATA / f"{doc}.json"), "--seed", "0"]) == 1
+        assert capsys.readouterr().err == f"{command}: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "detpoly"])
@@ -291,12 +294,14 @@ def test_univariate_roots_past_the_double_range_exit_1(capsys, doc, command):
 
 
 @pytest.mark.parametrize(
-    "doc", ["null_norm_overflow_arity2", "null_norm_overflow_quadratic_arity2"]
+    "doc", ["null_norm_overflow_arity2", "null_norm_overflow_quadratic_arity2", "far_root_arity2"]
 )
 def test_null_vector_image_overflow_solves_without_a_warning(tmp_path, capsys, doc):
     # 1e300 z1 + z2 + 1e-300 and z1^2 + 1e200 z2 + 1: at a root near 1e300 or
     # 1e200, P applied to the offered null vector is off by more than 1e154,
-    # whose square overflows in its norm; the point takes the SVD instead
+    # whose square overflows in its norm; the point takes the SVD instead.
+    # 1e-300 z1^2 + z1 + 1 + z2: at its root near -1e300, z1^2 and so P
+    # overflow; that point gets no null vector, and the other roots solve
     path, sol = str(DATA / f"{doc}.json"), str(tmp_path / "s.json")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -310,9 +315,9 @@ def test_null_vector_image_overflow_solves_without_a_warning(tmp_path, capsys, d
 
 def test_coefficient_norms_past_the_double_range_without_a_warning(tmp_path, capsys):
     # a planted n = 4 equation of two unknowns times 1e160: the squares of its
-    # entries, and so its coefficient norms, leave the double range.  A
-    # residual normalised by an inf norm checks nothing, so the solution is
-    # verified against the unscaled equation, planted with the same settings
+    # entries leave the double range, its coefficient norms do not.  The
+    # solution verifies against the equation and against the unscaled one,
+    # planted with the same settings
     doc = str(DATA / "scaled_1e160_arity2.json")
     sol, points = str(tmp_path / "s.json"), str(tmp_path / "p.json")
     unscaled = str(tmp_path / "eq.json")
@@ -323,9 +328,10 @@ def test_coefficient_norms_past_the_double_range_without_a_warning(tmp_path, cap
     assert capsys.readouterr().err == ""
     plant = ["plant", "--dimension", "4", "--arity", "2", "--degree", "2", "--seed", "3"]
     assert main([*plant, "--output", unscaled, "--truth", str(tmp_path / "t.json")]) == 0
-    assert main(["verify", unscaled, sol, "--output", str(tmp_path / "r.json")]) == 0
-    report = json.loads((tmp_path / "r.json").read_text())
-    assert report["all_ok"] and len(report["families"]) == 1
+    for equation in (doc, unscaled):
+        assert main(["verify", equation, sol, "--output", str(tmp_path / "r.json")]) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["all_ok"] and len(report["families"]) == 1
     assert len(json.loads(Path(points).read_text())["points"]) >= 8
 
 

@@ -31,6 +31,7 @@ from matpolyeq.polymatrix import (
     det_poly_univariate,
     evaluate,
     fix_all_but,
+    null_vectors_at,
     poly_roots,
     sample_variety,
     total_degree,
@@ -330,10 +331,13 @@ def test_roots_at_the_ends_of_the_double_range_without_a_warning():
     # a root at 1e-320 is subnormal but in range: the scaled blocks of the
     # companion are subnormal too, and one power of two lifts them exactly.
     # A root at 1e-600 or 1e320 leaves the range, and its root scale is 0 or
-    # inf
+    # inf.  The slices of 1e-320 z1^2 + z1 + 1 + z2 have the root scale 1e160
+    # and a root near -1e320, which leaves the range once unscaled
     far = MatrixPolynomial(arity=1, dim=1, terms={(0,): I1, (1,): 1e-320 * I1})
     near = MatrixPolynomial(arity=1, dim=1, terms={(0,): 1e-300 * I1, (1,): 1e300 * I1})
     sampled = MatrixPolynomial(arity=2, dim=1, terms={(1, 0): 1e300 * I1, (0, 1): 1e-300 * I1})
+    terms = {(2, 0): 1e-320 * I1, (1, 0): I1, (0, 1): I1, (0, 0): I1}
+    beyond = MatrixPolynomial(arity=2, dim=1, terms=terms)
     message = "^a root of P leaves the double range$"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -345,8 +349,11 @@ def test_roots_at_the_ends_of_the_double_range_without_a_warning():
                 _slice_spectrum(p)
             with pytest.raises(NonFiniteInput, match=message):
                 det_poly_univariate(p)
+        for p in (sampled, beyond):
+            with pytest.raises(NonFiniteInput, match=message):
+                sample_variety(p, "right", 4, 0)
         with pytest.raises(NonFiniteInput, match=message):
-            sample_variety(sampled, "right", 4, 0)
+            _slice_spectrum(fix_all_but(beyond, 0, [0.5j]))
 
 
 def test_null_spaces_take_the_svd_where_the_image_norm_overflows():
@@ -973,6 +980,35 @@ def test_evaluate_stack_rows_equal_single_points(case):
         assert np.array_equal(stacked[k], evaluate(p, z))
 
 
+#: A real or imaginary part that stays normal times 2^j, j in [-1000, 900]:
+#: 0 or of modulus in [2^-11, 2^10).
+PART = st.builds(
+    lambda sign, f, e: sign * math.ldexp(f, e),
+    st.sampled_from([-1.0, 0.0, 1.0]),
+    st.floats(0.5, 1.0, exclude_max=True),
+    st.integers(-10, 10),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(1, 3),
+    data=st.data(),
+    j=st.integers(-1000, 900),
+)
+def test_norms_scale_with_the_coefficients_exactly(dim, data, j):
+    # the norms of 2^j P are those of P times 2^j bit for bit, also where the
+    # squares of the entries overflow or underflow
+    count = data.draw(st.integers(1, 3))
+    parts = data.draw(st.lists(PART, min_size=2 * count * dim**2, max_size=2 * count * dim**2))
+    stack = np.array(parts).view(np.complex128).reshape(count, dim, dim)
+    p, scaled = (
+        MatrixPolynomial(arity=1, dim=dim, terms={(k,): a for k, a in enumerate(blocks)})
+        for blocks in (stack, times_power_of_two(stack, j))
+    )
+    assert scaled._norms.tobytes() == np.ldexp(p._norms, j).tobytes()
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(case=tables())
 def test_term_scale_bounds_evaluation(case):
@@ -1018,6 +1054,48 @@ def scaled_1e160():
     return MatrixPolynomial(arity=2, dim=4, terms=terms)
 
 
+def test_no_null_vector_at_a_generic_point_of_coefficient_norms_past_the_double_range():
+    # the coefficient norms, and so the term scale, stay finite: P is regular
+    # at a generic point, times 1e160 as without it
+    point = [1 + 0.5j, 0.3 - 1j]
+    plain = plant_instance(4, 2, 2, Orientation.UNKNOWNS_RIGHT, 3).equation.poly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert null_vectors_at(plain, point, "right") == []
+        assert null_vectors_at(scaled_1e160(), point, "right") == []
+
+
+def far_root():
+    # 1e-300 z1^2 + z1 + 1 + z2: each slice in z1 has one root near -1e300,
+    # in range, where z1^2 and so P overflow
+    terms = {(2, 0): 1e-300 * I1, (1, 0): I1, (0, 1): I1, (0, 0): I1}
+    return MatrixPolynomial(arity=2, dim=1, terms=terms)
+
+
+def test_a_point_where_p_overflows_gets_no_null_vectors():
+    p = far_root()
+    points = np.array([[-1e300, 0.5j], [-1.5 + 0.5j, 0.5 - 0.5j]])
+    offered = np.ones((2, 1), dtype=np.complex128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pz, vectors = polymatrix._null_spaces(p, points, "right")
+        assert not np.isfinite(pz[0]).all() and vectors[0] == []
+        assert len(vectors[1]) == 1
+        _, offers = polymatrix._null_spaces(p, points, "right", offered, np.ones(2, dtype=bool))
+        assert offers[0] == [] and len(offers[1]) == 1
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_sample_variety_past_a_root_where_p_overflows(side):
+    # the roots near -1e300 add no points; the others lie on det P = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sample = sample_variety(far_root(), side, 8, 0)
+    assert len(sample) >= 8 and np.all(np.isfinite(sample.values))
+    z1, z2 = sample.values.T
+    assert np.all(np.abs(z1 + 1e-300 * z1**2 + 1 + z2) <= 1e-12)
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_sample_variety_at_coefficient_norms_past_the_double_range(side):
     p = scaled_1e160()
@@ -1029,24 +1107,25 @@ def test_sample_variety_at_coefficient_norms_past_the_double_range(side):
 
 
 @pytest.mark.parametrize(
-    "p",
+    "p, k",
     [
-        MatrixPolynomial(arity=1, dim=2, terms={}),
-        MatrixPolynomial(arity=1, dim=2, terms={(3,): I2, (0,): [[-0.0, 2j], [3, 4]]}),
-        MatrixPolynomial(arity=2, dim=1, terms={(2, 1): I1, (0, 4): -I1, (1, 0): 2 * I1}),
-        plant_instance(4, 3, 2, Orientation.UNKNOWNS_LEFT, 7).equation.poly,
-        scaled_1e160(),
+        (MatrixPolynomial(arity=1, dim=2, terms={}), 0),
+        (MatrixPolynomial(arity=1, dim=2, terms={(3,): I2, (0,): [[-0.0, 2j], [3, 4]]}), 0),
+        (MatrixPolynomial(arity=2, dim=1, terms={(2, 1): I1, (0, 4): -I1, (1, 0): 2 * I1}), 0),
+        (plant_instance(4, 3, 2, Orientation.UNKNOWNS_LEFT, 7).equation.poly, 0),
+        # the squares of the 1e160 entries overflow: the direct norms are
+        # taken on the stack divided by 2^600 exactly, and multiplied back
+        (scaled_1e160(), 600),
     ],
     ids=["zero", "univariate", "bivariate", "planted", "scaled-1e160"],
 )
-def test_cached_norms_and_degree_equal_direct_computations(p):
+def test_cached_norms_and_degree_equal_direct_computations(p, k):
     # both are computed on first use, not when P is built
     assert "_norms" not in vars(p) and "_degree" not in vars(p)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         norms = p._norms
-    with np.errstate(over="ignore"):  # the 1e160 norms are inf
-        want = np.linalg.norm(p.stack, axis=(1, 2))
+    want = np.linalg.norm(p.stack * 2.0**-k, axis=(1, 2)) * 2.0**k
     assert norms.tobytes() == want.tobytes() and not norms.flags.writeable
     assert p._norms is norms
     assert total_degree(p) == int(p.exponents.sum(axis=1).max(initial=0))

@@ -1308,16 +1308,34 @@ def test_equation_lhs_matches_the_constant_times_identity(orientation, arity, de
         assert _lhs(eq, stacks).tobytes() == equation_lhs_with_identity(eq, stacks).tobytes()
 
 
-def test_solve_multivariate_at_coefficient_norms_past_the_double_range():
+def scaled_1e160(inst):
     # every coefficient times 1e160: the entries are finite, their squares
-    # and so the coefficient norms are not; the solve takes no warning.  A
-    # residual normalised by an inf coefficient norm checks nothing, so the
-    # family is checked against the unscaled equation
-    inst = plant_instance(4, 2, 2, Orientation.UNKNOWNS_RIGHT, 3)
+    # are not
     terms = {exps: 1e160 * a for exps, a in inst.equation.poly.terms.items()}
-    eq = StructuredEquation(MatrixPolynomial(2, 4, terms), Orientation.UNKNOWNS_RIGHT)
+    return StructuredEquation(MatrixPolynomial(2, 4, terms), Orientation.UNKNOWNS_RIGHT)
+
+
+def test_solve_multivariate_at_coefficient_norms_past_the_double_range():
+    # the solve takes no warning, and its family passes against the scaled
+    # equation and the unscaled one
+    inst = plant_instance(4, 2, 2, Orientation.UNKNOWNS_RIGHT, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = solve_multivariate(eq)
+        result = solve_multivariate(scaled_1e160(inst))
         (family,) = result.families
     assert verify_residual(inst.equation, family.unknowns) <= 1e-8
+    assert verify_residual(scaled_1e160(inst), family.unknowns) <= 1e-8
+
+
+def test_residual_at_coefficient_norms_past_the_double_range():
+    # the coefficient norms stay finite, so a perturbed planted pair reads
+    # the residual it reads against the unscaled equation, not 0
+    inst = plant_instance(4, 2, 2, Orientation.UNKNOWNS_RIGHT, 3)
+    rng = np.random.default_rng(0)
+    noise = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2)]
+    xs = [x + 1e-9 * e for x, e in zip(inst.truth_unknowns, noise)]
+    want = verify_residual(inst.equation, xs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = verify_residual(scaled_1e160(inst), xs)
+    assert want > 1e-13 and abs(got - want) <= 1e-4 * want
